@@ -13,7 +13,7 @@ platform and thread layout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .clustering import Cluster, Decomposition
@@ -100,7 +100,7 @@ def carve_params(n_meta: int) -> tuple[int, float, int]:
     probability (1 - e^-2)^64 ~ 1e-4).  The cap does not change the shifts
     drawn, only which runs are flagged failed.
     """
-    lg = max(1, math.ceil(math.log2(n_meta))) if n_meta > 1 else 1
+    lg = (n_meta - 1).bit_length() if n_meta > 1 else 1  # ceil(log2 N)
     s = max(1, math.ceil(math.sqrt(lg)))
     beta = 2.0 ** (-s - 2)
     union_cap = math.ceil(math.log(2 * max(1, n_meta)) / beta)

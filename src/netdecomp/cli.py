@@ -18,7 +18,6 @@ from typing import Optional
 from .carving import MetaGraph, ball_grow_refine, carve_decompose
 from .clustering import (
     decomposition_from_json,
-    decomposition_to_json,
     validate_cover,
     validate_decomposition,
     validate_mis,

@@ -131,6 +131,8 @@ def weak_diameter(g: Graph, members: Iterable[int]) -> int:
     """Max over member pairs of d_G, by BFS from each member (a compiled
     shortest-path backend takes over for large clusters)."""
     mem = sorted(members)
+    if len(mem) <= 1:
+        return 0
     if len(mem) > 64:
         from scipy.sparse.csgraph import shortest_path
 
@@ -142,7 +144,7 @@ def weak_diameter(g: Graph, members: Iterable[int]) -> int:
         return int(dm.max())
     best = 0
     for s in mem:
-        dist = _bfs_idx(g, [s])
+        dist = _bfs_idx(g, [s], targets=mem)
         for t in mem:
             if dist[t] < 0:
                 return -1  # disconnected in G: treated as invalid upstream
@@ -180,17 +182,27 @@ def validate_decomposition(
 
     min_gap = None
     for color, group in dec.color_classes().items():
+        # positions in ``group`` of the clusters holding each node (more
+        # than one when clusters overlap)
+        holders: dict[int, list[int]] = {}
+        for j, c in enumerate(group):
+            for v in c.members:
+                holders.setdefault(v, []).append(j)
         for i, c in enumerate(group):
-            dist = _bfs_idx(g, sorted(c.members), cap=dec.k)
-            for c2 in group[i + 1 :]:
-                hit = [v for v in c2.members if dist[v] >= 0]
-                if hit:
-                    gap = min(dist[v] for v in hit)
-                    min_gap = gap if min_gap is None else min(min_gap, gap)
-                    rep.fail(
-                        f"color {color}: clusters {c.id},{c2.id} at distance "
-                        f"{gap} <= k={dec.k}"
-                    )
+            reached: list[int] = []
+            dist = _bfs_idx(g, sorted(c.members), cap=dec.k, reached=reached)
+            gaps: dict[int, int] = {}
+            for v in reached:  # distance order: the first hit is the gap
+                for j in holders.get(v, ()):
+                    if j > i and j not in gaps:
+                        gaps[j] = dist[v]
+            for j in sorted(gaps):
+                gap = gaps[j]
+                min_gap = gap if min_gap is None else min(min_gap, gap)
+                rep.fail(
+                    f"color {color}: clusters {c.id},{group[j].id} at distance "
+                    f"{gap} <= k={dec.k}"
+                )
         usage: dict[tuple[int, int], int] = {}
         for c in group:
             for a, b in c.tree_edges:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .graphs import log_star
-
 
 def next_prime(x: int) -> int:
     """Smallest prime > x (trial division; fine at the scales used here)."""

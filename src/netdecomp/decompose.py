@@ -53,11 +53,6 @@ class LiveCluster:
     center: int                 # node index
     members: set[int]           # node indices
 
-    def radius_gk(self, g: Graph, k: int) -> int:
-        dist = _bfs_idx(g, [self.center])
-        worst = max(dist[m] for m in self.members)
-        return -(-worst // k)
-
 
 @dataclass
 class PhaseLog:
@@ -90,7 +85,7 @@ class DecompResult:
 
 def growth_parameters(n_clusters: int) -> tuple[int, int]:
     """(P, d): phase budget P = ceil(sqrt(log2 N)) (min 1), d = 2^P."""
-    lg = math.ceil(math.log2(n_clusters)) if n_clusters > 1 else 1
+    lg = (n_clusters - 1).bit_length() if n_clusters > 1 else 1  # ceil(log2 N)
     p = max(1, math.ceil(math.sqrt(lg)))
     return p, 2**p
 
@@ -178,7 +173,7 @@ def _build_hview(
     high: dict[int, bool] = {}
     if mode == "sim" and any(len(c.members) > 1 for c in live):
         # aggregate member holdings over the cluster trees for real
-        trees = [_live_cluster_tree(g, by_id[cid]) for cid in order]
+        trees = [_live_cluster_tree(g, by_id[cid])[0] for cid in order]
         values = {
             m: {c.id: [o for o in holdings[m] if o != c.id]}
             for c in live
@@ -219,10 +214,11 @@ def _build_hview(
 # -- cluster trees -------------------------------------------------------
 
 
-def _live_cluster_tree(g: Graph, c: LiveCluster) -> Cluster:
-    """Union of G-shortest paths center -> member (communication tree)."""
-    dist = _bfs_idx(g, [c.center])
-    parent = _bfs_parents(g, [c.center])
+def _live_cluster_tree(g: Graph, c: LiveCluster) -> tuple[Cluster, int]:
+    """Union of G-shortest paths center -> member (communication tree), and
+    the largest G-distance from the center to a member."""
+    parent: dict[int, int] = {}
+    dist = _bfs_idx(g, [c.center], targets=c.members, parent=parent)
     edges: set[tuple[int, int]] = set()
     for m in c.members:
         if dist[m] < 0:
@@ -232,31 +228,11 @@ def _live_cluster_tree(g: Graph, c: LiveCluster) -> Cluster:
             p = parent[v]
             edges.add((min(v, p), max(v, p)))
             v = p
-    return Cluster(
+    tree = Cluster(
         id=c.id, center=c.center, members=frozenset(c.members),
         tree_edges=frozenset(edges),
     )
-
-
-def _bfs_parents(g: Graph, sources: list[int]) -> list[int]:
-    parent = [-1] * g.n
-    dist = [-1] * g.n
-    frontier = []
-    for s in sorted(sources):
-        if dist[s] < 0:
-            dist[s] = 0
-            parent[s] = s
-            frontier.append(s)
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    return parent
+    return tree, max(dist[m] for m in c.members)
 
 
 def _color_class_trees(
@@ -360,12 +336,12 @@ def _marked_neighbor_map(
     else:
         per_node = [None] * g.n
         for mid in sorted(marked, reverse=True):
-            dist = _bfs_idx(g, sorted(by_id[mid].members), cap=k)
-            for v in range(g.n):
-                if dist[v] >= 0:
-                    cur = per_node[v]
-                    if cur is None or mid < cur:
-                        per_node[v] = mid
+            reached: list[int] = []
+            _bfs_idx(g, sorted(by_id[mid].members), cap=k, reached=reached)
+            for v in reached:
+                cur = per_node[v]
+                if cur is None or mid < cur:
+                    per_node[v] = mid
     out: dict[int, int] = {}
     for c in live:
         best = None
@@ -405,17 +381,22 @@ def _add_proximity_edges(
     """Force color conflicts between residual clusters at G-distance
     <= max(k, 2*radius of either), so same-color cells stay connected."""
     res_index = {cid: i for i, cid in enumerate(residual)}
+    owner = {m: cid for cid in residual for m in by_id[cid].members}
     for cid in residual:
         cap = max(k, 2 * radii[cid])
-        dist = _bfs_idx(g, sorted(by_id[cid].members), cap=cap)
+        reached: list[int] = []
+        dist = _bfs_idx(g, sorted(by_id[cid].members), cap=cap, reached=reached)
+        gap: dict[int, int] = {}    # other residual cluster -> G-distance
+        for v in reached:
+            ocid = owner.get(v)
+            if ocid is not None and ocid != cid and ocid not in gap:
+                gap[ocid] = dist[v]  # reached in distance order
         i = res_index[cid]
-        for ocid in residual:
-            if ocid == cid:
-                continue
+        for ocid, dd in gap.items():
             thresh = max(k, 2 * radii[cid], 2 * radii[ocid])
             if thresh > cap:
                 continue  # handled from the other side
-            if any(0 <= dist[m] <= thresh for m in by_id[ocid].members):
+            if dd <= thresh:
                 j = res_index[ocid]
                 sym[i].add(j)
                 sym[j].add(i)
@@ -567,7 +548,7 @@ def decompose(
             radii = {}
             for cid in residual:
                 c = by_id[cid]
-                dist = _bfs_idx(g, [c.center])
+                dist = _bfs_idx(g, [c.center], targets=c.members)
                 radii[cid] = max(dist[m] for m in c.members)
             if any(r > 0 for r in radii.values()):
                 _add_proximity_edges(g, by_id, residual, radii, k, sym)
@@ -599,9 +580,10 @@ def decompose(
                 f"invariant A violated in phase {phase}: "
                 f"{len(live)} > {n_init}/{d}^{phase}"
             )
-        max_r = max((c.radius_gk(g, k) for c in live), default=0)
+        max_r = 0
         for c in live:
-            tree = _live_cluster_tree(g, c)
+            tree, radius = _live_cluster_tree(g, c)
+            max_r = max(max_r, -(-radius // k))     # radius in G^k hops
             for e in tree.tree_edges:
                 edge_usage[e] = edge_usage.get(e, 0) + 1
         max_overlap = max(edge_usage.values(), default=0)

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, MutableMapping, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -357,16 +357,43 @@ def bfs_distances(g: Graph, source: int, cap: Optional[int] = None) -> DistanceM
     )
 
 
-def _bfs_idx(g: Graph, sources: Sequence[int], cap: Optional[int] = None) -> list[int]:
-    """Multi-source BFS over indices; -1 means unreached/beyond cap."""
+def _bfs_idx(
+    g: Graph,
+    sources: Sequence[int],
+    cap: Optional[int] = None,
+    targets: Optional[Iterable[int]] = None,
+    parent: Optional[MutableMapping[int, int]] = None,
+    reached: Optional[list[int]] = None,
+) -> list[int]:
+    """Multi-source BFS over indices; -1 means unreached/beyond cap.
+
+    The shared BFS kernel.  Frontiers are scanned in discovery order and
+    neighbors in ascending order, so every output is deterministic.
+
+    * ``targets``: stop as soon as every target is reached.  Target
+      distances are exact; nodes the search did not get to read -1.
+    * ``parent``: filled with ``parent[v]`` = the node that discovered v
+      (``parent[s] = s`` for sources); a list of length n or a dict.
+    * ``reached``: extended with every reached node in discovery order.
+    """
     dist = [-1] * g.n
     frontier = []
     for s in sources:
         if dist[s] < 0:
             dist[s] = 0
             frontier.append(s)
-    d = 0
+    if parent is not None:
+        for s in frontier:
+            parent[s] = s
+    if reached is not None:
+        reached.extend(frontier)
+    want = None
+    if targets is not None:
+        want = {t for t in targets if dist[t] < 0}
+        if not want:
+            return dist
     nb = g.neighbors
+    d = 0
     while frontier and (cap is None or d < cap):
         d += 1
         nxt = []
@@ -375,6 +402,16 @@ def _bfs_idx(g: Graph, sources: Sequence[int], cap: Optional[int] = None) -> lis
                 if dist[v] < 0:
                     dist[v] = d
                     nxt.append(v)
+                    if parent is not None:
+                        parent[v] = u
+                    if want is not None and v in want:
+                        want.discard(v)
+                        if not want:
+                            if reached is not None:
+                                reached.extend(nxt)
+                            return dist
+        if reached is not None:
+            reached.extend(nxt)
         frontier = nxt
     return dist
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import bisect
 import heapq
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 import numpy as np
 
@@ -270,6 +269,11 @@ class _Flood(NodeProgram):
     hop count improved since it was last sent there.  On quiescence every
     node knows the exact shortest hop count (up to ``hops``) of every
     in-range origin; holdings are truncated to the ``fanin`` smallest.
+
+    Every port keeps a min-heap of origins that may be due: an origin is
+    pushed on each port whenever its hop count improves below ``hops``, and
+    a popped origin already sent there at <= its hop count + 1 is dropped.
+    The first origin that survives is the smallest one due on that port.
     """
 
     def __init__(self, origin: Optional[tuple[int, Any]], hops: int, fanin: int, hop_bits: int):
@@ -282,23 +286,34 @@ class _Flood(NodeProgram):
         self.hop_bits = hop_bits
         self.origin_bits: Optional[int] = None  # fall back to view.id_bits
 
+    def init(self, view):
+        super().init(view)
+        self.due: list[list[int]] = [[] for _ in range(view.degree)]
+        for origin, (h, _) in self.known.items():
+            self._push(origin, h)
+
+    def _push(self, origin: int, h: int) -> None:
+        if h < self.hops:
+            for heap in self.due:
+                heapq.heappush(heap, origin)
+
     def step(self, round_no, inbox):
         for msg in inbox.values():
             origin, h, payload = msg.payload
             cur = self.known.get(origin)
             if cur is None or h < cur[0]:
                 self.known[origin] = (h, payload)
+                self._push(origin, h)
         out = {}
-        for port in range(self.view.degree):
-            for origin in sorted(self.known):
+        width = self.origin_bits or self.view.id_bits
+        for port, heap in enumerate(self.due):
+            while heap:
+                origin = heapq.heappop(heap)
                 h, payload = self.known[origin]
-                if h >= self.hops:
-                    continue  # hop budget exhausted
                 prev = self.sent.get((port, origin))
                 if prev is not None and prev <= h + 1:
                     continue
                 self.sent[(port, origin)] = h + 1
-                width = self.origin_bits or self.view.id_bits
                 out[port] = Message(
                     (origin, h + 1, payload),
                     TAG_BITS + width + self.hop_bits,
@@ -524,8 +539,8 @@ def cluster_broadcast(
 
 class _Convergecast(NodeProgram):
     """Leaves-to-root aggregation.  ``union`` streams the item_cap smallest
-    items in ascending order once a subtree is complete; ``count`` sends a
-    single tally.  -1 payload marks end-of-stream."""
+    distinct items in ascending order once a subtree is complete; ``count``
+    sends a single tally.  -1 payload marks end-of-stream."""
 
     def __init__(self, roles, own: dict[int, list[int]], mode: str,
                  item_cap: int, item_bits: int):
@@ -561,7 +576,7 @@ class _Convergecast(NodeProgram):
             items.extend(vals)
         if self.mode == "count":
             return [sum(items)] if items else [0]
-        return sorted(items)[: self.item_cap]
+        return sorted(set(items))[: self.item_cap]
 
     def step(self, round_no, inbox):
         for port, msg in inbox.items():
@@ -613,9 +628,9 @@ def cluster_convergecast(
     """Aggregate per-member values to each cluster center.
 
     ``values`` maps node index -> {cluster id -> list of items}.  With
-    combine='union' the center ends with the item_cap smallest items of its
-    members (ascending truncation); with 'count' the total tally.  Returns
-    {cluster id -> aggregate} plus stats.
+    combine='union' the center ends with the item_cap smallest distinct
+    items of its members (ascending truncation); with 'count' the total
+    tally.  Returns {cluster id -> aggregate} plus stats.
     """
     if combine not in ("union", "count"):
         raise SimError(f"unsupported combine {combine!r}")

@@ -54,7 +54,10 @@ class TestSampleExp:
 
 
 class TestCarveParams:
-    @pytest.mark.parametrize("n", [1, 2, 64, 256, 1000, 2**20, 2**40, 2**64])
+    # 2^53 + 1 and up: float log2 rounds these down to a power of two
+    @pytest.mark.parametrize(
+        "n", [1, 2, 64, 256, 1000, 2**20, 2**40, 2**64, 2**53 + 1, 2**64 + 1, 2**100 + 1]
+    )
     def test_s_and_beta_follow_the_paper(self, n):
         s, beta, _ = carve_params(n)
         lg = max(1, (n - 1).bit_length())   # ceil(log2 n), at least 1

@@ -100,6 +100,101 @@ class TestValidateDecomposition:
         assert decomposition_to_json(g, dec2) == decomposition_to_json(g, dec)
 
 
+def _pairwise_same_color(g, dec):
+    """Reference for the separation clause: every same-color pair of
+    clusters, G-distances from Floyd-Warshall."""
+    apd = all_pairs_distances(g)
+    lines, gaps = [], []
+    for color, group in dec.color_classes().items():
+        for i, c in enumerate(group):
+            for c2 in group[i + 1 :]:
+                gap = min(int(apd[u, v]) for u in c.members for v in c2.members)
+                if gap <= dec.k:
+                    gaps.append(gap)
+                    lines.append(
+                        f"color {color}: clusters {c.id},{c2.id} at distance "
+                        f"{gap} <= k={dec.k}"
+                    )
+    return lines, min(gaps, default=None)
+
+
+def _pairwise_weak_diameter(g, dec):
+    apd = all_pairs_distances(g)
+    big = np.iinfo(np.int32).max // 8
+    out = 0
+    for c in dec.clusters:
+        worst = max(int(apd[u, v]) for u in c.members for v in c.members)
+        out = max(out, -1 if worst >= big else worst)
+    return out
+
+
+def _same_color_lines(rep):
+    return [f for f in rep.failures if " at distance " in f]
+
+
+class TestSameColorScan:
+    """The owner-map scan of ``validate_decomposition`` reports exactly what
+    a pairwise scan reports, in the same order."""
+
+    def test_p3_invalid_fixture(self):
+        import json
+        from importlib import resources
+
+        from netdecomp.graphs import Graph
+
+        data = json.loads(
+            (resources.files("netdecomp") / "fixtures" / "p3_invalid.json").read_text()
+        )
+        gd = data["graph"]
+        g = Graph(gd["nodes"], [tuple(e) for e in gd["edges"]], id_bits=gd["id_bits"])
+        dec = decomposition_from_json(g, data["decomposition"])
+        rep = validate_decomposition(g, dec)
+        lines, gap = _pairwise_same_color(g, dec)
+        assert lines == ["color 0: clusters 0,2 at distance 2 <= k=2"]
+        assert _same_color_lines(rep) == lines
+        assert rep.stats["min_same_color_gap"] == gap == 2
+
+    def test_overlapping_clusters(self):
+        g = generate_graph("path", {"n": 5}, 0)
+        clusters = [
+            Cluster(id=0, center=0, members=frozenset([0, 1]), color=0),
+            Cluster(id=1, center=1, members=frozenset([1, 2]), color=0),
+            Cluster(id=2, center=4, members=frozenset([2, 3, 4]), color=0),
+        ]
+        dec = Decomposition(k=1, clusters=clusters)
+        rep = validate_decomposition(g, dec, check_trees=False)
+        lines, gap = _pairwise_same_color(g, dec)
+        assert _same_color_lines(rep) == lines and len(lines) == 3
+        assert rep.stats["min_same_color_gap"] == gap == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        k=st.integers(1, 3),
+        palette=st.integers(1, 4),
+    )
+    def test_random_recolorings(self, seed, k, palette):
+        from netdecomp.decompose import decompose
+
+        g = generate_graph("gnp", {"n": 40, "p": 0.08}, seed)
+        valid = decompose(g, k).decomposition
+        rng = np.random.default_rng(seed)
+        recolored = Decomposition(
+            k=k,
+            clusters=[
+                Cluster(c.id, c.center, c.members, c.tree_edges,
+                        color=int(rng.integers(palette)))
+                for c in valid.clusters
+            ],
+        )
+        for dec in (valid, recolored):
+            rep = validate_decomposition(g, dec, check_trees=False)
+            lines, gap = _pairwise_same_color(g, dec)
+            assert _same_color_lines(rep) == lines
+            assert rep.stats["min_same_color_gap"] == gap
+            assert rep.stats["max_weak_diameter"] == _pairwise_weak_diameter(g, dec)
+
+
 class TestValidateCover:
     def test_star_single_cluster(self):
         g = _star(5)

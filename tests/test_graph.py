@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from netdecomp.graphs import (
     Graph,
     GraphError,
+    _bfs_idx,
     all_pairs_distances,
     bfs_distances,
     connected_components,
@@ -210,6 +211,72 @@ class TestOracleAgreement:
             for j in range(g.n):
                 got = d.get(g.ids[j])
                 assert got == (int(apd[i, j]) if apd[i, j] < big else None)
+
+
+class TestBfsKernel:
+    """``_bfs_idx`` options against two independent backends: Floyd-Warshall
+    (``all_pairs_distances``) and scipy's compiled BFS."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_options_against_independent_distances(self, seed, n, data):
+        from scipy.sparse.csgraph import shortest_path
+
+        g = generate_graph("gnp", {"n": n, "p": 0.12}, seed=seed)
+        apd = all_pairs_distances(g).astype(float)
+        apd[apd >= np.iinfo(np.int32).max // 8] = np.inf
+        sp = shortest_path(g.adjacency_csr(), unweighted=True)
+        assert np.array_equal(apd, sp)
+
+        node = st.integers(0, n - 1)
+        sources = data.draw(st.lists(node, min_size=1, max_size=4))
+        cap = data.draw(st.none() | st.integers(0, 5))
+        true = sp[sources].min(axis=0)  # multi-source distance
+        within = np.isfinite(true) & (true <= (np.inf if cap is None else cap))
+        want = [int(d) if ok else -1 for d, ok in zip(true, within)]
+        assert _bfs_idx(g, sources, cap) == want
+
+        parent: dict = {}
+        reached: list = []
+        dist = _bfs_idx(g, sources, cap, parent=parent, reached=reached)
+        assert dist == want
+        assert sorted(reached) == [v for v in range(n) if want[v] >= 0]
+        assert [dist[v] for v in reached] == sorted(dist[v] for v in reached)
+        assert set(parent) == set(reached)
+        for v, u in parent.items():
+            if dist[v] == 0:
+                assert u == v
+            else:
+                assert v in g.neighbors[u] and dist[u] == dist[v] - 1
+
+        targets = data.draw(st.lists(node, max_size=4))
+        parent = [-1] * n
+        reached = []
+        dist = _bfs_idx(
+            g, sources, cap, targets=targets, parent=parent, reached=reached
+        )
+        assert all(dist[t] == want[t] for t in targets)
+        assert all(d in (-1, want[v]) for v, d in enumerate(dist))
+        assert [v for v in range(n) if dist[v] >= 0] == sorted(reached)
+        assert [v for v in range(n) if parent[v] >= 0] == sorted(reached)
+        if all(want[t] >= 0 for t in targets):
+            # early exit: stops inside the level of the farthest target
+            last = max((want[t] for t in targets), default=0)
+            assert all(dist[v] >= 0 for v in range(n) if 0 <= want[v] < last)
+            assert all(dist[v] <= last for v in range(n))
+        else:
+            assert dist == want  # an unreachable target: the full search
+
+    def test_target_at_source_explores_nothing(self):
+        g = generate_graph("grid", {"rows": 5, "cols": 5}, 0)
+        reached: list = []
+        dist = _bfs_idx(g, [12], targets=[12], reached=reached)
+        assert reached == [12] and dist.count(-1) == g.n - 1
+        assert len(dist) == g.n
 
 
 class TestLogStar:

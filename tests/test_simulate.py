@@ -1,10 +1,13 @@
 """Engine tests: handshake fixtures, budget accounting, determinism,
 locality, flooding vs its central oracle, tree broadcast/convergecast."""
 
+from unittest.mock import patch
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netdecomp import simulate
 from netdecomp.clustering import Cluster
 from netdecomp.graphs import Graph, generate_graph
 from netdecomp.simulate import (
@@ -15,6 +18,7 @@ from netdecomp.simulate import (
     RoundStats,
     SimConfig,
     SimError,
+    _Flood,
     bounded_flood,
     bounded_flood_oracle,
     cluster_broadcast,
@@ -214,6 +218,77 @@ class TestBoundedFlood:
         assert stats.rounds <= (fanin + 2) * hops + 2
 
 
+class _Recorded:
+    """Mixin for flood programs: logs (round, node id, outbox) per step."""
+
+    log: list = []
+
+    def step(self, round_no, inbox):
+        out = super().step(round_no, inbox)
+        self.log.append((round_no, self.view.node_id, sorted(
+            (port, m.payload, m.bits) for port, m in out.items()
+        )))
+        return out
+
+
+class _SortedRescanFlood(_Flood):
+    """Reference send rule: rescan every held origin in ascending order, for
+    every port, every round."""
+
+    def step(self, round_no, inbox):
+        for msg in inbox.values():
+            origin, h, payload = msg.payload
+            cur = self.known.get(origin)
+            if cur is None or h < cur[0]:
+                self.known[origin] = (h, payload)
+        out = {}
+        for port in range(self.view.degree):
+            for origin in sorted(self.known):
+                h, payload = self.known[origin]
+                if h >= self.hops:
+                    continue
+                prev = self.sent.get((port, origin))
+                if prev is not None and prev <= h + 1:
+                    continue
+                self.sent[(port, origin)] = h + 1
+                width = self.origin_bits or self.view.id_bits
+                out[port] = Message(
+                    (origin, h + 1, payload), TAG_BITS + width + self.hop_bits
+                )
+                break
+        return out
+
+
+class TestFloodSendQueue:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        hops=st.integers(1, 4),
+        fanin=st.integers(1, 5),
+        clusters=st.booleans(),
+    )
+    def test_outboxes_match_sorted_rescan(self, seed, hops, fanin, clusters):
+        import numpy as np
+
+        g = generate_graph("gnp", {"n": 40, "p": 0.1}, seed)
+        rng = np.random.default_rng(seed)
+        if clusters:  # members of one cluster share an origin id
+            sources = {v: (int(rng.integers(8)) * 3 + 1, None) for v in range(g.n)}
+        else:
+            picked = rng.choice(g.n, size=12, replace=False).tolist()
+            sources = {int(v): (g.ids[int(v)], f"p{v}") for v in picked}
+        runs = []
+        for base in (_Flood, _SortedRescanFlood):
+            recorded = type("Recorded", (_Recorded, base), {"log": []})
+            with patch.object(simulate, "_Flood", recorded):
+                held, stats = bounded_flood(g, sources, hops, fanin, SimConfig())
+            runs.append((recorded.log, held, stats))
+        (log, held, stats), (ref_log, ref_held, ref_stats) = runs
+        assert log == ref_log
+        assert held == ref_held
+        assert stats == ref_stats
+
+
 class TestMinGossip:
     def test_exact_k_hop_min(self):
         g = generate_graph("path", {"n": 6}, 0)
@@ -274,6 +349,16 @@ class TestClusterPrimitives:
             g, [c], values, SimConfig(), combine="union", item_cap=2
         )
         assert agg == {0: [0, 1]}
+
+    def test_convergecast_union_counts_shared_items_once(self):
+        # members holding the same id must not crowd out larger ones
+        g = generate_graph("path", {"n": 4}, 0)
+        c = _path_cluster(g, 0, 0, 3, center=0)
+        values = {0: {0: [7]}, 1: {0: [5, 7]}, 2: {0: [5]}, 3: {0: [5, 9]}}
+        agg, _ = cluster_convergecast(
+            g, [c], values, SimConfig(), combine="union", item_cap=3
+        )
+        assert agg == {0: [5, 7, 9]}
 
     def test_singleton_convergecast(self):
         g = generate_graph("path", {"n": 1}, 0)
