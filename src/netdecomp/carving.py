@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .clustering import Cluster, Decomposition
-from .graphs import Graph, _bfs_idx
+from .graphs import Graph, _bfs_idx, path_union
 from .simulate import node_rng
 
 FP_BITS = 16  # fractional bits for fixed-point shifts
@@ -185,21 +185,11 @@ def carve_step(
     # active induced subgraph out to floor(r_v) hops
     best: dict[int, list[tuple[int, int]]] = {}
     for v in sorted(centers):
-        radius = shift_fp[v] >> FP_BITS
-        dist = {v: 0}
-        frontier = [v]
-        depth = 0
-        while frontier and depth < radius:
-            depth += 1
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors[u]:
-                    if w in active and w not in dist:
-                        dist[w] = depth
-                        nxt.append(w)
-            frontier = nxt
-        for u, du in dist.items():
-            m = shift_fp[v] - (du << FP_BITS)
+        ball: list[int] = []
+        dist = _bfs_idx(g, [v], cap=shift_fp[v] >> FP_BITS, within=active,
+                        reached=ball)
+        for u in ball:
+            m = shift_fp[v] - (dist[u] << FP_BITS)
             pairs = best.setdefault(u, [])
             pairs.append((m, -v))
             pairs.sort(reverse=True)
@@ -345,25 +335,18 @@ def carve_decompose(
 
 def _strong_cluster(h: MetaGraph, center: int, mem: set[int], color: int) -> Cluster:
     """BFS tree inside the cluster (strong diameter by construction)."""
-    g = h.graph
-    parent = {center: center}
-    frontier = [center]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in g.neighbors[u]:
-                if w in mem and w not in parent:
-                    parent[w] = u
-                    nxt.append(w)
-        frontier = nxt
+    parent: dict[int, int] = {}
+    _bfs_idx(h.graph, [center], parent=parent, within=mem)
     if set(parent) != set(mem):
         raise CarveError("carved cluster is not connected")
-    edges = {
-        (min(v, p), max(v, p)) for v, p in parent.items() if v != p
-    }
+    return _tree_cluster(h.graph, center, parent, color)
+
+
+def _tree_cluster(g: Graph, center: int, parent: dict[int, int], color: int) -> Cluster:
+    """The cluster spanned by a BFS tree given as its parent map."""
     return Cluster(
-        id=g.ids[center], center=center, members=frozenset(mem),
-        tree_edges=frozenset(edges), color=color,
+        id=g.ids[center], center=center, members=frozenset(parent),
+        tree_edges=path_union(parent, parent), color=color,
     )
 
 
@@ -455,21 +438,12 @@ def ball_grow_refine(
 
 def _ball_components(h: MetaGraph, interior: set[int], color: int) -> list[Cluster]:
     """Connected components of the interior, each as a strong cluster."""
-    g = h.graph
     left = set(interior)
     out = []
     while left:
         root = min(left)
-        comp = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for w in g.neighbors[u]:
-                    if w in left and w not in comp:
-                        comp.add(w)
-                        nxt.append(w)
-            frontier = nxt
-        left -= comp
-        out.append(_strong_cluster(h, root, comp, color))
+        parent: dict[int, int] = {}
+        _bfs_idx(h.graph, [root], parent=parent, within=left)
+        left -= parent.keys()
+        out.append(_tree_cluster(h.graph, root, parent, color))
     return out

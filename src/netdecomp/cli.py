@@ -176,6 +176,8 @@ def run_seed(args, seed: int) -> dict:
 
 
 def run_experiment(args) -> dict:
+    if args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     seeds = parse_seeds(args.seeds)
     runs = [run_seed(args, s) for s in seeds]
     return {

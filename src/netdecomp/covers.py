@@ -19,7 +19,7 @@ from .clustering import (
     NeighborhoodCover,
     validate_decomposition,
 )
-from .graphs import Graph, GraphError, _bfs_idx
+from .graphs import Graph, GraphError, _bfs_idx, path_union
 
 
 class CoverError(RuntimeError):
@@ -66,25 +66,15 @@ def _strong_tree(
     g: Graph, center: int, members: frozenset[int]
 ) -> frozenset[tuple[int, int]]:
     """BFS spanning tree of G[members] rooted at the center."""
-    parent = {center: None}
-    frontier = [center]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors[u]:
-                if v in members and v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
+    parent: dict[int, int] = {}
+    _bfs_idx(g, [center], parent=parent, within=members)
     missing = members - parent.keys()
     if missing:
         raise CoverError(
             f"expanded cluster around {center} is not connected "
             f"({len(missing)} unreachable members)"
         )
-    return frozenset(
-        (min(u, p), max(u, p)) for u, p in parent.items() if p is not None
-    )
+    return path_union(parent, parent)
 
 
 # -- MST oracles ---------------------------------------------------------
@@ -116,12 +106,7 @@ def _require_weights(g: Graph) -> None:
 def kruskal_oracle(g: Graph) -> frozenset[tuple[int, int]]:
     """The unique minimum spanning forest (distinct weights) by Kruskal."""
     _require_weights(g)
-    dsu = _DSU(g.n)
-    tree = set()
-    for (a, b), _w in sorted(g.weights.items(), key=lambda kv: kv[1]):
-        if dsu.union(a, b):
-            tree.add((a, b))
-    return frozenset(tree)
+    return _forest_of(g.n, g.weights)
 
 
 def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
@@ -292,9 +277,9 @@ def cover_mst(
     _require_weights(g)
     if not _connected(g):
         raise GraphError("cover_mst needs a connected graph")
-    if mu is None:
-        mu = mst_radius(g)
     true_mu = mst_radius(g)
+    if mu is None:
+        mu = true_mu
     if true_mu is None or mu < true_mu:
         raise MstError(f"supplied mu={mu} below MST-radius {true_mu}")
     k = max(1, mu)

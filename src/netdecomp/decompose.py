@@ -33,7 +33,7 @@ from scipy import sparse
 
 from .clustering import Cluster, Decomposition
 from .coloring import greedy_reduce, linial_color
-from .graphs import Graph, _bfs_idx
+from .graphs import Graph, _bfs_idx, path_union, voronoi_cells
 from .simulate import (
     RoundStats,
     SimConfig,
@@ -219,18 +219,12 @@ def _live_cluster_tree(g: Graph, c: LiveCluster) -> tuple[Cluster, int]:
     the largest G-distance from the center to a member."""
     parent: dict[int, int] = {}
     dist = _bfs_idx(g, [c.center], targets=c.members, parent=parent)
-    edges: set[tuple[int, int]] = set()
     for m in c.members:
         if dist[m] < 0:
             raise DecomposeError(f"cluster {c.id}: member {m} unreachable")
-        v = m
-        while v != c.center:
-            p = parent[v]
-            edges.add((min(v, p), max(v, p)))
-            v = p
     tree = Cluster(
         id=c.id, center=c.center, members=frozenset(c.members),
-        tree_edges=frozenset(edges),
+        tree_edges=path_union(parent, c.members),
     )
     return tree, max(dist[m] for m in c.members)
 
@@ -243,70 +237,26 @@ def _color_class_trees(
 
     Each cell is connected, contains all of its cluster's members, and the
     cells of distinct same-color clusters are vertex-disjoint — so the BFS
-    trees built inside them never share a G-edge.
+    trees built inside them, pruned to the center -> member paths, never
+    share a G-edge.
     """
-    INF = (1 << 60, 1 << 62)
-    label: list[tuple[int, int]] = [INF] * g.n
-    frontier: list[int] = []
-    owner_rank = {cid: r for r, (cid, _, _) in enumerate(sorted(group))}
-    for cid, center, members in sorted(group):
-        r = owner_rank[cid]
-        for m in members:
-            if label[m] > (0, r):
-                label[m] = (0, r)
-    frontier = [v for v in range(g.n) if label[v][0] == 0]
-    dist_level = 0
-    while frontier:
-        dist_level += 1
-        nxt = []
-        for u in sorted(frontier):
-            lu = label[u]
-            for v in g.neighbors[u]:
-                cand = (lu[0] + 1, lu[1])
-                if cand < label[v]:
-                    if label[v] == INF:
-                        nxt.append(v)
-                    label[v] = cand
-        # re-relax inside the new frontier until stable at this level
-        frontier = [v for v in nxt if label[v][0] == dist_level]
-
-    cells: dict[int, set[int]] = {r: set() for r in owner_rank.values()}
-    for v in range(g.n):
-        if label[v][0] < INF[0]:
-            cells[label[v][1]].add(v)
+    ranked = sorted(group)
+    owner = voronoi_cells(g, [members for _, _, members in ranked])
+    cells: list[set[int]] = [set() for _ in ranked]
+    for v, r in enumerate(owner):
+        if r >= 0:
+            cells[r].add(v)
     trees: dict[int, frozenset[tuple[int, int]]] = {}
-    for cid, center, members in sorted(group):
-        trees[cid] = _tree_in_cell(g, cells[owner_rank[cid]], center, members)
+    for (cid, center, members), cell in zip(ranked, cells):
+        parent: dict[int, int] = {}
+        dist = _bfs_idx(g, [center], targets=members, parent=parent, within=cell)
+        missing = [m for m in members if dist[m] < 0]
+        if missing:
+            raise DecomposeError(
+                f"voronoi cell of cluster at node {center} misses members {missing[:3]}"
+            )
+        trees[cid] = path_union(parent, members)
     return trees
-
-
-def _tree_in_cell(
-    g: Graph, cell: set[int], center: int, members: frozenset[int]
-) -> frozenset[tuple[int, int]]:
-    """Pruned BFS spanning tree of G[cell] rooted at center."""
-    parent = {center: center}
-    frontier = [center]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in g.neighbors[u]:
-                if v in cell and v not in parent:
-                    parent[v] = u
-                    nxt.append(v)
-        frontier = nxt
-    missing = [m for m in members if m not in parent]
-    if missing:
-        raise DecomposeError(
-            f"voronoi cell of cluster at node {center} misses members {missing[:3]}"
-        )
-    edges: set[tuple[int, int]] = set()
-    for m in members:
-        v = m
-        while v != center:
-            p = parent[v]
-            edges.add((min(v, p), max(v, p)))
-            v = p
-    return frozenset(edges)
 
 
 # -- phase logic ---------------------------------------------------------

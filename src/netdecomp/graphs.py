@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, MutableMapping, Optional, Sequence
+from typing import Container, Iterable, Mapping, MutableMapping, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -364,17 +364,22 @@ def _bfs_idx(
     targets: Optional[Iterable[int]] = None,
     parent: Optional[MutableMapping[int, int]] = None,
     reached: Optional[list[int]] = None,
+    within: Optional[Container[int]] = None,
 ) -> list[int]:
     """Multi-source BFS over indices; -1 means unreached/beyond cap.
 
     The shared BFS kernel.  Frontiers are scanned in discovery order and
-    neighbors in ascending order, so every output is deterministic.
+    neighbors in ascending order, so every output is deterministic: with
+    several sources, a node is discovered from the earliest-listed of its
+    nearest sources.
 
     * ``targets``: stop as soon as every target is reached.  Target
       distances are exact; nodes the search did not get to read -1.
     * ``parent``: filled with ``parent[v]`` = the node that discovered v
       (``parent[s] = s`` for sources); a list of length n or a dict.
     * ``reached``: extended with every reached node in discovery order.
+    * ``within``: only nodes in this set are entered (sources always are),
+      so distances are those of the subgraph induced by within + sources.
     """
     dist = [-1] * g.n
     frontier = []
@@ -399,7 +404,7 @@ def _bfs_idx(
         nxt = []
         for u in frontier:
             for v in nb[u]:
-                if dist[v] < 0:
+                if dist[v] < 0 and (within is None or v in within):
                     dist[v] = d
                     nxt.append(v)
                     if parent is not None:
@@ -414,6 +419,39 @@ def _bfs_idx(
             reached.extend(nxt)
         frontier = nxt
     return dist
+
+
+def voronoi_cells(g: Graph, seed_groups: Sequence[Iterable[int]]) -> list[int]:
+    """Owner per node: the position of the group nearest to it, ties to
+    the earliest-listed group (a seed in several groups belongs to the
+    first); -1 where no seed is reachable."""
+    sources = [s for group in seed_groups for s in group]
+    parent = [-1] * g.n
+    reached: list[int] = []
+    _bfs_idx(g, sources, parent=parent, reached=reached)
+    owner = [-1] * g.n
+    for i, group in enumerate(seed_groups):
+        for s in group:
+            if owner[s] < 0:
+                owner[s] = i
+    for v in reached:  # discovery order: a parent's owner is already set
+        if owner[v] < 0:
+            owner[v] = owner[parent[v]]
+    return owner
+
+
+def path_union(
+    parent: Mapping[int, int], nodes: Iterable[int]
+) -> frozenset[tuple[int, int]]:
+    """Edges (a, b), a < b, on the ``parent`` paths from ``nodes`` up to
+    their roots (the nodes with ``parent[r] == r``)."""
+    edges: set[tuple[int, int]] = set()
+    for v in nodes:
+        p = parent[v]
+        while p != v and (min(v, p), max(v, p)) not in edges:
+            edges.add((min(v, p), max(v, p)))
+            v, p = p, parent[p]
+    return frozenset(edges)
 
 
 def all_pairs_distances(g: Graph) -> np.ndarray:

@@ -19,7 +19,13 @@ import numpy as np
 from .carving import MetaGraph, ball_grow_refine, carve_decompose
 from .clustering import RulingSetResult
 from .decompose import decompose
-from .graphs import Graph, _bfs_idx, induced_subgraph
+from .graphs import (
+    Graph,
+    _bfs_idx,
+    connected_components,
+    induced_subgraph,
+    voronoi_cells,
+)
 from .simulate import Message, NodeProgram, RoundStats, SimConfig, node_rng, run
 
 UNDECIDED, IN_MIS, REMOVED = 0, 1, 2
@@ -288,7 +294,7 @@ def shatter_check(g: Graph, B: set[int], delta: Optional[int] = None) -> Shatter
     if not B:
         return ShatterReport([], 0, bound, 0.0, 0)
     sub = induced_subgraph(g, sorted(B))
-    comps = _components(sub)
+    comps = connected_components(sub)
     sizes = sorted((len(c) for c in comps), reverse=True)
     witness_best = 0
     for comp in comps:
@@ -321,26 +327,6 @@ def shatter_check(g: Graph, B: set[int], delta: Optional[int] = None) -> Shatter
             witness_best = max(witness_best, len(comp9))
     mx = sizes[0] if sizes else 0
     return ShatterReport(sizes, mx, bound, mx / bound, witness_best)
-
-
-def _components(g: Graph) -> list[list[int]]:
-    seen = [False] * g.n
-    out = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        q = [s]
-        while q:
-            u = q.pop()
-            for v in g.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    q.append(v)
-        out.append(sorted(comp))
-    return out
 
 
 # -- ruling set and meta-graph -------------------------------------------
@@ -388,32 +374,15 @@ def build_meta_graph(g: Graph, B: set[int], chosen: set[int]) -> MetaGraph:
     sub = induced_subgraph(g, order)
     to_sub = {v: i for i, v in enumerate(order)}
     roots = sorted(to_sub[v] for v in chosen)
-    INF = (1 << 60, 1 << 60)
-    label = [INF] * sub.n
-    for r_rank, r in enumerate(roots):
-        label[r] = (0, r_rank)
-    frontier = [v for v in range(sub.n) if label[v][0] == 0]
-    depth = 0
-    while frontier:
-        depth += 1
-        nxt = []
-        for u in frontier:
-            lu = label[u]
-            for w in sub.neighbors[u]:
-                cand = (lu[0] + 1, lu[1])
-                if cand < label[w]:
-                    if label[w] == INF:
-                        nxt.append(w)
-                    label[w] = cand
-        frontier = [v for v in nxt if label[v][0] == depth]
-    if any(l == INF for l in label):
+    owner = voronoi_cells(sub, [[r] for r in roots])
+    if -1 in owner:
         raise MisError("ruling set does not dominate some component of B")
     members = [set() for _ in roots]
     for v in range(sub.n):
-        members[label[v][1]].add(order[v])
+        members[owner[v]].add(order[v])
     meta_edges: set[tuple[int, int]] = set()
     for a, b in sub.edge_indices():
-        ra, rb = label[a][1], label[b][1]
+        ra, rb = owner[a], owner[b]
         if ra != rb:
             meta_edges.add((min(ra, rb), max(ra, rb)))
     meta_ids = [sub.ids[r] for r in roots]

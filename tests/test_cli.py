@@ -123,3 +123,8 @@ class TestExperiments:
 
     def test_missing_graph_source(self, capsys):
         assert main(["--algo", "netdecomp"]) == 2
+
+    @pytest.mark.parametrize("algo", ["netdecomp", "cover"])
+    def test_k_below_one_is_config_error(self, capsys, algo):
+        assert main(["--gen", "path:n=5", "--algo", algo, "--k", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: --k must be >= 1")

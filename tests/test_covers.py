@@ -205,6 +205,19 @@ class TestCoverMst:
                 in_true = e in res.tree_edges
                 assert in_true == (rule == "rule_B_included")
 
+    @pytest.mark.parametrize("mu", [None, 5])
+    def test_mu_radius_computed_once(self, monkeypatch, mu):
+        from netdecomp import covers
+
+        calls = []
+        real = covers.mst_radius
+        monkeypatch.setattr(
+            covers, "mst_radius", lambda g: calls.append(g) or real(g)
+        )
+        res = cover_mst(four_cycle(), mu=mu)
+        assert len(calls) == 1
+        assert res.mu == (4 if mu is None else mu)
+
     def test_mu_below_radius_rejected(self):
         g = four_cycle()
         with pytest.raises(MstError):

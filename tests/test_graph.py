@@ -22,6 +22,7 @@ from netdecomp.graphs import (
     power_graph,
     random_weights,
     save_graph_json,
+    voronoi_cells,
 )
 
 
@@ -271,12 +272,64 @@ class TestBfsKernel:
         else:
             assert dist == want  # an unreachable target: the full search
 
+        # within: distances in the subgraph induced by within + sources
+        allowed = set(data.draw(st.lists(node, max_size=n)))
+        keep = sorted(allowed | set(sources))
+        pos = {v: i for i, v in enumerate(keep)}
+        adj = g.adjacency_csr()[keep][:, keep]
+        true = shortest_path(adj, unweighted=True)[[pos[s] for s in sources]]
+        true = true.min(axis=0)
+        want = [-1] * n
+        for v, i in pos.items():
+            if np.isfinite(true[i]) and (cap is None or true[i] <= cap):
+                want[v] = int(true[i])
+        assert _bfs_idx(g, sources, cap, within=allowed) == want
+
     def test_target_at_source_explores_nothing(self):
         g = generate_graph("grid", {"rows": 5, "cols": 5}, 0)
         reached: list = []
         dist = _bfs_idx(g, [12], targets=[12], reached=reached)
         assert reached == [12] and dist.count(-1) == g.n - 1
         assert len(dist) == g.n
+
+
+class TestVoronoiCells:
+    """``voronoi_cells`` against a brute-force owner: the smallest
+    (Floyd-Warshall distance, group position) over the seed groups."""
+
+    @staticmethod
+    def brute_owner(g, groups):
+        apd = all_pairs_distances(g)
+        inf = np.iinfo(np.int32).max // 8
+        out = []
+        for v in range(g.n):
+            best = min(
+                ((min(int(apd[s, v]) for s in grp), i)
+                 for i, grp in enumerate(groups) if grp),
+                default=(inf, -1),
+            )
+            out.append(best[1] if best[0] < inf else -1)
+        return out
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        data=st.data(),
+    )
+    def test_owner_against_brute_force(self, seed, n, data):
+        g = generate_graph("gnp", {"n": n, "p": 0.12}, seed=seed)
+        groups = data.draw(
+            st.lists(st.lists(st.integers(0, n - 1), max_size=3), max_size=5)
+        )
+        assert voronoi_cells(g, groups) == self.brute_owner(g, groups)
+
+    def test_shared_seed_and_unreachable_nodes(self):
+        # paths 0-1-2-3-4 and 5-6: the groups tie at node 2 and share node 4
+        g = Graph(range(7), [(0, 1), (1, 2), (2, 3), (3, 4), (5, 6)])
+        groups = [[0], [4], [4]]
+        assert voronoi_cells(g, groups) == [0, 0, 0, 1, 1, -1, -1]
+        assert voronoi_cells(g, groups[::-1]) == [2, 2, 0, 0, 0, -1, -1]
 
 
 class TestLogStar:

@@ -35,7 +35,7 @@ def test_bfs_kernel_returns_a_full_distance_list():
     # the tracer's counter reads len(out) and out.count(-1)
     g = graphs.generate_graph("path", {"n": 6}, 0)
     for kwargs in ({}, {"cap": 1}, {"targets": [0]}, {"reached": []},
-                   {"parent": {}}):
+                   {"parent": {}}, {"within": {1, 2}}):
         out = graphs._bfs_idx(g, [0], **kwargs)
         assert isinstance(out, list) and len(out) == g.n
         assert out[0] == 0
