@@ -17,14 +17,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .clustering import Cluster, Decomposition
-from .graphs import Graph, _bfs_idx, path_union
+from .graphs import Graph, NetdecompError, _bfs_idx, path_union, quotient
 from .simulate import node_rng
 
 FP_BITS = 16  # fractional bits for fixed-point shifts
 _ONE = 1 << FP_BITS
 
 
-class CarveError(RuntimeError):
+class CarveError(NetdecompError):
     pass
 
 
@@ -69,18 +69,8 @@ class MetaGraph:
                 owner[v] = mi
         if len(owner) != g.n:
             raise CarveError("meta-nodes must cover the underlying graph")
-        edges: set[tuple[int, int]] = set()
-        for a, b in g.edge_indices():
-            ma, mb = owner[a], owner[b]
-            if ma != mb:
-                edges.add((min(ma, mb), max(ma, mb)))
-        meta = Graph(
-            [c.id for c in clusters],
-            [(clusters[a].id, clusters[b].id) for a, b in sorted(edges)],
-        )
-        # meta ids ascend with cluster order, so index order is preserved
         return cls(
-            graph=meta,
+            graph=quotient(g, owner, [c.id for c in clusters]),
             members=[frozenset(c.members) for c in clusters],
             underlying_n=g.n,
         )
@@ -263,6 +253,7 @@ def carve_decompose(
     frac_num, frac_den = 1, 2**s       # success fraction 2^(-s), exact
     inter = sorted(intermediate.clusters, key=lambda c: (c.color, c.id))
     colors = sorted({c.color for c in inter})
+    color_pos = {color: ci for ci, color in enumerate(colors)}
 
     remaining: set[int] = set(range(n))
     out: list[Cluster] = []
@@ -274,60 +265,58 @@ def carve_decompose(
         if phase > 64 * s + 16:
             raise CarveError(f"carve did not exhaust H in {phase - 1} phases")
         active = set(remaining)
-        for ci, color in enumerate(colors):
-            for c in inter:
-                if c.color != color:
-                    continue
-                sources = {v for v in c.members if v in active and v in remaining}
-                if not sources:
-                    continue
-                adopted = None
-                for attempt in range(retry_cap):
-                    for run in range(runs_per_step):
-                        run_tag = ((phase * len(colors) + ci) * retry_cap
-                                   + attempt) * runs_per_step + run + salt
-                        shifts = {
-                            v: sample_exp(beta, node_rng(seed, g.ids[v], run_tag))
-                            for v in sorted(sources)
-                        }
-                        step = carve_step(
-                            h, active, sources, beta, cap_d, shifts=shifts
-                        )
-                        clustered = sum(len(m) for m in step.clusters.values())
-                        ok = (
-                            not step.failed
-                            and step.reached
-                            and clustered * frac_den >= len(step.reached) * frac_num
-                        )
-                        diags.append(
-                            CarveDiagnostics(
-                                phase=phase, color=color, cluster_id=c.id,
-                                run=run,
-                                max_shift=step.max_shift_fp / _ONE,
-                                reached=len(step.reached),
-                                clustered=clustered, success=ok,
-                            )
-                        )
-                        if ok:
-                            adopted = step
-                            break
-                    if adopted is not None:
-                        break
-                if adopted is None:
-                    raise CarveError(
-                        f"all {retry_cap}x{runs_per_step} carve runs failed for "
-                        f"intermediate cluster {c.id} in phase {phase}"
+        for c in inter:
+            ci = color_pos[c.color]
+            sources = {v for v in c.members if v in active}
+            if not sources:
+                continue
+            adopted = None
+            for attempt in range(retry_cap):
+                for run in range(runs_per_step):
+                    run_tag = ((phase * len(colors) + ci) * retry_cap
+                               + attempt) * runs_per_step + run + salt
+                    shifts = {
+                        v: sample_exp(beta, node_rng(seed, g.ids[v], run_tag))
+                        for v in sorted(sources)
+                    }
+                    step = carve_step(
+                        h, active, sources, beta, cap_d, shifts=shifts
                     )
-                for center, mem in sorted(adopted.clusters.items()):
-                    out.append(_strong_cluster(h, center, mem, phase - 1))
-                    remaining -= mem
-                    active -= mem
-                    # deactivate the boundary so later iterations of this
-                    # phase cannot form an adjacent same-color cluster
-                    for u in mem:
-                        for w in g.neighbors[u]:
-                            active.discard(w)
-                active -= adopted.deactivated
+                    clustered = sum(len(m) for m in step.clusters.values())
+                    ok = (
+                        not step.failed
+                        and step.reached
+                        and clustered * frac_den >= len(step.reached) * frac_num
+                    )
+                    diags.append(
+                        CarveDiagnostics(
+                            phase=phase, color=c.color, cluster_id=c.id,
+                            run=run,
+                            max_shift=step.max_shift_fp / _ONE,
+                            reached=len(step.reached),
+                            clustered=clustered, success=ok,
+                        )
+                    )
+                    if ok:
+                        adopted = step
+                        break
+                if adopted is not None:
+                    break
+            if adopted is None:
+                raise CarveError(
+                    f"all {retry_cap}x{runs_per_step} carve runs failed for "
+                    f"intermediate cluster {c.id} in phase {phase}"
+                )
+            for center, mem in sorted(adopted.clusters.items()):
+                out.append(_strong_cluster(h, center, mem, phase - 1))
+                remaining -= mem
+                active -= mem
+                # deactivate the boundary so later iterations of this
+                # phase cannot form an adjacent same-color cluster
+                for u in mem:
+                    for w in g.neighbors[u]:
+                        active.discard(w)
+            active -= adopted.deactivated
         salt += len(colors) * retry_cap * runs_per_step * (phase + 1)
     dec = Decomposition(k=1, clusters=out)
     return dec, diags, phase
@@ -375,7 +364,6 @@ def ball_grow_refine(
     n = g.n
     grow_cap = max(1, math.ceil(math.log2(max(2, n))))
     inter = sorted(intermediate.clusters, key=lambda c: (c.color, c.id))
-    colors = sorted({c.color for c in inter})
 
     remaining: set[int] = set(range(n))
     out: list[Cluster] = []
@@ -389,41 +377,38 @@ def ball_grow_refine(
         clustered_now = 0
         deact_now = 0
         max_growth = 0
-        for color in colors:
-            for c in inter:
-                if c.color != color:
-                    continue
-                ball = {v for v in c.members if v in active}
-                if not ball:
-                    continue
-                growth = 0
-                while True:
-                    boundary = {
-                        v for v in ball
-                        if any(
-                            w in active and w not in ball
-                            for w in g.neighbors[v]
-                        )
-                    }
-                    if len(boundary) < len(ball) - len(boundary):
-                        break
-                    growth += 1
-                    if growth > grow_cap:
-                        raise CarveError(
-                            "ball grew past log2(N) steps — separation "
-                            "precondition violated"
-                        )
-                    ball |= {
-                        w for v in boundary for w in g.neighbors[v]
-                        if w in active
-                    }
-                max_growth = max(max_growth, growth)
-                interior = ball - boundary
-                out.extend(_ball_components(h, interior, phase - 1))
-                remaining -= interior
-                active -= ball
-                clustered_now += len(interior)
-                deact_now += len(boundary)
+        for c in inter:
+            ball = {v for v in c.members if v in active}
+            if not ball:
+                continue
+            growth = 0
+            while True:
+                boundary = {
+                    v for v in ball
+                    if any(
+                        w in active and w not in ball
+                        for w in g.neighbors[v]
+                    )
+                }
+                if len(boundary) < len(ball) - len(boundary):
+                    break
+                growth += 1
+                if growth > grow_cap:
+                    raise CarveError(
+                        "ball grew past log2(N) steps — separation "
+                        "precondition violated"
+                    )
+                ball |= {
+                    w for v in boundary for w in g.neighbors[v]
+                    if w in active
+                }
+            max_growth = max(max_growth, growth)
+            interior = ball - boundary
+            out.extend(_ball_components(h, interior, phase - 1))
+            remaining -= interior
+            active -= ball
+            clustered_now += len(interior)
+            deact_now += len(boundary)
         logs.append(
             BallGrowLog(
                 phase=phase, clustered=clustered_now,

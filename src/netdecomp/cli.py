@@ -2,9 +2,9 @@
 
 Runs one algorithm over a seed sweep on a generated or loaded graph and
 writes a single JSON report: per-seed output summary, validator verdict,
-round statistics, and invariant logs.  Exit status is nonzero iff any
-validator fails.  Reports contain no timestamps, so identical configs
-produce byte-identical files.
+round statistics, and invariant logs.  Exit status is 1 if any validator
+fails, 2 on bad arguments or input and 3 if an algorithm fails.  Reports
+contain no timestamps, so identical configs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -24,7 +24,14 @@ from .clustering import (
 )
 from .covers import cover_from_decomposition, cover_mst, kruskal_oracle, mst_radius
 from .decompose import decompose
-from .graphs import Graph, GraphError, generate_graph, load_graph, random_weights
+from .graphs import (
+    Graph,
+    GraphError,
+    NetdecompError,
+    generate_graph,
+    load_graph,
+    random_weights,
+)
 from .mis import mis_full
 from .simulate import SimConfig
 
@@ -253,6 +260,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ConfigError, GraphError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except NetdecompError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     _emit(report, args.out)
     return 0 if report["all_valid"] else 1
 

@@ -8,7 +8,6 @@ independent all-pairs backend is used in tests to cross-check verdicts.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -248,8 +247,9 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
 
     uncovered = []
     for v in range(g.n):
-        dist = _bfs_idx(g, [v], cap=cover.k)
-        ball = {u for u, d in enumerate(dist) if d >= 0}
+        reached: list[int] = []
+        _bfs_idx(g, [v], cap=cover.k, reached=reached)
+        ball = set(reached)
         if not any(ball <= c.members for c in cover.clusters):
             uncovered.append(v)
     if uncovered:
@@ -333,12 +333,3 @@ def decomposition_from_json(g: Graph, data: dict) -> Decomposition:
         )
     return Decomposition(k=data["k"], clusters=clusters)
 
-
-def save_decomposition(g: Graph, dec: Decomposition, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(decomposition_to_json(g, dec), fh, indent=1)
-
-
-def load_decomposition(g: Graph, path: str) -> Decomposition:
-    with open(path) as fh:
-        return decomposition_from_json(g, json.load(fh))

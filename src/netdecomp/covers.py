@@ -19,14 +19,21 @@ from .clustering import (
     NeighborhoodCover,
     validate_decomposition,
 )
-from .graphs import Graph, GraphError, _bfs_idx, path_union
+from .graphs import (
+    Graph,
+    GraphError,
+    NetdecompError,
+    _bfs_idx,
+    induced_edges,
+    path_union,
+)
 
 
-class CoverError(RuntimeError):
+class CoverError(NetdecompError):
     pass
 
 
-class MstError(RuntimeError):
+class MstError(NetdecompError):
     pass
 
 
@@ -48,8 +55,9 @@ def cover_from_decomposition(
         raise CoverError(f"input decomposition invalid: {rep.failures[0]}")
     out = []
     for c in dec.clusters:
-        dist = _bfs_idx(g, sorted(c.members), cap=k)
-        expanded = frozenset(v for v in range(g.n) if dist[v] >= 0)
+        reached: list[int] = []
+        _bfs_idx(g, sorted(c.members), cap=k, reached=reached)
+        expanded = frozenset(reached)
         out.append(
             Cluster(
                 id=c.id,
@@ -289,26 +297,20 @@ def cover_mst(
     cover = cover_from_decomposition(g, k, dec)
 
     cluster_msts: dict[int, frozenset[tuple[int, int]]] = {}
-    classification: dict[tuple[int, int], str] = {}
+    containing: dict[tuple[int, int], list[int]] = {}
     load = [0] * g.n
     for c in cover.clusters:
         for v in c.members:
             load[v] += 1
-        sub_edges = {
-            (a, b): g.weights[(a, b)]
-            for (a, b) in g.weights
-            if a in c.members and b in c.members
-        }
-        cluster_msts[c.id] = _forest_of(g.n, sub_edges)
-    for (a, b) in g.weights:
-        containing = [
-            c.id
-            for c in cover.clusters
-            if a in c.members and b in c.members
-        ]
-        if not containing:
+        sub_edges = induced_edges(g, c.members)
+        for e in sub_edges:
+            containing.setdefault(e, []).append(c.id)
+        cluster_msts[c.id] = _forest_of(g.n, {e: g.weights[e] for e in sub_edges})
+    classification: dict[tuple[int, int], str] = {}
+    for a, b in g.weights:
+        if (a, b) not in containing:
             raise MstError(f"edge ({a},{b}) contained in no cover cluster")
-        if all((a, b) in cluster_msts[cid] for cid in containing):
+        if all((a, b) in cluster_msts[cid] for cid in containing[(a, b)]):
             classification[(a, b)] = RULE_B_INCLUDED
         else:
             classification[(a, b)] = RULE_A_EXCLUDED

@@ -33,7 +33,7 @@ from scipy import sparse
 
 from .clustering import Cluster, Decomposition
 from .coloring import greedy_reduce, linial_color
-from .graphs import Graph, _bfs_idx, path_union, voronoi_cells
+from .graphs import Graph, NetdecompError, _bfs_idx, path_union, voronoi_cells
 from .simulate import (
     RoundStats,
     SimConfig,
@@ -43,7 +43,7 @@ from .simulate import (
 )
 
 
-class DecomposeError(RuntimeError):
+class DecomposeError(NetdecompError):
     """Internal invariant failure (phase dump in args)."""
 
 

@@ -24,6 +24,10 @@ class GraphError(ValueError):
     """Malformed graph input (parse error, asymmetry, bad weights...)."""
 
 
+class NetdecompError(RuntimeError):
+    """An algorithm or the simulator failed on a well-formed input."""
+
+
 def log_star(x: float) -> int:
     """Iterated base-2 logarithm: number of log2 applications until <= 1."""
     if x < 0:
@@ -129,9 +133,6 @@ class Graph:
             return self._index[node_id]
         except KeyError:
             raise GraphError(f"unknown node {node_id}") from None
-
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._index
 
     def edge_indices(self) -> list[tuple[int, int]]:
         """All edges as sorted index pairs (a, b) with a < b."""
@@ -504,27 +505,43 @@ def connected_components(g: Graph) -> list[list[int]]:
 
 
 def largest_component(g: Graph) -> Graph:
-    comps = connected_components(g)
-    best = max(comps, key=len)
-    keep = set(best)
-    ids = [g.ids[i] for i in best]
-    edges = [
-        (g.ids[a], g.ids[b]) for a, b in g.edge_indices() if a in keep and b in keep
+    return induced_subgraph(g, max(connected_components(g), key=len))
+
+
+def induced_edges(g: Graph, nodes: Iterable[int]) -> list[tuple[int, int]]:
+    """Edges (a, b), a < b, of G[nodes] in ``edge_indices`` order; reads
+    only the kept nodes' neighbor lists."""
+    keep = set(nodes)
+    return [
+        (a, b) for a in sorted(keep) for b in g.neighbors[a] if a < b and b in keep
     ]
-    return Graph(ids, edges, id_bits=g.id_bits)
 
 
 def induced_subgraph(g: Graph, indices: Iterable[int]) -> Graph:
     keep = set(indices)
-    ids = [g.ids[i] for i in sorted(keep)]
-    edges = [
-        (g.ids[a], g.ids[b]) for a, b in g.edge_indices() if a in keep and b in keep
-    ]
+    ids = g.ids
+    edges = induced_edges(g, keep)
     weights = None
     if g.weights is not None:
-        weights = {
-            (g.ids[a], g.ids[b]): g.weight_of(a, b)
-            for a, b in g.edge_indices()
-            if a in keep and b in keep
-        }
-    return Graph(ids, edges, weights, id_bits=g.id_bits)
+        weights = {(ids[a], ids[b]): g.weights[(a, b)] for a, b in edges}
+    return Graph(
+        [ids[i] for i in keep],
+        [(ids[a], ids[b]) for a, b in edges],
+        weights,
+        id_bits=g.id_bits,
+    )
+
+
+def quotient(
+    g: Graph, owner: Sequence[int] | Mapping[int, int], ids: Sequence[int]
+) -> Graph:
+    """Contract every node v into part ``owner[v]`` (a list, or a dict over
+    all nodes): parts i != j are adjacent iff a G-edge joins them.  Part i
+    gets id ``ids[i]``; ``ids`` ascend, so part i is node i of the result."""
+    edges: set[tuple[int, int]] = set()
+    for a, nb in enumerate(g.neighbors):
+        oa = owner[a]
+        for b in nb:
+            if oa < owner[b]:
+                edges.add((oa, owner[b]))
+    return Graph(ids, [(ids[a], ids[b]) for a, b in sorted(edges)])

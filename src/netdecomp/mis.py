@@ -21,9 +21,11 @@ from .clustering import RulingSetResult
 from .decompose import decompose
 from .graphs import (
     Graph,
+    NetdecompError,
     _bfs_idx,
     connected_components,
     induced_subgraph,
+    quotient,
     voronoi_cells,
 )
 from .simulate import Message, NodeProgram, RoundStats, SimConfig, node_rng, run
@@ -31,7 +33,7 @@ from .simulate import Message, NodeProgram, RoundStats, SimConfig, node_rng, run
 UNDECIDED, IN_MIS, REMOVED = 0, 1, 2
 
 
-class MisError(RuntimeError):
+class MisError(NetdecompError):
     pass
 
 
@@ -380,18 +382,8 @@ def build_meta_graph(g: Graph, B: set[int], chosen: set[int]) -> MetaGraph:
     members = [set() for _ in roots]
     for v in range(sub.n):
         members[owner[v]].add(order[v])
-    meta_edges: set[tuple[int, int]] = set()
-    for a, b in sub.edge_indices():
-        ra, rb = owner[a], owner[b]
-        if ra != rb:
-            meta_edges.add((min(ra, rb), max(ra, rb)))
-    meta_ids = [sub.ids[r] for r in roots]
-    meta = Graph(
-        meta_ids,
-        [(meta_ids[a], meta_ids[b]) for a, b in sorted(meta_edges)],
-    )
     return MetaGraph(
-        graph=meta,
+        graph=quotient(sub, owner, [sub.ids[r] for r in roots]),
         members=[frozenset(m) for m in members],
         underlying_n=g.n,
     )

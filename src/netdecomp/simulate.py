@@ -18,12 +18,12 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .graphs import Graph
+from .graphs import Graph, NetdecompError
 
 TAG_BITS = 8
 
 
-class SimError(RuntimeError):
+class SimError(NetdecompError):
     pass
 
 

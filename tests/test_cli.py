@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -128,3 +130,16 @@ class TestExperiments:
     def test_k_below_one_is_config_error(self, capsys, algo):
         assert main(["--gen", "path:n=5", "--algo", algo, "--k", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: --k must be >= 1")
+
+    def test_algorithm_error_exits_three(self):
+        # a 3-bit budget is below the id_bits + 8 = 13 bits sim mode needs
+        proc = subprocess.run(
+            [sys.executable, "-m", "netdecomp.cli",
+             "--gen", "grid:rows=5,cols=5", "--algo", "netdecomp",
+             "--mode", "sim", "--msg-bits", "3", "--strict"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("error:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1

@@ -16,10 +16,13 @@ from netdecomp.graphs import (
     bfs_distances,
     connected_components,
     generate_graph,
+    induced_edges,
+    induced_subgraph,
     largest_component,
     load_graph,
     log_star,
     power_graph,
+    quotient,
     random_weights,
     save_graph_json,
     voronoi_cells,
@@ -330,6 +333,93 @@ class TestVoronoiCells:
         groups = [[0], [4], [4]]
         assert voronoi_cells(g, groups) == [0, 0, 0, 1, 1, -1, -1]
         assert voronoi_cells(g, groups[::-1]) == [2, 2, 0, 0, 0, -1, -1]
+
+
+def _filtered_subgraph(g: Graph, indices) -> Graph:
+    """G[indices] by filtering every edge of G (the reference)."""
+    keep = set(indices)
+    edges = [(a, b) for a, b in g.edge_indices() if a in keep and b in keep]
+    weights = None
+    if g.weights is not None:
+        weights = {(g.ids[a], g.ids[b]): g.weight_of(a, b) for a, b in edges}
+    return Graph(
+        [g.ids[i] for i in keep],
+        [(g.ids[a], g.ids[b]) for a, b in edges],
+        weights,
+        id_bits=g.id_bits,
+    )
+
+
+class TestSubgraphAndQuotient:
+    """``induced_subgraph`` against a whole-graph edge filter, ``quotient``
+    against a scan over all part pairs."""
+
+    @staticmethod
+    def draw_graph(data, seed, n):
+        g = generate_graph("gnp", {"n": n, "p": 0.2}, seed=seed)
+        if data.draw(st.booleans(), label="weighted") and g.m:
+            g = random_weights(g, seed)
+        if data.draw(st.booleans(), label="relabeled"):
+            perm = data.draw(st.permutations(range(n)))
+            g = g.relabeled({v: (1 << 100) + 7 * perm[v] for v in g.ids})
+        return g
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 25), data=st.data())
+    def test_induced_subgraph_against_edge_filter(self, seed, n, data):
+        g = self.draw_graph(data, seed, n)
+        subsets = [
+            [],
+            list(range(n)),
+            data.draw(st.lists(st.integers(0, n - 1), max_size=n)),
+        ]
+        for keep in subsets:
+            want = _filtered_subgraph(g, keep)
+            assert induced_subgraph(g, keep) == want
+            assert induced_edges(g, keep) == [
+                (a, b) for a, b in g.edge_indices() if a in keep and b in keep
+            ]
+        best = max(connected_components(g), key=len)
+        assert largest_component(g) == _filtered_subgraph(g, best)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 25), data=st.data())
+    def test_quotient_against_pair_scan(self, seed, n, data):
+        g = self.draw_graph(data, seed, n)
+        parts = data.draw(st.integers(1, n))
+        owner = data.draw(
+            st.lists(st.integers(0, parts - 1), min_size=n, max_size=n)
+        )
+        ids = sorted(data.draw(st.sets(st.integers(0, 1 << 80),
+                                       min_size=parts, max_size=parts)))
+        members = [[v for v in range(n) if owner[v] == i] for i in range(parts)]
+        edges = [
+            (ids[i], ids[j])
+            for i in range(parts)
+            for j in range(i + 1, parts)
+            if any(b in g.neighbors[a] for a in members[i] for b in members[j])
+        ]
+        assert quotient(g, owner, ids) == Graph(ids, edges)
+        assert quotient(g, dict(enumerate(owner)), ids) == Graph(ids, edges)
+
+    def test_subgraph_reads_only_the_kept_neighbor_lists(self, monkeypatch):
+        g = random_weights(generate_graph("grid", {"rows": 6, "cols": 6}, 0), 1)
+        keep = [0, 1, 2, 7, 8, 35]
+        want = _filtered_subgraph(g, keep)
+        read: set = set()
+
+        class Recording(tuple):
+            def __getitem__(self, i):
+                read.add(i)
+                return tuple.__getitem__(self, i)
+
+        def no_edge_scan(self):
+            raise AssertionError("whole-graph edge scan")
+
+        g.neighbors = Recording(g.neighbors)
+        monkeypatch.setattr(Graph, "edge_indices", no_edge_scan)
+        assert induced_subgraph(g, keep) == want
+        assert read == set(keep)
 
 
 class TestLogStar:
