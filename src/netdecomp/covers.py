@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .clustering import (
     Cluster,
@@ -114,7 +113,7 @@ def _require_weights(g: Graph) -> None:
 def kruskal_oracle(g: Graph) -> frozenset[tuple[int, int]]:
     """The unique minimum spanning forest (distinct weights) by Kruskal."""
     _require_weights(g)
-    return _forest_of(g.n, g.weights)
+    return _forest_of(g.n, g.rank)
 
 
 def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
@@ -148,26 +147,32 @@ def mst_radius(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
     if not _connected(g):
         raise GraphError("mst_radius needs a connected graph")
     mst = kruskal_oracle(g)
+    rank = g.rank
+    by_rank = [sorted((rank[(min(u, v), max(u, v))], v) for v in nb)
+               for u, nb in enumerate(g.neighbors)]
     mu = 0
-    for (a, b), w in g.weights.items():
+    for (a, b), r in rank.items():
         if (a, b) in mst:
             continue
-        d = _lighter_distance(g, a, b, w)
+        d = _lighter_distance(by_rank, a, b, r)
         if d is None or d + 1 > cycle_cap:
             return None
         mu = max(mu, d + 1)
     return mu
 
 
-def _lighter_distance(g: Graph, a: int, b: int, w: Fraction) -> Optional[int]:
-    """Shortest a-b hop distance using only edges strictly lighter than w."""
+def _lighter_distance(by_rank: list, a: int, b: int, r: int) -> Optional[int]:
+    """Shortest a-b hop distance using only edges of rank below r;
+    ``by_rank[u]`` lists u's (edge rank, neighbor) pairs in rank order."""
     dist = {a: 0}
     frontier = [a]
     while frontier:
         nxt = []
         for u in frontier:
-            for v in g.neighbors[u]:
-                if v not in dist and g.weight_of(u, v) < w:
+            for rv, v in by_rank[u]:
+                if rv >= r:
+                    break
+                if v not in dist:
                     dist[v] = dist[u] + 1
                     if v == b:
                         return dist[v]
@@ -220,10 +225,12 @@ def cycle_enumeration_mu(g: Graph, max_len: int = 12) -> int:
     over simple paths of strictly lighter edges)."""
     _require_weights(g)
     mst = kruskal_oracle(g)
+    rank = g.rank
     mu = 0
-    for (a, b), w in g.weights.items():
+    for a, b in g.weights:
         if (a, b) in mst:
             continue
+        r = rank[(a, b)]
         best = None
         stack = [(a, {a}, 0)]
         while stack:
@@ -231,7 +238,7 @@ def cycle_enumeration_mu(g: Graph, max_len: int = 12) -> int:
             if best is not None and length + 1 >= best:
                 continue
             for v in g.neighbors[u]:
-                if g.weight_of(u, v) >= w or v in visited:
+                if rank[(min(u, v), max(u, v))] >= r or v in visited:
                     continue
                 if v == b:
                     cycle_len = length + 2  # path edges + the edge e itself
@@ -255,7 +262,8 @@ RULE_B_INCLUDED = "rule_B_included"
 class MstResult:
     tree_edges: frozenset[tuple[int, int]]
     classification: dict[tuple[int, int], str]
-    mu: int
+    mu: int                     # the μ the cover was built for
+    true_mu: int                # the MST-radius μ(G, ω) itself
     cover_sparsity: int
     cluster_msts: dict[int, frozenset[tuple[int, int]]] = field(
         default_factory=dict
@@ -305,15 +313,13 @@ def cover_mst(
         sub_edges = induced_edges(g, c.members)
         for e in sub_edges:
             containing.setdefault(e, []).append(c.id)
-        cluster_msts[c.id] = _forest_of(g.n, {e: g.weights[e] for e in sub_edges})
+        cluster_msts[c.id] = _forest_of(g.n, sorted(sub_edges, key=g.rank.get))
     classification: dict[tuple[int, int], str] = {}
     for a, b in g.weights:
         if (a, b) not in containing:
             raise MstError(f"edge ({a},{b}) contained in no cover cluster")
-        if all((a, b) in cluster_msts[cid] for cid in containing[(a, b)]):
-            classification[(a, b)] = RULE_B_INCLUDED
-        else:
-            classification[(a, b)] = RULE_A_EXCLUDED
+        in_all = all((a, b) in cluster_msts[cid] for cid in containing[(a, b)])
+        classification[(a, b)] = RULE_B_INCLUDED if in_all else RULE_A_EXCLUDED
     tree = frozenset(
         e for e, r in classification.items() if r == RULE_B_INCLUDED
     )
@@ -321,17 +327,19 @@ def cover_mst(
         tree_edges=tree,
         classification=classification,
         mu=mu,
+        true_mu=true_mu,
         cover_sparsity=max(load, default=0),
         cluster_msts=cluster_msts,
     )
 
 
 def _forest_of(
-    n: int, edges: dict[tuple[int, int], Fraction]
+    n: int, edges: Iterable[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
+    """Kruskal over ``edges``, which come in increasing-weight order."""
     dsu = _DSU(n)
     tree = set()
-    for (a, b), _w in sorted(edges.items(), key=lambda kv: kv[1]):
+    for a, b in edges:
         if dsu.union(a, b):
             tree.add((a, b))
     return frozenset(tree)

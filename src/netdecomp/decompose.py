@@ -112,23 +112,21 @@ def _holdings_fast(
 ) -> list[list[int]]:
     """Per node: the fanin smallest cluster ids whose members lie within k
     hops.  Centralized equivalent of the bounded flood."""
-    order = sorted(c.id for c in live)
-    row_of = {cid: r for r, cid in enumerate(order)}
-    by_id = {c.id: c for c in live}
-    rows, cols = [], []
-    for cid in order:
-        for m in by_id[cid].members:
-            rows.append(row_of[cid])
-            cols.append(m)
+    live = sorted(live, key=lambda c: c.id)
+    order = [c.id for c in live]
+    rows = [r for r, c in enumerate(live) for _ in c.members]
+    cols = [m for c in live for m in c.members]
     reach = sparse.csr_matrix(
         (np.ones(len(rows), dtype=bool), (rows, cols)),
         shape=(len(order), g.n),
     )
     adj = g.adjacency_csr().astype(bool)
-    acc = reach.copy()
+    acc = frontier = reach  # acc: the radius-t ball; frontier: its last layer
     for _ in range(k):
-        reach = (reach @ adj).astype(bool)
-        acc = (acc + reach).astype(bool)
+        ball = (acc + frontier @ adj).astype(bool)
+        if ball.nnz == acc.nnz:
+            break  # a ball that stops growing never grows again
+        frontier, acc = ball > acc, ball
     csc = acc.tocsc()
     csc.sort_indices()
     out: list[list[int]] = []

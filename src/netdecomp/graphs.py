@@ -59,7 +59,7 @@ class Graph:
     ``neighbors[i]`` holds the sorted neighbor *indices* of the i-th id.
     """
 
-    __slots__ = ("ids", "neighbors", "weights", "id_bits", "_index", "_csr")
+    __slots__ = ("ids", "neighbors", "weights", "id_bits", "_index", "_csr", "_rank")
 
     def __init__(
         self,
@@ -117,6 +117,7 @@ class Graph:
             raise GraphError(f"id_bits={id_bits} too small for ids (need {min_bits})")
         self.id_bits: int = id_bits
         self._csr: Optional[sparse.csr_matrix] = None
+        self._rank: Optional[dict[tuple[int, int], int]] = None
 
     # -- basic accessors -------------------------------------------------
 
@@ -150,6 +151,16 @@ class Graph:
     def weight_of(self, a: int, b: int) -> Fraction:
         assert self.weights is not None
         return self.weights[(min(a, b), max(a, b))]
+
+    @property
+    def rank(self) -> dict[tuple[int, int], int]:
+        """Edge -> position in increasing-weight order, iterated in that
+        order; cached.  Weights are distinct, so ranks order edges as they do."""
+        assert self.weights is not None
+        if self._rank is None:
+            order = sorted(self.weights, key=self.weights.__getitem__)
+            self._rank = {e: r for r, e in enumerate(order)}
+        return self._rank
 
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Boolean adjacency as int8 CSR, cached."""
@@ -476,10 +487,9 @@ def power_graph(g: Graph, k: int) -> Graph:
         return g
     edges = []
     for i in range(g.n):
-        dist = _bfs_idx(g, [i], cap=k)
-        for j, dij in enumerate(dist):
-            if i < j and dij >= 1:
-                edges.append((g.ids[i], g.ids[j]))
+        reached: list[int] = []
+        _bfs_idx(g, [i], cap=k, reached=reached)
+        edges.extend((g.ids[i], g.ids[j]) for j in reached if i < j)
     return Graph(g.ids, edges, id_bits=g.id_bits)
 
 

@@ -132,8 +132,10 @@ class NodeProgram:
 def node_rng(seed: int, node_id: int, run_index: int = 0) -> np.random.Generator:
     """Private replayable stream per (seed, node, run).
 
-    The 128-bit Philox key is a hash of the triple so arbitrarily large
-    node identifiers map to independent streams deterministically.
+    The key is a 128-bit blake2b hash of the triple as two 64-bit words, so
+    any id gets its own stream.  When exactly one word is >= 2^63, numpy
+    reads the key list as float64 and rounds both words to 53 significant
+    bits; this is deterministic, and every stream depends on it.
     """
     import hashlib
 

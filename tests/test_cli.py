@@ -143,3 +143,56 @@ class TestExperiments:
         assert proc.stderr.startswith("error:")
         assert "Traceback" not in proc.stderr
         assert proc.stderr.count("\n") == 1
+
+
+# `--gen grid:rows=3,cols=3 --algo mst --seeds 0,1`: the report's runs as
+# the CLI wrote them when it still called mst_radius a second time
+MST_RUNS = [
+    {"failures": [], "mst": {"cover_stats": {"sparsity": 1},
+                             "excluded_edges": [[0, 1], [1, 2], [3, 4], [5, 8]],
+                             "mst_edges": [[0, 3], [1, 4], [2, 5], [3, 6], [4, 5],
+                                           [4, 7], [6, 7], [7, 8]],
+                             "mu": 6},
+     "mst_radius": 6, "mu": 6, "n": 9, "seed": 0, "valid": True},
+    {"failures": [], "mst": {"cover_stats": {"sparsity": 1},
+                             "excluded_edges": [[0, 3], [4, 5], [5, 8], [6, 7]],
+                             "mst_edges": [[0, 1], [1, 2], [1, 4], [2, 5], [3, 4],
+                                           [3, 6], [4, 7], [7, 8]],
+                             "mu": 4},
+     "mst_radius": 4, "mu": 4, "n": 9, "seed": 1, "valid": True},
+]
+
+
+class TestMstReport:
+    ARGV = ["--gen", "grid:rows=3,cols=3", "--algo", "mst"]
+
+    def run_counting(self, monkeypatch, capsys, argv):
+        """Run the CLI, counting mst_radius calls through every binding."""
+        from netdecomp import cli, covers
+
+        calls = []
+        real = covers.mst_radius
+
+        def counted(g, *args, **kwargs):
+            calls.append(g)
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(covers, "mst_radius", counted)
+        monkeypatch.setattr(cli, "mst_radius", counted)
+        assert main(argv) == 0
+        return json.loads(capsys.readouterr().out), len(calls)
+
+    def test_mu_computed_once_per_seed(self, monkeypatch, capsys):
+        report, calls = self.run_counting(
+            monkeypatch, capsys, self.ARGV + ["--seeds", "0,1"])
+        assert calls == 2
+        assert report["runs"] == MST_RUNS
+
+    def test_supplied_mu_kept_beside_the_true_radius(self, monkeypatch, capsys):
+        report, calls = self.run_counting(
+            monkeypatch, capsys, self.ARGV + ["--seeds", "0", "--mu", "9"])
+        assert calls == 1
+        (run,) = report["runs"]
+        assert run["mu"] == run["mst"]["mu"] == 9
+        assert run["mst_radius"] == 6
+        assert run["valid"] and run["mst"]["mst_edges"] == MST_RUNS[0]["mst"]["mst_edges"]

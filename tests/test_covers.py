@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netdecomp.clustering import Cluster, Decomposition, validate_cover
 from netdecomp.covers import (
@@ -158,6 +160,36 @@ class TestMstRadius:
             mst_radius(g)
 
 
+# distinct rationals with many shared numerators and shared denominators
+SMALL_FRACTIONS = sorted({Fraction(a, b) for a in range(1, 25) for b in range(1, 25)})
+
+
+class TestRanksAgainstFractionOracles:
+    """``mst_radius``, ``kruskal_oracle`` and ``cycle_enumeration_mu``
+    compare weight ranks; ``mst_radius_scipy`` and ``prim_oracle`` compare
+    the ``Fraction`` weights themselves."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 24),
+        p=st.sampled_from([0.1, 0.2, 0.35]),
+        data=st.data(),
+    )
+    def test_mu_and_forest_agree(self, seed, n, p, data):
+        g = generate_graph("gnp", {"n": n, "p": p, "largest_component": 1}, seed)
+        if data.draw(st.booleans(), label="small fractions"):
+            weights = data.draw(st.permutations(SMALL_FRACTIONS))
+            g = Graph(g.ids, g.edges_by_id(), dict(zip(g.edges_by_id(), weights)))
+        else:
+            g = random_weights(g, seed)
+        assert kruskal_oracle(g) == prim_oracle(g)
+        mu = mst_radius(g)
+        assert mu == mst_radius_scipy(g)
+        if g.n <= 8:
+            assert mu == cycle_enumeration_mu(g)
+
+
 class TestMstOracles:
     def test_tree_keeps_all_edges(self):
         g = random_weights(path(8), seed=3)
@@ -217,6 +249,7 @@ class TestCoverMst:
         res = cover_mst(four_cycle(), mu=mu)
         assert len(calls) == 1
         assert res.mu == (4 if mu is None else mu)
+        assert res.true_mu == 4
 
     def test_mu_below_radius_rejected(self):
         g = four_cycle()

@@ -1,8 +1,10 @@
 """Tests for the deterministic decomposition phase engine."""
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from netdecomp.clustering import Cluster, validate_decomposition
 from netdecomp.decompose import (
@@ -10,9 +12,10 @@ from netdecomp.decompose import (
     decompose,
     growth_parameters,
     _build_hview,
+    _holdings_fast,
     LiveCluster,
 )
-from netdecomp.graphs import Graph, bfs_distances, generate_graph
+from netdecomp.graphs import Graph, all_pairs_distances, bfs_distances, generate_graph
 from netdecomp.simulate import RoundStats, SimConfig
 
 
@@ -109,6 +112,90 @@ class TestHView:
         assert res.phases[0].marked == 1
         assert res.phases[0].cluster_count == 1  # hub carried live
         _colors_ok(g, res, 1)
+
+
+def _holdings_k_products(g, live, k, fanin):
+    """Reference: the reach matrix multiplied exactly k times, whether or
+    not it still grows."""
+    order = sorted(c.id for c in live)
+    row_of = {cid: r for r, cid in enumerate(order)}
+    by_id = {c.id: c for c in live}
+    rows, cols = [], []
+    for cid in order:
+        for m in by_id[cid].members:
+            rows.append(row_of[cid])
+            cols.append(m)
+    reach = sparse.csr_matrix(
+        (np.ones(len(rows), dtype=bool), (rows, cols)),
+        shape=(len(order), g.n),
+    )
+    adj = g.adjacency_csr().astype(bool)
+    acc = reach.copy()
+    for _ in range(k):
+        reach = (reach @ adj).astype(bool)
+        acc = (acc + reach).astype(bool)
+    csc = acc.tocsc()
+    csc.sort_indices()
+    return [
+        [order[x] for x in csc.indices[csc.indptr[col] : csc.indptr[col + 1]][:fanin]]
+        for col in range(g.n)
+    ]
+
+
+class _CountingAdjacency:
+    """Stands in for ``Graph.adjacency_csr()`` and counts ``X @ adj``."""
+
+    def __init__(self, csr):
+        self.csr = csr.astype(bool)
+        self.products = 0
+
+    def astype(self, _dtype):
+        return self
+
+    def __rmatmul__(self, other):
+        self.products += 1
+        return other @ self.csr
+
+
+class TestHoldingsFast:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 24),
+        p=st.sampled_from([0.03, 0.1, 0.25]),
+        data=st.data(),
+    )
+    def test_equals_k_products_and_stops_at_the_fixpoint(self, seed, n, p, data):
+        g = generate_graph("gnp", {"n": n, "p": p}, seed)
+        parts = data.draw(st.integers(1, n), label="parts")
+        if data.draw(st.booleans(), label="singletons"):
+            owner = data.draw(st.permutations(range(n)))[:parts]
+            groups = [{v} for v in owner]
+        else:
+            # -1: the node is in no live cluster
+            owner = data.draw(st.lists(
+                st.integers(-1, parts - 1), min_size=n, max_size=n))
+            groups = [{v for v in range(n) if owner[v] == i} for i in range(parts)]
+            groups = [m for m in groups if m]
+        ids = data.draw(st.lists(st.integers(0, 10**6), unique=True,
+                                 min_size=len(groups), max_size=len(groups)))
+        live = [LiveCluster(cid, min(m), m) for cid, m in zip(ids, groups)]
+        k = data.draw(st.integers(1, 3 * n), label="k")
+        fanin = data.draw(st.integers(1, len(live) + 1), label="fanin")
+        want = _holdings_k_products(g, live, k, fanin)
+
+        counter = _CountingAdjacency(g.adjacency_csr())
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Graph, "adjacency_csr", lambda self: counter)
+            assert _holdings_fast(g, live, k, fanin) == want
+        # the balls stop growing once t reaches the farthest node any
+        # cluster reaches; one more product finds that out
+        apd = all_pairs_distances(g)
+        far = max(
+            int(d) for c in live for v in range(n)
+            for d in [apd[sorted(c.members), v].min()] if d < n
+        ) if live else 0
+        assert counter.products == min(k, far + 1)
 
 
 # (model, params, seed) and k.  A convergecast that counts ids shared by

@@ -445,3 +445,51 @@ class TestGraphInvariants:
     def test_weights_must_cover_all_edges(self):
         with pytest.raises(GraphError):
             Graph([0, 1, 2], [(0, 1), (1, 2)], {(0, 1): Fraction(1)})
+
+
+# distinct rationals with many shared numerators and shared denominators
+SMALL_FRACTIONS = sorted({Fraction(a, b) for a in range(1, 17) for b in range(1, 17)})
+
+
+class TestRank:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 20), data=st.data())
+    def test_orders_edges_as_their_fraction_weights(self, seed, n, data):
+        g = generate_graph("gnp", {"n": n, "p": 0.3}, seed=seed)
+        weights = data.draw(st.permutations(SMALL_FRACTIONS))
+        wg = Graph(g.ids, g.edges_by_id(),
+                   dict(zip(g.edges_by_id(), weights)))
+        rank = wg.rank
+        assert sorted(rank.values()) == list(range(wg.m))
+        assert list(rank) == sorted(wg.weights, key=wg.weights.get)
+        for e in wg.weights:
+            for f in wg.weights:
+                assert (rank[e] < rank[f]) == (wg.weights[e] < wg.weights[f])
+
+    def test_shared_numerators_and_denominators(self):
+        w = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 5), Fraction(3, 5),
+             Fraction(2, 3), Fraction(3, 4)]
+        g = Graph(range(7), [(i, i + 1) for i in range(6)],
+                  {(i, i + 1): x for i, x in enumerate(w)})
+        # 1/3 < 2/5 < 1/2 < 3/5 < 2/3 < 3/4
+        assert [g.rank[(i, i + 1)] for i in range(6)] == [2, 0, 1, 3, 4, 5]
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 25), data=st.data())
+    def test_survives_relabeling_to_huge_ids(self, seed, n, data):
+        g = random_weights(generate_graph("gnp", {"n": n, "p": 0.25}, seed=seed), seed)
+        perm = data.draw(st.permutations(range(n)))
+        new_id = {v: (1 << 100) + 7 * perm[i] for i, v in enumerate(g.ids)}
+        h = g.relabeled(new_id)
+        for (a, b), r in g.rank.items():
+            x, y = h.index_of(new_id[g.ids[a]]), h.index_of(new_id[g.ids[b]])
+            assert h.rank[(min(x, y), max(x, y))] == r
+
+    def test_not_part_of_equality(self):
+        def make():
+            return random_weights(generate_graph("gnp", {"n": 30, "p": 0.2}, seed=1), 1)
+
+        g, h = make(), make()
+        assert g.rank  # cached on g only
+        assert g == h and h == g
+        assert h._rank is None  # comparing does not build it
