@@ -284,15 +284,10 @@ class MstResult:
         }
 
 
-def cover_mst(
-    g: Graph, mu: Optional[int] = None, mode: str = "fast"
-) -> MstResult:
+def cover_mst(g: Graph, mu: Optional[int] = None) -> MstResult:
     """Exact MST via a μ-neighborhood cover: every edge is classified by
     rule A (excluded: some containing cluster's MST omits it) or rule B
     (included: in the MST of every containing cluster)."""
-    _require_weights(g)
-    if not _connected(g):
-        raise GraphError("cover_mst needs a connected graph")
     true_mu = mst_radius(g)
     if mu is None:
         mu = true_mu
@@ -301,7 +296,7 @@ def cover_mst(
     k = max(1, mu)
     from .decompose import decompose
 
-    dec = decompose(g, 2 * k, mode=mode).decomposition
+    dec = decompose(g, 2 * k).decomposition
     cover = cover_from_decomposition(g, k, dec)
 
     cluster_msts: dict[int, frozenset[tuple[int, int]]] = {}

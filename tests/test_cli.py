@@ -126,6 +126,10 @@ class TestExperiments:
     def test_missing_graph_source(self, capsys):
         assert main(["--algo", "netdecomp"]) == 2
 
+    def test_mst_on_disconnected_graph_is_graph_error(self, capsys):
+        assert main(["--gen", "gnp:n=4,p=0", "--algo", "mst"]) == 2
+        assert "connected" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo", ["netdecomp", "cover"])
     def test_k_below_one_is_config_error(self, capsys, algo):
         assert main(["--gen", "path:n=5", "--algo", algo, "--k", "0"]) == 2

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecomp.clustering import (
@@ -18,7 +18,7 @@ from netdecomp.clustering import (
     validate_ruling_set,
     weak_diameter,
 )
-from netdecomp.graphs import all_pairs_distances, generate_graph
+from netdecomp.graphs import Graph, all_pairs_distances, generate_graph
 
 
 def star(k):
@@ -83,12 +83,41 @@ class TestValidateDecomposition:
         )
         assert not rep.valid  # tree leaves the member set
 
-    def test_weak_diameter_independent_backend(self):
-        g = generate_graph("gnp", {"n": 40, "p": 0.1, "largest_component": True}, 11)
-        apd = all_pairs_distances(g)
-        members = list(range(0, g.n, 3))
-        expect = max(int(apd[i, j]) for i in members for j in members)
-        assert weak_diameter(g, members) == expect
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 150),
+        mean_degree=st.floats(0.5, 12.0),
+        seed=st.integers(0, 10_000),
+        size=st.integers(0, 150),
+        member_seed=st.integers(0, 10_000),
+    )
+    # more than 64 members, connected in G and disconnected in G
+    @example(n=150, mean_degree=12.0, seed=0, size=150, member_seed=0)
+    @example(n=150, mean_degree=1.0, seed=0, size=100, member_seed=0)
+    def test_weak_diameter_independent_backend(
+        self, n, mean_degree, seed, size, member_seed
+    ):
+        g = generate_graph("gnp", {"n": n, "p": min(1.0, mean_degree / n)}, seed)
+        members = np.random.default_rng(member_seed).permutation(n)[: min(size, n)]
+        pair = all_pairs_distances(g)[np.ix_(members, members)]
+        worst = int(pair.max(initial=0))
+        expect = -1 if worst >= np.iinfo(np.int32).max // 8 else worst
+        assert weak_diameter(g, members.tolist()) == expect
+
+    def test_weak_diameter_long_path(self):
+        g = generate_graph("path", {"n": 600}, 0)
+        assert weak_diameter(g, range(g.n)) == 599
+
+    def test_weak_diameter_across_source_blocks(self):
+        # sources go in blocks of 4,096 members
+        assert weak_diameter(_star(5000), range(5001)) == 2
+        # farthest pair (4097, 4099): both in the second block
+        edges = [(0, i) for i in range(1, 4096)]
+        edges += [(0, 4096), (4096, 4097), (0, 4098), (4098, 4099)]
+        assert weak_diameter(Graph(range(4100), edges), range(4100)) == 4
+        # farthest pair (1, 4097): one in each block
+        edges = [(0, i) for i in range(2, 4097)] + [(1, 2), (4096, 4097)]
+        assert weak_diameter(Graph(range(4098), edges), range(4098)) == 4
 
     def test_json_roundtrip(self):
         g = generate_graph("grid", {"rows": 3, "cols": 3}, 0)

@@ -256,6 +256,13 @@ class TestCoverMst:
         with pytest.raises(MstError):
             cover_mst(g, mu=2)
 
+    def test_unweighted_or_disconnected_rejected(self):
+        disconnected = Graph([0, 1, 2, 3], [(0, 1), (2, 3)],
+                             {(0, 1): Fraction(1), (2, 3): Fraction(2)})
+        for g in (path(4), disconnected):
+            with pytest.raises(GraphError):
+                cover_mst(g)
+
     def test_json_shape(self):
         g = four_cycle()
         res = cover_mst(g, mu=4)
