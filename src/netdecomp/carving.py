@@ -18,7 +18,10 @@ from typing import Optional
 
 from .clustering import Cluster, Decomposition
 from .graphs import Graph, NetdecompError, _bfs_idx, path_union, quotient
-from .simulate import node_rng
+from .simulate import (  # node_rng stays bound for the benchmark's tracer
+    node_draws,
+    node_rng,
+)
 
 FP_BITS = 16  # fractional bits for fixed-point shifts
 _ONE = 1 << FP_BITS
@@ -270,14 +273,19 @@ def carve_decompose(
             sources = {v for v in c.members if v in active}
             if not sources:
                 continue
+            srcs = sorted(sources)
+            src_ids = [g.ids[v] for v in srcs]
             adopted = None
             for attempt in range(retry_cap):
                 for run in range(runs_per_step):
                     run_tag = ((phase * len(colors) + ci) * retry_cap
                                + attempt) * runs_per_step + run + salt
+                    # sample_exp's -ln(1 - U)/beta, with every source's
+                    # U drawn at once
+                    us = node_draws(seed, src_ids, run_tag, 1)
                     shifts = {
-                        v: sample_exp(beta, node_rng(seed, g.ids[v], run_tag))
-                        for v in sorted(sources)
+                        v: -math.log(1.0 - u) / beta
+                        for v, u in zip(srcs, us[:, 0].tolist())
                     }
                     step = carve_step(
                         h, active, sources, beta, cap_d, shifts=shifts

@@ -11,7 +11,7 @@ on a palette of at most 16·Δ² colors (final prime q ∈ (2Δ, 4Δ]).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 
 def next_prime(x: int) -> int:
@@ -64,6 +64,20 @@ def _stage_params(m: int, delta: int) -> tuple[int, int]:
         t += 1
 
 
+def linial_stages(m: int, delta: int) -> Iterator[tuple[int, int]]:
+    """(t, q) of each stage of ``linial_color`` on a palette of size m and
+    maximum degree delta: stage i maps the palette onto q·q colors, and the
+    stages run until the palette has at most next_prime(2Δ)² colors.  The
+    number of stages (``linial_color``'s iteration count) therefore depends
+    only on m and Δ, not on the graph."""
+    delta = max(delta, 1)
+    final_q = next_prime(2 * delta)
+    while m > final_q * final_q:
+        t, q = _stage_params(m, delta)
+        yield t, q
+        m = q * q
+
+
 def linial_color(
     neighbors: Sequence[Sequence[int]],
     ids: Sequence[int],
@@ -78,13 +92,9 @@ def linial_color(
     delta = max_degree
     if delta is None:
         delta = max((len(nb) for nb in neighbors), default=0)
-    delta = max(delta, 1)
     colors = list(ids)
     iterations = 0
-    m = max(colors, default=0) + 1
-    final_q = next_prime(2 * delta)
-    while m > final_q * final_q:
-        t, q = _stage_params(m, delta)
+    for t, q in linial_stages(max(colors, default=0) + 1, delta):
         polys = [_digits(c, q, t + 1) for c in colors]
         nxt = []
         for v in range(n):
@@ -100,7 +110,6 @@ def linial_color(
                 raise AssertionError("no free evaluation point")
         colors = nxt
         iterations += 1
-        m = q * q
     _assert_proper(neighbors, colors)
     return colors, iterations
 

@@ -325,10 +325,13 @@ def generate_graph(model: str, params: dict, seed: int) -> Graph:
         p = float(params["p"])
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"gnp needs p in [0,1], got {p}")
+        # pairs i < j in row-major order, one row of draws at a time, so
+        # memory stays linear in n + m
         rng = np.random.default_rng(seed)
-        iu, ju = np.triu_indices(n, k=1)
-        mask = rng.random(len(iu)) < p
-        edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+        edges = []
+        for i in range(n - 1):
+            hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
+            edges.extend((i, j) for j in hits.tolist())
         g = Graph(range(n), edges)
         if params.get("largest_component"):
             g = largest_component(g)

@@ -28,7 +28,15 @@ from .graphs import (
     quotient,
     voronoi_cells,
 )
-from .simulate import Message, NodeProgram, RoundStats, SimConfig, node_rng, run
+from .simulate import (  # node_rng stays bound for the benchmark's tracer
+    Message,
+    NodeProgram,
+    RoundStats,
+    SimConfig,
+    node_draws,
+    node_rng,
+    run,
+)
 
 UNDECIDED, IN_MIS, REMOVED = 0, 1, 2
 
@@ -89,13 +97,6 @@ def ghaffari_round(
     return MisState(p=p, status=status, round=state.round + 1)
 
 
-def _draw_matrix(g: Graph, rounds: int, seed: int, lane: int) -> np.ndarray:
-    out = np.empty((g.n, rounds), dtype=float)
-    for v in range(g.n):
-        out[v] = node_rng(seed, g.ids[v], lane).random(rounds)
-    return out
-
-
 def run_ghaffari(
     g: Graph,
     rounds: int,
@@ -113,7 +114,7 @@ def run_ghaffari(
         raise MisError("rounds must be >= 0")
     n = g.n
     A = g.adjacency_csr().astype(np.float64)
-    draws = _draws if _draws is not None else _draw_matrix(g, rounds, seed, lane)
+    draws = _draws if _draws is not None else node_draws(seed, g.ids, lane, rounds)
     p = np.full(n, 0.5)
     status = np.zeros(n, dtype=np.int8)
     for t in range(rounds):
@@ -254,13 +255,9 @@ def ghaffari_engine(
     the engine ledger (max bits per edge-round == lanes)."""
     cfg = cfg or SimConfig()
     cfg = cfg.widened(g, max(1, lanes))
-    draws = {
-        v: np.vstack([
-            node_rng(seed, g.ids[v], ln).random(max(1, rounds))
-            for ln in range(lanes)
-        ])
-        for v in range(g.n)
-    }
+    draws = np.empty((g.n, lanes, max(1, rounds)))  # draws[v]: lanes x rounds
+    for ln in range(lanes):
+        draws[:, ln] = node_draws(seed, g.ids, ln, max(1, rounds))
     it = iter(range(g.n))
 
     def factory():

@@ -12,9 +12,10 @@ and its ports — neighbor identities must be learned by messages.
 from __future__ import annotations
 
 import bisect
+import hashlib
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -106,12 +107,27 @@ class RoundStats:
 
 @dataclass
 class NodeView:
-    """What a node is allowed to see: itself and its ports, nothing else."""
+    """What a node is allowed to see: itself and its ports, nothing else.
+
+    ``rng`` is the node's private stream ``node_rng(seed, node_id,
+    run_index)``; it is built on first read, so programs that draw nothing
+    pay nothing for it.
+    """
 
     node_id: int
     degree: int
     id_bits: int
-    rng: np.random.Generator
+    seed: int
+    run_index: int
+    _rng: Optional[np.random.Generator] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def rng(self) -> np.random.Generator:
+        if self._rng is None:
+            self._rng = node_rng(self.seed, self.node_id, self.run_index)
+        return self._rng
 
 
 class NodeProgram:
@@ -129,21 +145,85 @@ class NodeProgram:
         return None
 
 
+def _key_words(seed: int, node_id: int, run_index: int) -> tuple[int, int]:
+    """The 128-bit blake2b hash of (seed, node, run) as two 64-bit words."""
+    digest = hashlib.blake2b(
+        f"{seed}:{node_id}:{run_index}".encode(), digest_size=16
+    ).digest()
+    return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
+
+
+def _philox_key(k0: int, k1: int) -> np.ndarray:
+    """The two uint64 words ``np.random.Philox(key=[k0, k1])`` keys with.
+
+    numpy reads the list through ``np.asarray``: int64 when both words are
+    below 2^63, uint64 when both are at least 2^63, and float64 when
+    exactly one is, which rounds both words to 53 significant bits (and
+    sends a word that rounds up to 2^64 to 0).  The same call keeps the
+    same rounding.
+    """
+    return np.asarray([k0, k1]).astype(np.uint64)
+
+
 def node_rng(seed: int, node_id: int, run_index: int = 0) -> np.random.Generator:
     """Private replayable stream per (seed, node, run).
 
     The key is a 128-bit blake2b hash of the triple as two 64-bit words, so
     any id gets its own stream.  When exactly one word is >= 2^63, numpy
     reads the key list as float64 and rounds both words to 53 significant
-    bits; this is deterministic, and every stream depends on it.
+    bits (see ``_philox_key``); this is deterministic, and every stream
+    depends on it.  ``node_draws`` computes the same streams for many
+    nodes at once, bit for bit.
     """
-    import hashlib
-
-    digest = hashlib.blake2b(
-        f"{seed}:{node_id}:{run_index}".encode(), digest_size=16
-    ).digest()
-    key = [int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")]
+    key = list(_key_words(seed, node_id, run_index))
     return np.random.Generator(np.random.Philox(key=key))
+
+
+# Philox4x64-10 (Salmon, Moraes, Dror, Shaw, SC 2011) as numpy runs it.  A
+# block is (x0, x1, x2, x3); one round multiplies x0 by M0 and x2 by M1 and
+# gives (hi(M1·x2) ^ x1 ^ k0, lo(M1·x2), hi(M0·x0) ^ x3 ^ k1, lo(M0·x0)).
+# Below, the pairs (x0, x2), (x1, x3) and (k0, k1) are stacked on axis 0.
+_LOW32 = np.uint64(0xFFFFFFFF)
+_32 = np.uint64(32)
+_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_M_LO, _M_HI = _M & _LOW32, _M >> _32
+_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
+
+
+def node_draws(seed: int, ids: Sequence[int], run_index: int, count: int) -> np.ndarray:
+    """``count`` uniform draws on [0, 1) for each id, one row per id.
+
+    Row i equals ``node_rng(seed, ids[i], run_index).random(count)`` bit
+    for bit: the keys are the same words, rounded to 53 significant bits
+    when exactly one is >= 2^63 (``_philox_key``), and Philox4x64-10 runs
+    for all rows at once in uint64 arithmetic.  Block b
+    of a row is Philox applied to the counter (b + 1, 0, 0, 0), its four
+    words are used in order, and a draw is (word >> 11) * 2^-53, as in
+    numpy's ``Generator.random``.
+    """
+    rows = len(ids)
+    if rows == 0 or count == 0:
+        return np.zeros((rows, count))
+    keys = np.array(
+        [_philox_key(*_key_words(seed, v, run_index)) for v in ids], dtype=np.uint64
+    ).T[:, :, None]
+    blocks = -(-count // 4)
+    mul = np.zeros((2, rows, blocks), dtype=np.uint64)   # (x0, x2)
+    mul[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    xor = np.zeros_like(mul)                             # (x1, x3)
+    for r in range(10):
+        if r:
+            keys = keys + _W
+        # high words of the 128-bit products M * mul, from 32-bit halves;
+        # no partial sum exceeds 64 bits
+        x_lo, x_hi = mul & _LOW32, mul >> _32
+        u = _M_HI * x_lo + (_M_LO * x_lo >> _32)
+        v = _M_LO * x_hi + (u & _LOW32)
+        hi = _M_HI * x_hi + (u >> _32) + (v >> _32)
+        mul, xor = hi[::-1] ^ xor ^ keys, (_M * mul)[::-1]
+    words = np.stack([mul, xor], axis=-1).transpose(1, 2, 0, 3)
+    words = words.reshape(rows, 4 * blocks)[:, :count]
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
 
 
 def run(
@@ -167,7 +247,8 @@ def run(
                 node_id=g.ids[i],
                 degree=len(g.neighbors[i]),
                 id_bits=g.id_bits,
-                rng=node_rng(cfg.seed, g.ids[i], cfg.run_index),
+                seed=cfg.seed,
+                run_index=cfg.run_index,
             )
         )
     # port p of node i leads to j = neighbors[i][p]; reverse port located by

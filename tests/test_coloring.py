@@ -2,10 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netdecomp.coloring import greedy_reduce, linial_color, next_prime
+from netdecomp.coloring import greedy_reduce, linial_color, linial_stages, next_prime
 from netdecomp.graphs import generate_graph, log_star
 
 
@@ -61,6 +61,20 @@ class TestLinial:
         colors, _ = linial_color(g.neighbors, ids)
         for a, b in g.edge_indices():
             assert colors[a] != colors[b]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        ids=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=40, unique=True),
+        p=st.floats(0.0, 0.5),
+        seed=st.integers(0, 10_000),
+    )
+    @example(ids=[2**128 - 1 - v for v in range(30)], p=0.2, seed=1)
+    @example(ids=[0], p=0.0, seed=0)
+    def test_stage_count_is_the_iteration_count(self, ids, p, seed):
+        # decompose counts the stages instead of building the coloring
+        g = generate_graph("gnp", {"n": len(ids), "p": p}, seed)
+        _, iters = linial_color(g.neighbors, ids)
+        assert sum(1 for _ in linial_stages(max(ids) + 1, g.max_degree)) == iters
 
 
 class TestGreedyReduce:

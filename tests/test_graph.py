@@ -113,6 +113,22 @@ class TestGenerateGraph:
         )
         assert len(connected_components(g)) == 1
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 300),
+        p=st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_gnp_rows_equal_the_all_pairs_mask(self, n, p, seed):
+        # the generator draws row by row; drawing every pair of
+        # triu_indices at once must give the same graph
+        rng = np.random.default_rng(seed)
+        iu, ju = np.triu_indices(n, k=1)
+        mask = rng.random(len(iu)) < p
+        expected = Graph(range(n), zip(iu[mask].tolist(), ju[mask].tolist()))
+        g = generate_graph("gnp", {"n": n, "p": p}, seed)
+        assert g.ids == expected.ids and g.neighbors == expected.neighbors
+
     def test_grid_and_tree(self):
         grid = generate_graph("grid", {"rows": 3, "cols": 4}, seed=0)
         assert grid.n == 12 and grid.m == 3 * 3 + 2 * 4

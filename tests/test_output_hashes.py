@@ -1,12 +1,16 @@
 """Pinned sha256 digests of canonical outputs of the MST stack, of
-``decompose`` and of ``validate_decomposition``.  A speed-up must leave
-every output byte-identical; these digests were recorded before the MST
-stack moved to integer weight ranks and the holdings loop stopped at its
-fixpoint (the validator digests: before weak diameters moved to one
-bit-parallel BFS), and any change to them is a change of results, not of
-speed.  The validator is hashed on each ``decompose`` output and on a
-one-color recoloring of it, so that its failure lines and
-``min_same_color_gap`` are pinned too.
+``decompose`` and of ``validate_decomposition``, and of the randomized
+outputs (``gnp`` graphs, Ghaffari runs, the MIS pipeline, ball carving and
+ball growing).  A speed-up must leave every output byte-identical; these
+digests were recorded before the MST stack moved to integer weight ranks
+and the holdings loop stopped at its fixpoint (the validator digests:
+before weak diameters moved to one bit-parallel BFS), and any change to
+them is a change of results, not of speed.  The validator is hashed on
+each ``decompose`` output and on a one-color recoloring of it, so that its
+failure lines and ``min_same_color_gap`` are pinned too.  The randomized
+digests were recorded before the per-node streams were computed for all
+nodes at once and before ``gnp`` drew its pairs row by row; they pin
+every draw.
 
 To print the digests of the code under test:
 
@@ -24,9 +28,11 @@ from netdecomp.clustering import (
     decomposition_to_json,
     validate_decomposition,
 )
+from netdecomp.carving import MetaGraph, ball_grow_refine, carve_decompose
 from netdecomp.covers import cover_mst, kruskal_oracle, mst_radius
 from netdecomp.decompose import decompose
 from netdecomp.graphs import generate_graph, random_weights
+from netdecomp.mis import ghaffari_engine, mis_full, run_ghaffari
 
 INPUTS = {
     "path n=12": ("path", {"n": 12}, 0),
@@ -304,11 +310,172 @@ def test_outputs_match_pinned_digests(name):
     assert outputs(name) == EXPECTED[name]
 
 
-if __name__ == "__main__":
-    print("EXPECTED = {")
-    for name in INPUTS:
+# (model, params, seed, relabel ids to just below 2^128)
+RANDOM_INPUTS = {
+    "gnp n=40": ("gnp", {"n": 40, "p": 0.1}, 1, False),
+    "gnp n=90": ("gnp", {"n": 90, "p": 0.05, "largest_component": 1}, 4, False),
+    "gnp n=60 ids near 2^128": (
+        "gnp", {"n": 60, "p": 0.08, "largest_component": 1}, 6, True
+    ),
+    "gnp n=300": ("gnp", {"n": 300, "p": 0.03, "largest_component": 1}, 2, False),
+}
+
+RANDOM_EXPECTED = {
+    "gnp n=40": {
+        "gnp":
+            "d62297be5bc7d0b76fec4241ed8439d859924f11a464bf2e7e1e77927c78d89d",
+        "gnp all nodes":
+            "d62297be5bc7d0b76fec4241ed8439d859924f11a464bf2e7e1e77927c78d89d",
+        "run_ghaffari lane 0":
+            "d3fc48a24732a71a8b3ca41b1c2dccca3714cfabf8b19e780410713216f105a3",
+        "run_ghaffari lane 5":
+            "d1f04e4ba50709f673c5786552bfcdbf0b408ec73e72dc8b00c2fa1997db0c66",
+        "ghaffari_engine":
+            "7c4ce7c032964039a7a9cd37e4b29d41a2e446412035b9eeb530ece1288ae41c",
+        "mis_full fast c1=1":
+            "a6307bb39d32e305840ead49b32bff8e00547ba5481d8b8838c79b3294fed0a6",
+        "mis_full fast c1=2":
+            "d45dcb49d0a17fe2aaf8c244e9012af6224831311a5efa4bb39de6313b1ce93c",
+        "mis_full slow c1=1":
+            "a6307bb39d32e305840ead49b32bff8e00547ba5481d8b8838c79b3294fed0a6",
+        "mis_full slow c1=2":
+            "d45dcb49d0a17fe2aaf8c244e9012af6224831311a5efa4bb39de6313b1ce93c",
+        "carve_decompose":
+            "7f16604f61bde1eeed4f114ec1d28ae2683623864faf77df7c73883cda75dfd7",
+        "ball_grow_refine":
+            "2d7e7561ccb03d6fc0df4aa9cd59ba9fe4f6fbfb837594cdbc8fa079f8f4c892",
+    },
+    "gnp n=90": {
+        "gnp":
+            "96bdb0ce787396fbbd559f931e5aec359f4dc34390a480a0c66a32ad394e98a9",
+        "gnp all nodes":
+            "85b30e76cd33aa13a8e620f7d71d69ffbe14b67b22dbc9b8ab655d7ee7440d3b",
+        "run_ghaffari lane 0":
+            "3d47ced59ddbfa40799efdfea416ca052f079f0bb1ed313ee876197539e852a6",
+        "run_ghaffari lane 5":
+            "31ce1f76497663920635d1b6f89206018192a91c141025dd6acf7d68c26c23ee",
+        "ghaffari_engine":
+            "cb1d583ac4fffa0bb0fec2426eeacb066de832121cfa98c3db212c1be60cd890",
+        "mis_full fast c1=1":
+            "b674d76135f653d525aa705962228de820d7c115a319a36ad9be40e70462e05c",
+        "mis_full fast c1=2":
+            "c560e491a449f949375e7c05233b7b2d603a8e208a777fcb26bedfd41afa5ff9",
+        "mis_full slow c1=1":
+            "b674d76135f653d525aa705962228de820d7c115a319a36ad9be40e70462e05c",
+        "mis_full slow c1=2":
+            "c560e491a449f949375e7c05233b7b2d603a8e208a777fcb26bedfd41afa5ff9",
+        "carve_decompose":
+            "fd770843d7b73536d429f7de4fa554254d49749900e182076cc103d3bcc52063",
+        "ball_grow_refine":
+            "55daa9d9aca0357f5e1142a557cc84d7ef2a0110d1058c6787a237e10732df4d",
+    },
+    "gnp n=60 ids near 2^128": {
+        "gnp":
+            "1e85238f18a9fcf28bf1e08c3d2bce49845e8dafc5174acb66ac055e7a277b9d",
+        "gnp all nodes":
+            "211c374f5fa9e8cfb3e261abd48b7da7f21248dc3b300bedc77c416657591876",
+        "run_ghaffari lane 0":
+            "ab059300a8b2073a44140efe8a03584d633fb8ce41a90239a82bd08885023f1f",
+        "run_ghaffari lane 5":
+            "b86d632b3095b63b8c4f1e7242240d9f244e9353c414e5aaab59305676bb0662",
+        "ghaffari_engine":
+            "44fca3e5730f5846862db570a45d96efdda598eba2ed7ee3ddef561f1b72bb17",
+        "mis_full fast c1=1":
+            "fef6a7205bf24dea86138c5e75ad0c1e82b0380f40b15de50488467c4ace71df",
+        "mis_full fast c1=2":
+            "307283bb56e138335b7547e36d1f84a983a2c8864f1169d4be25c6c70896064b",
+        "mis_full slow c1=1":
+            "fef6a7205bf24dea86138c5e75ad0c1e82b0380f40b15de50488467c4ace71df",
+        "mis_full slow c1=2":
+            "307283bb56e138335b7547e36d1f84a983a2c8864f1169d4be25c6c70896064b",
+        "carve_decompose":
+            "a190fa8c6177d43e57c1564b7af2c9a0f85abf90883e809907e04e83052dfae9",
+        "ball_grow_refine":
+            "9807ceb17a5002e2ceb012d0ce12526005fc1b72de009c629f21554789c64f7b",
+    },
+    "gnp n=300": {
+        "gnp":
+            "45f96de8f9babefa23dacef792ac67b7505cff1afc62f0e858255325bc65668f",
+        "gnp all nodes":
+            "45f96de8f9babefa23dacef792ac67b7505cff1afc62f0e858255325bc65668f",
+        "run_ghaffari lane 0":
+            "84813623e53236cd9d8e53d099a7e311326e1e60bc222855e4e2143a6e7552eb",
+        "run_ghaffari lane 5":
+            "a74a697454301ff0f0c63d089498e1f45eb3d50c57af852432896a6c2f687aba",
+        "ghaffari_engine":
+            "fabb8db56d2370ca363fdff5ad69c25bd47b3e55efd526a762565bde9e3718e0",
+        "mis_full fast c1=1":
+            "c5b3506bd14e4f5f01f249ac49e3c2e7b4817403723dad40fa2cfc6aff819fc8",
+        "mis_full fast c1=2":
+            "e67a321b28c898c4f3f10e19b43288e1c8a998c07fc135e404f17b4b86e9e29a",
+        "mis_full slow c1=1":
+            "767c0036712640b2bfbb48bfcc4c9e13f1f3798ea29cebd889b51eaf948b508a",
+        "mis_full slow c1=2":
+            "e67a321b28c898c4f3f10e19b43288e1c8a998c07fc135e404f17b4b86e9e29a",
+        "carve_decompose":
+            "559510e709ce973dd55de1528a2d0bc753f17c42c99d7bc97b05e721d10bb238",
+        "ball_grow_refine":
+            "1eee6829c6bcede5978573b103ecae28792a8a245ad728bbdb46ea6162faccb4",
+    },
+}
+
+
+def _nodes(g, idx):
+    return sorted(g.ids[v] for v in idx)
+
+
+def random_outputs(name: str) -> dict[str, str]:
+    model, params, seed, big = RANDOM_INPUTS[name]
+    g = generate_graph(model, params, seed)
+    whole = generate_graph(model, {**params, "largest_component": 0}, seed)
+    out = {
+        "gnp": _sha([g.ids, g.neighbors]),
+        "gnp all nodes": _sha([whole.ids, whole.neighbors]),
+    }
+    if big:
+        g = g.relabeled({v: 2**128 - 1 - 7919 * v for v in g.ids}, id_bits=128)
+    for lane in (0, 5):
+        mis, removed, undecided, p = run_ghaffari(g, 13, seed, lane=lane)
+        out[f"run_ghaffari lane {lane}"] = _sha([
+            _nodes(g, mis), _nodes(g, removed), _nodes(g, undecided), p.tolist(),
+        ])
+    statuses, stats = ghaffari_engine(g, 6, 3, seed)
+    out["ghaffari_engine"] = _sha([statuses, stats.to_json()])
+    for variant in ("fast", "slow"):
+        for c1 in (1, 2):
+            rep = mis_full(g, seed, variant, c1=c1)
+            out[f"mis_full {variant} c1={c1}"] = _sha([
+                rep.to_json(g),
+                rep.shatter.to_json() if rep.shatter else None,
+            ])
+    h = MetaGraph.from_graph(g)
+    inter = decompose(g, 1).decomposition
+    dec, diags, phases = carve_decompose(h, inter, seed=seed)
+    out["carve_decompose"] = _sha([
+        decomposition_to_json(g, dec), [d.to_json() for d in diags], phases,
+    ])
+    dec, logs = ball_grow_refine(h, inter)
+    out["ball_grow_refine"] = _sha([
+        decomposition_to_json(g, dec), [log.to_json() for log in logs],
+    ])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(RANDOM_INPUTS))
+def test_randomized_outputs_match_pinned_digests(name):
+    assert random_outputs(name) == RANDOM_EXPECTED[name]
+
+
+def _print_table(title, inputs, compute):
+    print(f"{title} = {{")
+    for name in inputs:
         print(f"    {json.dumps(name)}: {{")
-        for key, digest in outputs(name).items():
+        for key, digest in compute(name).items():
             print(f"        {json.dumps(key)}:\n            {json.dumps(digest)},")
         print("    },")
     print("}")
+
+
+if __name__ == "__main__":
+    _print_table("EXPECTED", INPUTS, outputs)
+    _print_table("RANDOM_EXPECTED", RANDOM_INPUTS, random_outputs)

@@ -1,13 +1,16 @@
 """Engine tests: handshake fixtures, budget accounting, determinism,
 locality, flooding vs its central oracle, tree broadcast/convergecast."""
 
+import hashlib
+from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netdecomp import simulate
+from netdecomp import carving, decompose, mis, simulate
 from netdecomp.clustering import Cluster
 from netdecomp.graphs import Graph, generate_graph
 from netdecomp.simulate import (
@@ -24,6 +27,8 @@ from netdecomp.simulate import (
     cluster_broadcast,
     cluster_convergecast,
     min_gossip,
+    node_draws,
+    node_rng,
     run,
 )
 
@@ -367,3 +372,114 @@ class TestClusterPrimitives:
             g, [c], {0: {3: [42]}}, SimConfig(), combine="union", item_cap=4
         )
         assert agg == {3: [42]} and stats.rounds == 0
+
+
+def _philox_stream(seed, node_id, run_index):
+    """The node's stream built from ``np.random.Philox`` directly."""
+    digest = hashlib.blake2b(
+        f"{seed}:{node_id}:{run_index}".encode(), digest_size=16
+    ).digest()
+    key = [int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")]
+    return key, np.random.Generator(np.random.Philox(key=key))
+
+
+# ids whose key words cover both branches of numpy's key conversion: both
+# words on one side of 2^63 (read exactly) and exactly one word >= 2^63
+# (read as float64)
+_BOTH_BRANCHES = [0, 1, 2, 3, 2**63, 2**100 + 7, 2**128 - 1]
+
+
+def _mixed(key):
+    return (key[0] >= 2**63) != (key[1] >= 2**63)
+
+
+class TestNodeDraws:
+    def test_example_ids_cover_both_key_branches(self):
+        mixed = {_mixed(_philox_stream(5, v, 3)[0]) for v in _BOTH_BRANCHES}
+        assert mixed == {True, False}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        ids=st.lists(st.integers(0, 2**128 - 1), max_size=12, unique=True),
+        run_index=st.integers(0, 10**6),
+        count=st.integers(0, 50),
+    )
+    @example(seed=5, ids=_BOTH_BRANCHES, run_index=3, count=13)
+    @example(seed=5, ids=_BOTH_BRANCHES, run_index=3, count=0)
+    @example(seed=0, ids=[], run_index=0, count=7)
+    def test_rows_equal_per_node_philox_streams(self, seed, ids, run_index, count):
+        out = node_draws(seed, ids, run_index, count)
+        assert out.shape == (len(ids), count) and out.dtype == np.float64
+        for row, v in zip(out, ids):
+            expected = _philox_stream(seed, v, run_index)[1].random(count)
+            assert row.tobytes() == expected.tobytes()
+
+    # at 2^64 - 1 the float64 word rounds to 2^64, and numpy's cast of it
+    # warns (and gives 0) in Philox and in _philox_key alike
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize(
+        "k0,k1", [(2**63 - 1, 2**63), (2**63, 2**53 + 1), (2**64 - 1, 5)]
+    )
+    def test_key_conversion_matches_numpy(self, k0, k1):
+        expected = np.random.Philox(key=[k0, k1]).state["state"]["key"]
+        assert simulate._philox_key(k0, k1).tolist() == expected.tolist()
+
+    def test_node_rng_is_one_row(self):
+        for v in _BOTH_BRANCHES:
+            row = node_draws(7, [v], 2, 9)[0]
+            assert row.tobytes() == node_rng(7, v, 2).random(9).tobytes()
+
+
+@contextmanager
+def _node_rng_calls():
+    """Counts calls of ``node_rng`` through every module that binds it."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return node_rng(*args)
+
+    with ExitStack() as stack:
+        for mod in (simulate, mis, carving):
+            stack.enter_context(patch.object(mod, "node_rng", counting))
+        yield calls
+
+
+class TestNoPerNodeGenerators:
+    def test_hot_paths_build_no_node_rng(self):
+        g = generate_graph("gnp", {"n": 80, "p": 0.06, "largest_component": 1}, 2)
+        h = carving.MetaGraph.from_graph(g)
+        inter = decompose.decompose(g, 1).decomposition
+        with _node_rng_calls() as calls:
+            mis.run_ghaffari(g, 13, 1, lane=4)
+            mis.ghaffari_engine(g, 5, 3, 1)
+            carving.carve_decompose(h, inter, seed=1)
+        assert calls == []
+
+    def test_node_view_rng_is_built_on_first_read(self):
+        g = generate_graph("gnp", {"n": 30, "p": 0.1}, 3)
+
+        class Silent(NodeProgram):
+            def step(self, round_no, inbox):
+                self.halted = True
+                return {}
+
+        class Draws(NodeProgram):
+            def step(self, round_no, inbox):
+                assert self.view.rng is self.view.rng  # cached
+                self.draw = self.view.rng.random(3).tolist()
+                self.halted = True
+                return {}
+
+            def output(self):
+                return self.draw
+
+        cfg = SimConfig(seed=4, run_index=6)
+        with _node_rng_calls() as calls:
+            run(g, Silent, cfg)
+        assert calls == []
+        with _node_rng_calls() as calls:
+            out, _ = run(g, Draws, cfg)
+        assert calls == [(4, v, 6) for v in g.ids]
+        assert out == [node_rng(4, v, 6).random(3).tolist() for v in g.ids]
