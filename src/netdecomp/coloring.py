@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
 
 def next_prime(x: int) -> int:
     """Smallest prime > x (trial division; fine at the scales used here)."""
@@ -118,15 +120,19 @@ def greedy_reduce(
     neighbors: Sequence[Sequence[int]], order: Sequence[int]
 ) -> list[int]:
     """First-fit coloring scanning ``order``; ≤ Δ+1 colors, and dependent
-    only on the scan order and adjacency — not on identifier values."""
-    colors = [-1] * len(neighbors)
+    only on the scan order and adjacency — not on identifier values.
+
+    ``neighbors[v]`` is a list or an index array (a CSR row): a node's
+    neighbor colors are read with one array index.
+    """
+    colors = np.full(len(neighbors), -1, dtype=np.int64)
     for v in order:
-        used = {colors[u] for u in neighbors[v] if colors[u] >= 0}
+        used = set(colors.take(neighbors[v]).tolist())
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    return colors
+    return colors.tolist()
 
 
 def _assert_proper(neighbors, colors) -> None:

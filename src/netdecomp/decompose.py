@@ -359,30 +359,34 @@ def _select_cstar(hv: HView) -> list[int]:
     a proper H² coloring class by class (ids ascending within class).
 
     The H² coloring here only fixes the scan order (its round cost is part
-    of the modeled ledger), so the cheap first-fit reduction suffices.
+    of the modeled ledger), so the cheap first-fit reduction suffices.  H²
+    is the boolean (A + I)² (the pattern of A + A²) of the unmarked
+    clusters without its diagonal; a chosen cluster blocks its row of it.
     """
     unmarked = [cid for cid in hv.order if cid not in hv.marked]
     if not unmarked:
         return []
+    m = len(unmarked)
     idx = {cid: i for i, cid in enumerate(unmarked)}
-    nb2: list[list[int]] = []
-    for cid in unmarked:
-        two = set()
-        for u in hv.adj[cid]:
-            two.add(u)
-            two.update(hv.adj[u])
-        two.discard(cid)
-        nb2.append(sorted(idx[u] for u in two))
-    colors = greedy_reduce(nb2, range(len(unmarked)))
+    rows = [idx[cid] for cid in unmarked for _ in hv.adj[cid]]
+    cols = [idx[u] for cid in unmarked for u in hv.adj[cid]]
+    closed = sparse.csr_matrix(
+        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m)
+    ) + sparse.identity(m, dtype=bool, format="csr")
+    h2 = closed @ closed
+    h2.setdiag(False)
+    h2.eliminate_zeros()
+    nb2 = np.split(h2.indices, h2.indptr[1:-1])
+    colors = greedy_reduce(nb2, range(m))
     cstar: list[int] = []
-    blocked: set[int] = set()
-    scan = sorted(range(len(unmarked)), key=lambda i: (colors[i], i))
-    for i in scan:
+    blocked = np.zeros(m, dtype=bool)
+    for i in np.argsort(colors, kind="stable").tolist():
         cid = unmarked[i]
-        if not hv.high_degree[cid] or cid in blocked:
+        if not hv.high_degree[cid] or blocked[i]:
             continue
         cstar.append(cid)
-        blocked.update(_h_distances(hv.adj, [cid], cap=2))
+        blocked[i] = True
+        blocked[nb2[i]] = True
     return sorted(cstar)
 
 

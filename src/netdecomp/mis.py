@@ -140,12 +140,47 @@ def run_ghaffari(
 # -- engine-backed lanes (single-bit contract) ---------------------------
 
 
+def _next_desire(p: np.ndarray, halve: np.ndarray) -> np.ndarray:
+    """``next_desire`` in floats: p/2 where ``halve``, else min(2p, 1/2).
+    Desire levels never exceed 1/2, so p/2 needs no cap, and p*0.5 is p/2
+    exactly."""
+    q = p * np.where(halve, 0.5, 2.0)
+    return np.minimum(q, 0.5, out=q)
+
+
+def _lane_flags(masks: list[int], lanes: int) -> np.ndarray:
+    """The lane masks as a (len(masks), lanes) bool array: row i, column l
+    is bit l of masks[i]."""
+    width = (lanes + 7) // 8
+    raw = b"".join(m.to_bytes(width, "little") for m in masks)
+    rows = np.frombuffer(raw, dtype=np.uint8).reshape(len(masks), width)
+    return np.unpackbits(rows, axis=1, count=lanes, bitorder="little").view(bool)
+
+
+def _lane_mask(flags: np.ndarray) -> int:
+    """The bool vector of lanes as an int whose bit l is lane l."""
+    return int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little")
+
+
+def _port_sums(values: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    """Per lane, the sum of ``values[port, lane]`` over the ports whose
+    ``flags[port, lane]`` is set, added one port at a time in port order
+    (the order, and so every rounding, of a plain sequential sum)."""
+    if not len(values):
+        return np.zeros(values.shape[1])
+    return np.add.accumulate(np.where(flags, values, 0.0), axis=0)[-1]
+
+
 class _GhaffariLanes(NodeProgram):
     """Multi-lane Ghaffari over the CONGEST engine.
 
     Each algorithm round takes four sub-rounds — marked bits, joined bits,
     out bits, desire-direction bits — and every message carries exactly one
-    bit per lane.
+    bit per lane: its payload is an int whose bit l is lane l.  The node's
+    lane flags are such masks too (undecided, in the MIS, marked, halving,
+    and per port the lanes in which that neighbor is still undecided), so a
+    sub-round costs a few int operations per port.  Desire levels are
+    floats: one per lane, and one per (port, lane) for the neighbors.
     """
 
     MARKED, JOINED, OUT, DIR = 0, 1, 2, 3
@@ -153,90 +188,67 @@ class _GhaffariLanes(NodeProgram):
     def __init__(self, rounds: int, lanes: int, draws: np.ndarray):
         self.rounds = rounds
         self.lanes = lanes
-        self.draws = draws                       # (lanes, rounds)
+        self.draws = draws                       # (rounds, lanes)
         self.t = 0
-        self.status = [UNDECIDED] * lanes
-        self.p = [0.5] * lanes
-        self.marked = [False] * lanes
-        self.halve = [False] * lanes
         self.sub = 0
+        self.undecided = (1 << lanes) - 1
+        self.in_mis = 0
+        self.marked = 0
+        self.halve = np.zeros(lanes, dtype=bool)
+        self.p = np.full(lanes, 0.5)
 
     def init(self, view):
         super().init(view)
         deg = view.degree
-        self.nb_p = [[0.5] * self.lanes for _ in range(deg)]
-        self.nb_und = [[True] * self.lanes for _ in range(deg)]
+        self.nb_p = np.full((deg, self.lanes), 0.5)
+        self.nb_und = [self.undecided] * deg
         if self.rounds == 0:
             self.halted = True
 
-    def _bundle(self, bits: list[bool]) -> Message:
-        return Message(tuple(bits), max(1, self.lanes))
-
-    def _broadcast(self, bits: list[bool]) -> dict[int, Message]:
-        msg = self._bundle(bits)
-        return {port: msg for port in range(self.view.degree)}
+    def _broadcast(self, mask: int) -> dict[int, Message]:
+        msg = Message(mask, max(1, self.lanes))
+        return dict.fromkeys(range(self.view.degree), msg)
 
     def step(self, round_no, inbox):
         sub = self.sub
         self.sub = (self.sub + 1) % 4
+        nb_und = self.nb_und
         if sub == self.MARKED:
-            # previous round's direction bits bring neighbor desires to p_t
-            for port, msg in inbox.items():
-                for ln in range(self.lanes):
-                    q = self.nb_p[port][ln]
-                    self.nb_p[port][ln] = (
-                        q / 2 if msg.payload[ln] else min(2 * q, 0.5)
-                    )
+            if inbox:
+                # previous round's direction bits bring neighbor desires to
+                # p_t; every neighbor sends one each round from the second
+                # on, since all nodes run the same number of rounds
+                masks = [inbox[q].payload for q in range(self.view.degree)]
+                flags = _lane_flags(masks + nb_und, self.lanes)
+                self.nb_p = _next_desire(self.nb_p, flags[: len(masks)])
+                und_flags = flags[len(masks):]
+            else:
+                und_flags = _lane_flags(nb_und, self.lanes)
             # effective degree at round start, before this round's removals
-            for ln in range(self.lanes):
-                eff = sum(
-                    self.nb_p[port][ln]
-                    for port in range(self.view.degree)
-                    if self.nb_und[port][ln]
-                )
-                self.halve[ln] = eff >= 2.0
-                self.marked[ln] = (
-                    self.status[ln] == UNDECIDED
-                    and self.draws[ln, self.t] < self.p[ln]
-                )
+            self.halve = _port_sums(self.nb_p, und_flags) >= 2.0
+            self.marked = self.undecided & _lane_mask(self.draws[self.t] < self.p)
             return self._broadcast(self.marked)
         if sub == self.JOINED:
-            nb_marked = [False] * self.lanes
+            nb_marked = 0
             for port, msg in inbox.items():
-                for ln in range(self.lanes):
-                    if msg.payload[ln] and self.nb_und[port][ln]:
-                        nb_marked[ln] = True
-            joined = [False] * self.lanes
-            for ln in range(self.lanes):
-                joined[ln] = (
-                    self.status[ln] == UNDECIDED
-                    and self.marked[ln]
-                    and not nb_marked[ln]
-                )
-                if joined[ln]:
-                    self.status[ln] = IN_MIS
+                nb_marked |= msg.payload & nb_und[port]
+            joined = self.marked & ~nb_marked
+            self.undecided &= ~joined
+            self.in_mis |= joined
             return self._broadcast(joined)
         if sub == self.OUT:
-            newly_out = [False] * self.lanes
+            heard = 0
             for port, msg in inbox.items():
-                for ln in range(self.lanes):
-                    if msg.payload[ln]:
-                        self.nb_und[port][ln] = False  # neighbor joined
-                        if self.status[ln] == UNDECIDED:
-                            self.status[ln] = REMOVED
-                            newly_out[ln] = True
+                nb_und[port] &= ~msg.payload  # neighbor joined
+                heard |= msg.payload
+            newly_out = self.undecided & heard
+            self.undecided &= ~newly_out
             return self._broadcast(newly_out)
         # DIR: learn removals, apply own desire update, announce direction
         for port, msg in inbox.items():
-            for ln in range(self.lanes):
-                if msg.payload[ln]:
-                    self.nb_und[port][ln] = False  # neighbor removed
-        for ln in range(self.lanes):
-            if self.halve[ln]:
-                self.p[ln] = self.p[ln] / 2
-            else:
-                self.p[ln] = min(2 * self.p[ln], 0.5)
-        out = self._broadcast(list(self.halve))
+            nb_und[port] &= ~msg.payload  # neighbor removed
+        self.p = _next_desire(self.p, self.halve)
+        out = self._broadcast(_lane_mask(self.halve))
         self.t += 1
         if self.t >= self.rounds:
             self.halted = True
@@ -244,20 +256,26 @@ class _GhaffariLanes(NodeProgram):
         return out
 
     def output(self):
-        return list(self.status)
+        return [
+            IN_MIS if self.in_mis >> ln & 1
+            else UNDECIDED if self.undecided >> ln & 1
+            else REMOVED
+            for ln in range(self.lanes)
+        ]
 
 
 def ghaffari_engine(
     g: Graph, rounds: int, lanes: int, seed: int, cfg: Optional[SimConfig] = None
 ) -> tuple[list[list[int]], RoundStats]:
     """Run ``lanes`` independent Ghaffari executions through the simulator
-    with single-bit-per-lane messages.  Returns per-node lane statuses and
-    the engine ledger (max bits per edge-round == lanes)."""
+    with single-bit-per-lane messages (an int payload whose bit l is lane
+    l).  Returns per-node lane statuses and the engine ledger (max bits per
+    edge-round == lanes)."""
     cfg = cfg or SimConfig()
     cfg = cfg.widened(g, max(1, lanes))
-    draws = np.empty((g.n, lanes, max(1, rounds)))  # draws[v]: lanes x rounds
+    draws = np.empty((g.n, max(1, rounds), lanes))  # draws[v]: rounds x lanes
     for ln in range(lanes):
-        draws[:, ln] = node_draws(seed, g.ids, ln, max(1, rounds))
+        draws[:, :, ln] = node_draws(seed, g.ids, ln, max(1, rounds))
     it = iter(range(g.n))
 
     def factory():

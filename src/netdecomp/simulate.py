@@ -39,14 +39,28 @@ class BudgetError(SimError):
         self.bits = bits
 
 
-@dataclass(frozen=True)
 class Message:
-    payload: Any
-    bits: int
+    """A payload and its declared size in bits.  Programs must not mutate a
+    message once it is sent: one object may be mapped to many ports."""
 
-    def __post_init__(self):
-        if self.bits < 1:
+    __slots__ = ("payload", "bits")
+
+    def __init__(self, payload: Any, bits: int):
+        if bits < 1:
             raise SimError("message must declare a positive bit size")
+        self.payload = payload
+        self.bits = bits
+
+    def __eq__(self, other):
+        if not isinstance(other, Message):
+            return NotImplemented
+        return self.payload == other.payload and self.bits == other.bits
+
+    def __hash__(self):
+        return hash((self.payload, self.bits))
+
+    def __repr__(self):
+        return f"Message(payload={self.payload!r}, bits={self.bits!r})"
 
 
 @dataclass
@@ -131,7 +145,14 @@ class NodeView:
 
 
 class NodeProgram:
-    """Per-node state machine.  Subclasses set ``halted`` when done."""
+    """Per-node state machine.  Subclasses set ``halted`` when done.
+
+    ``step`` returns an outbox {port: Message}; the same ``Message`` object
+    may be mapped to many ports (a broadcast builds one).  Once ``halted``
+    is set — in ``init`` or in a ``step``, whose outbox is still delivered —
+    the program is never stepped again, and messages sent to it are
+    dropped.
+    """
 
     halted: bool = False
 
@@ -190,24 +211,44 @@ _M_LO, _M_HI = _M & _LOW32, _M >> _32
 _W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 
 
+# Philox blocks per pass of the rounds (a pass takes this many // blocks
+# per row rows), so that each temporary takes about 256 kB however many ids
+# are drawn for
+_CHUNK_BLOCKS = 1 << 14
+
+
 def node_draws(seed: int, ids: Sequence[int], run_index: int, count: int) -> np.ndarray:
     """``count`` uniform draws on [0, 1) for each id, one row per id.
 
     Row i equals ``node_rng(seed, ids[i], run_index).random(count)`` bit
     for bit: the keys are the same words, rounded to 53 significant bits
     when exactly one is >= 2^63 (``_philox_key``), and Philox4x64-10 runs
-    for all rows at once in uint64 arithmetic.  Block b
-    of a row is Philox applied to the counter (b + 1, 0, 0, 0), its four
-    words are used in order, and a draw is (word >> 11) * 2^-53, as in
-    numpy's ``Generator.random``.
+    for a chunk of rows at once in uint64 arithmetic.  Block b of a row is
+    Philox applied to the counter (b + 1, 0, 0, 0), its four words are used
+    in order, and a draw is (word >> 11) * 2^-53, as in numpy's
+    ``Generator.random``.
     """
     rows = len(ids)
+    out = np.empty((rows, count))
     if rows == 0 or count == 0:
-        return np.zeros((rows, count))
+        return out
     keys = np.array(
         [_philox_key(*_key_words(seed, v, run_index)) for v in ids], dtype=np.uint64
     ).T[:, :, None]
     blocks = -(-count // 4)
+    step = max(1, _CHUNK_BLOCKS // blocks)
+    for lo in range(0, rows, step):
+        words = _philox_words(keys[:, lo : lo + step], blocks)[:, :count]
+        np.multiply(
+            words >> np.uint64(11), 1.0 / 9007199254740992.0, out=out[lo : lo + step]
+        )
+    return out
+
+
+def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
+    """The words of blocks 1..``blocks`` under each key of ``keys`` (the
+    (k0, k1) pairs stacked on axis 0), one row of 4 * blocks per key."""
+    rows = keys.shape[1]
     mul = np.zeros((2, rows, blocks), dtype=np.uint64)   # (x0, x2)
     mul[0] = np.arange(1, blocks + 1, dtype=np.uint64)
     xor = np.zeros_like(mul)                             # (x1, x3)
@@ -222,8 +263,7 @@ def node_draws(seed: int, ids: Sequence[int], run_index: int, count: int) -> np.
         hi = _M_HI * x_hi + (u >> _32) + (v >> _32)
         mul, xor = hi[::-1] ^ xor ^ keys, (_M * mul)[::-1]
     words = np.stack([mul, xor], axis=-1).transpose(1, 2, 0, 3)
-    words = words.reshape(rows, 4 * blocks)[:, :count]
-    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+    return words.reshape(rows, 4 * blocks)
 
 
 def run(
@@ -237,60 +277,75 @@ def run(
 
     Pure function of (g, programs, cfg): identical inputs give bit-identical
     outputs and stats.  Raises on strict budget breach or round-cap overrun.
+    Each round steps the programs not yet halted in node order; a program
+    that has halted is never stepped again.  One ``Message`` object may be
+    delivered on many ports, so programs must not mutate received
+    messages.  Every message counts once in ``total_messages`` and in the
+    bit ledger; non-strict budget violations are logged as (round, edge,
+    bits) in the order the messages are sent.
     """
     budget = cfg.budget_for(g)
     n = g.n
+    ids, neighbors = g.ids, g.neighbors
     progs = [program_factory() for _ in range(n)]
     for i, p in enumerate(progs):
         p.init(
             NodeView(
-                node_id=g.ids[i],
-                degree=len(g.neighbors[i]),
+                node_id=ids[i],
+                degree=len(neighbors[i]),
                 id_bits=g.id_bits,
                 seed=cfg.seed,
                 run_index=cfg.run_index,
             )
         )
-    # port p of node i leads to j = neighbors[i][p]; reverse port located by
-    # binary search since neighbor lists are sorted
-    rev = [
-        [bisect.bisect_left(g.neighbors[j], i) for j in g.neighbors[i]]
+    # port p of node i leads to (j, q): j = neighbors[i][p], and i is port q
+    # of j, found by binary search since neighbor lists are sorted
+    links = [
+        [(j, bisect.bisect_left(neighbors[j], i)) for j in neighbors[i]]
         for i in range(n)
     ]
+    live = [i for i in range(n) if not progs[i].halted]
     inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
-    stats = RoundStats()
-    active_rounds = 0
-    while not all(p.halted for p in progs):
-        if stats.rounds >= cfg.max_rounds:
+    violations: list[tuple[int, tuple[int, int], int]] = []
+    rounds = active_rounds = messages = max_bits = 0
+    while live:
+        if rounds >= cfg.max_rounds:
             raise SimError(f"max_rounds={cfg.max_rounds} exceeded with live nodes")
-        stats.rounds += 1
-        sent_this_round = 0
+        rounds += 1
+        sent_before = messages
         next_inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
-        for i in range(n):
+        still_live = []
+        for i in live:
             p = progs[i]
-            if p.halted:
-                continue
-            outbox = p.step(stats.rounds, inboxes[i])
-            for port, msg in outbox.items():
-                j = g.neighbors[i][port]
-                stats.total_messages += 1
-                sent_this_round += 1
-                stats.max_bits_per_edge_round = max(
-                    stats.max_bits_per_edge_round, msg.bits
-                )
-                if msg.bits > budget:
-                    edge = (g.ids[min(i, j)], g.ids[max(i, j)])
-                    if cfg.strict:
-                        raise BudgetError(stats.rounds, edge, msg.bits, budget)
-                    stats.budget_violations.append((stats.rounds, edge, msg.bits))
-                next_inboxes[j][rev[i][port]] = msg
+            outbox = p.step(rounds, inboxes[i])
+            if outbox:
+                messages += len(outbox)
+                link = links[i]
+                for port, msg in outbox.items():
+                    j, back = link[port]
+                    next_inboxes[j][back] = msg
+                    bits = msg.bits
+                    if bits > max_bits:
+                        max_bits = bits
+                    if bits > budget:
+                        edge = (ids[min(i, j)], ids[max(i, j)])
+                        if cfg.strict:
+                            raise BudgetError(rounds, edge, bits, budget)
+                        violations.append((rounds, edge, bits))
+            if not p.halted:
+                still_live.append(i)
+        live = still_live
         inboxes = next_inboxes
-        if sent_this_round:
+        if messages > sent_before:
             active_rounds += 1
         elif stop_when_quiet:
             break
-    if count_active_only:
-        stats.rounds = active_rounds
+    stats = RoundStats(
+        rounds=active_rounds if count_active_only else rounds,
+        max_bits_per_edge_round=max_bits,
+        total_messages=messages,
+        budget_violations=violations,
+    )
     return [p.output() for p in progs], stats
 
 
@@ -316,7 +371,7 @@ class _MinGossip(NodeProgram):
         if self.best is None:
             return {}
         m = Message(self.best, TAG_BITS + self.value_bits)
-        return {p: m for p in range(self.view.degree)}
+        return dict.fromkeys(range(self.view.degree), m)
 
     def output(self):
         return self.best
@@ -353,17 +408,20 @@ class _Flood(NodeProgram):
     node knows the exact shortest hop count (up to ``hops``) of every
     in-range origin; holdings are truncated to the ``fanin`` smallest.
 
-    Every port keeps a min-heap of origins that may be due: an origin is
-    pushed on each port whenever its hop count improves below ``hops``, and
-    a popped origin already sent there at <= its hop count + 1 is dropped.
-    The first origin that survives is the smallest one due on that port.
+    The node keeps a min-heap of origins that may be due: an origin is
+    pushed whenever its hop count improves below ``hops``, and a popped
+    origin already sent at <= its hop count + 1 is dropped.  The first
+    origin that survives is the smallest one due.  Every port would see the
+    same pushes and apply this rule to the same state, so one heap and one
+    ``sent`` map serve all ports, and each round one message goes out on
+    every port.
     """
 
     def __init__(self, origin: Optional[tuple[int, Any]], hops: int, fanin: int, hop_bits: int):
         self.known: dict[int, tuple[int, Any]] = {}  # origin -> (best_hops, payload)
         if origin is not None:
             self.known[origin[0]] = (0, origin[1])
-        self.sent: dict[tuple[int, int], int] = {}  # (port, origin) -> hops sent
+        self.sent: dict[int, int] = {}  # origin -> hops sent on every port
         self.hops = hops
         self.fanin = fanin
         self.hop_bits = hop_bits
@@ -371,38 +429,29 @@ class _Flood(NodeProgram):
 
     def init(self, view):
         super().init(view)
-        self.due: list[list[int]] = [[] for _ in range(view.degree)]
-        for origin, (h, _) in self.known.items():
-            self._push(origin, h)
-
-    def _push(self, origin: int, h: int) -> None:
-        if h < self.hops:
-            for heap in self.due:
-                heapq.heappush(heap, origin)
+        self.msg_bits = TAG_BITS + (self.origin_bits or view.id_bits) + self.hop_bits
+        # at most one origin, the node's own, is known yet
+        self.due = [o for o, (h, _) in self.known.items() if h < self.hops]
 
     def step(self, round_no, inbox):
+        known, due, sent = self.known, self.due, self.sent
         for msg in inbox.values():
             origin, h, payload = msg.payload
-            cur = self.known.get(origin)
+            cur = known.get(origin)
             if cur is None or h < cur[0]:
-                self.known[origin] = (h, payload)
-                self._push(origin, h)
-        out = {}
-        width = self.origin_bits or self.view.id_bits
-        for port, heap in enumerate(self.due):
-            while heap:
-                origin = heapq.heappop(heap)
-                h, payload = self.known[origin]
-                prev = self.sent.get((port, origin))
-                if prev is not None and prev <= h + 1:
-                    continue
-                self.sent[(port, origin)] = h + 1
-                out[port] = Message(
-                    (origin, h + 1, payload),
-                    TAG_BITS + width + self.hop_bits,
-                )
-                break
-        return out
+                known[origin] = (h, payload)
+                if h < self.hops:
+                    heapq.heappush(due, origin)
+        while due:
+            origin = heapq.heappop(due)
+            h, payload = known[origin]
+            prev = sent.get(origin)
+            if prev is not None and prev <= h + 1:
+                continue
+            sent[origin] = h + 1
+            msg = Message((origin, h + 1, payload), self.msg_bits)
+            return dict.fromkeys(range(self.view.degree), msg)
+        return {}
 
     def output(self):
         best = sorted(self.known)[: self.fanin]

@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from netdecomp.clustering import validate_mis, validate_ruling_set
 from netdecomp.graphs import Graph, generate_graph, induced_subgraph
 from netdecomp.mis import (
+    _port_sums,
     IN_MIS,
     REMOVED,
     UNDECIDED,
@@ -140,6 +143,68 @@ class TestEngineLanes:
                 for v in range(g.n)
             ]
             assert got == want
+
+
+def _statuses(g, rounds, seed, lane):
+    mis, rem, _, _ = run_ghaffari(g, rounds, seed=seed, lane=lane)
+    return [
+        IN_MIS if v in mis else REMOVED if v in rem else UNDECIDED
+        for v in range(g.n)
+    ]
+
+
+class TestEngineLaneMasks:
+    """Lane payloads are int masks (bit l is lane l), also past 64 lanes."""
+
+    # rounds up to 40: desire levels can fall to 2^-41
+    @settings(max_examples=12, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        p=st.floats(0.05, 0.6),
+        graph_seed=st.integers(0, 1000),
+        seed=st.integers(0, 2**32),
+        lanes=st.sampled_from([1, 63, 64, 65, 70]),
+        rounds=st.integers(0, 40),
+    )
+    @example(n=24, p=0.6, graph_seed=1, seed=3, lanes=70, rounds=40)
+    @example(n=24, p=0.3, graph_seed=2, seed=5, lanes=65, rounds=0)
+    def test_every_lane_equals_run_ghaffari(
+        self, n, p, graph_seed, seed, lanes, rounds
+    ):
+        g = generate_graph("gnp", {"n": n, "p": p}, graph_seed)
+        outs, stats = ghaffari_engine(
+            g, rounds, lanes, seed, SimConfig(msg_bits=max(lanes, g.id_bits + 8))
+        )
+        assert stats.max_bits_per_edge_round == (lanes if g.m and rounds else 0)
+        for ln in range(lanes):
+            assert [o[ln] for o in outs] == _statuses(g, rounds, seed, ln)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        values=st.lists(
+            st.lists(
+                st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
+                | st.sampled_from([0.5, 2.0**-41, 2.0**-1074, 1e16, 3.0]),
+                min_size=3, max_size=3,
+            ),
+            max_size=12,
+        ),
+        masks=st.lists(st.integers(0, 7), min_size=12, max_size=12),
+    )
+    # 1 + 2^-53 rounds back to 1, so the order of these terms shows
+    @example(values=[[1.0] * 3, [2.0**-53] * 3, [2.0**-53] * 3], masks=[7] * 12)
+    @example(values=[[2.0**-53] * 3, [2.0**-53] * 3, [1.0] * 3], masks=[7] * 12)
+    def test_effective_degrees_are_sequential_port_order_sums(self, values, masks):
+        deg = len(values)
+        arr = np.array(values, dtype=float).reshape(deg, 3)
+        flags = np.array(
+            [[(masks[q] >> ln) & 1 for ln in range(3)] for q in range(deg)],
+            dtype=bool,
+        ).reshape(deg, 3)
+        got = _port_sums(arr, flags)
+        for ln in range(3):
+            want = sum(values[q][ln] for q in range(deg) if masks[q] >> ln & 1)
+            assert got[ln] == want
 
 
 class TestShatterCheck:

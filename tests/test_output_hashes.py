@@ -10,7 +10,11 @@ each ``decompose`` output and on a one-color recoloring of it, so that its
 failure lines and ``min_same_color_gap`` are pinned too.  The randomized
 digests were recorded before the per-node streams were computed for all
 nodes at once and before ``gnp`` drew its pairs row by row; they pin
-every draw.
+every draw.  The engine digests (floods, gossip, tree broadcast and
+convergecast, ``decompose(mode="sim")``, many-lane Ghaffari) were recorded
+before the engine's send queues, round loop and lane messages were
+reworked; they pin holdings, statuses and every ledger, budget violations
+included.
 
 To print the digests of the code under test:
 
@@ -33,6 +37,13 @@ from netdecomp.covers import cover_mst, kruskal_oracle, mst_radius
 from netdecomp.decompose import decompose
 from netdecomp.graphs import generate_graph, random_weights
 from netdecomp.mis import ghaffari_engine, mis_full, run_ghaffari
+from netdecomp.simulate import (
+    SimConfig,
+    bounded_flood,
+    cluster_broadcast,
+    cluster_convergecast,
+    min_gossip,
+)
 
 INPUTS = {
     "path n=12": ("path", {"n": 12}, 0),
@@ -466,6 +477,177 @@ def test_randomized_outputs_match_pinned_digests(name):
     assert random_outputs(name) == RANDOM_EXPECTED[name]
 
 
+# (model, params, seed, relabel ids to just below 2^128)
+ENGINE_INPUTS = {
+    "grid 6x7": ("grid", {"rows": 6, "cols": 7}, 0, False),
+    "tree n=80": ("tree", {"n": 80}, 3, False),
+    "gnp n=120": ("gnp", {"n": 120, "p": 0.03, "largest_component": 1}, 2, False),
+    "gnp n=150 ids near 2^128": (
+        "gnp", {"n": 150, "p": 0.02, "largest_component": 1}, 5, True
+    ),
+}
+
+ENGINE_EXPECTED = {
+    "grid 6x7": {
+        "flood singletons":
+            "c304bb41155d34b4749d8335d82b9849eeb2e1c70ba7eea69f1a5895ad0058d2",
+        "flood clusters":
+            "25ec8659ab41f34f0c4bd81fdf099e81d7642bda329d6a69c1412e815c327d1a",
+        "flood payloads":
+            "ef9176700bae952f748bba4e57214e3cf85a64f625f9e219f707c22c3abd0558",
+        "flood non-strict budget":
+            "507d61e9c81d2e18308b60297aefe047c0ea1a23758d378e7117f2326a42c18b",
+        "min_gossip":
+            "ea39368723ec24b9abb1cd93953fa8591e4257f023db36f8b7aabb893cb8c671",
+        "cluster_broadcast":
+            "d8d64e1c38e0d9e4ae5b85813f6a150cede880cf02223d178ec8c0f8bdee27a1",
+        "cluster_convergecast union":
+            "ac569d6b556abe644351c28140fae1f45d40ddc873197187c96c18dbcf621cce",
+        "cluster_convergecast count":
+            "43ec55c65d2f424f2a738d3d470dedf710b436dfd0eb0b4731f6e74dda2c8815",
+        "decompose sim k=1":
+            "c059694923f53651eedf1f82bd268cbbe446e896a26691270e3c393ff7c3d89b",
+        "decompose sim k=2":
+            "696e0b9fd41607b6c693272a481d219d0ea614132460554789f237c47d4cccf8",
+        "ghaffari_engine 70 lanes":
+            "babb22241fa7a04b4f655aa41e152b9ea8038b98b0c0734b1582f058abe1bbc9",
+    },
+    "tree n=80": {
+        "flood singletons":
+            "773821b11383a5412aeb4b180e09bc32e2f8e8b2e09bb91e45d8c1f789ddff15",
+        "flood clusters":
+            "77af88e627bd85dd9b9da93c4c51a0ec844b418f8e42b89c486b99807f713c40",
+        "flood payloads":
+            "32fc55a998136904196e53442a67c883e9066f6845023e088166ea9cb1922af5",
+        "flood non-strict budget":
+            "cecaaa1cf31f2a41e839a20604ba4fb0a68232983e787f5bcbdb02dd6c831094",
+        "min_gossip":
+            "fc243224b88da8c34fdb780a5b6a74fd2f4b88254fcd4242feedb8a18c3a95c7",
+        "cluster_broadcast":
+            "bcd07c7e2a8f35ff7a23dadabc3773c8294cb16e824e37f6e4e35f5e0fc7ab8b",
+        "cluster_convergecast union":
+            "5746dadc376cdab5263bf36d19faa11fda386a588df4598f412ecba7a7b2e619",
+        "cluster_convergecast count":
+            "1485b2c077fccd71f1ebd780a74c123dbb7efe4217cefe1c2407aabfc9f7fadd",
+        "decompose sim k=1":
+            "508aedfb19da3a2293750da10a52f194eb139f61f1a5d9279aee8445150fbd4b",
+        "decompose sim k=2":
+            "129e4c18b422eca56f85aa86154a440f1a80c4949d726664cff61a553c5a2458",
+        "ghaffari_engine 70 lanes":
+            "1bb96f458db515973a993f3cc170d51674c22cf8a9ec1b1f882cb3bac504c991",
+    },
+    "gnp n=120": {
+        "flood singletons":
+            "b62a62ae52ba2bd68e980f016f0942b5248181837623d651cecf4b3ec4a73c34",
+        "flood clusters":
+            "0b99284c42ea10a24c26073a796de3855c1a14e7e0f423f4df83ad3f2a56ed10",
+        "flood payloads":
+            "8f21c8c4a4a9300818dd96a21dd78df5ba977f077222617ad89ed856798f3a7a",
+        "flood non-strict budget":
+            "eae74b11f8644c95155fb4bc6d04676aac4332eda484a1b0404c6d079c688878",
+        "min_gossip":
+            "dfbeec2bd02235df1435e9c3827a1a65d850f6386b3757a905b2b08b468bb4e2",
+        "cluster_broadcast":
+            "b4991aaea88fa8ece23fb52df264aa20cb18a826730e3cf31a18f84620cbfea2",
+        "cluster_convergecast union":
+            "ac1dcd8eb12bd6548e6e1fea043f8b5ae8bf6deead4a1361e83f092d1aa40504",
+        "cluster_convergecast count":
+            "452e27b3898e88f927d90cc821c209025fae040539f74da7b34471ef0aa03b7e",
+        "decompose sim k=1":
+            "f1d3666ad46bdb7c4a14767944427649d68f8bb1980dff080d8ad950c5c227f9",
+        "decompose sim k=2":
+            "b7dfc29cb99c1f56811466657605d5af910559ac04990341d8158d266b7d3a6e",
+        "ghaffari_engine 70 lanes":
+            "3ea2f0402b910dd2e541d51f0bd7ea48700edabed372eafe8d2c647f3ad5bcc9",
+    },
+    "gnp n=150 ids near 2^128": {
+        "flood singletons":
+            "cc6baf437049f2b749875f4da0d610f99ebc3c6402f36d95951757bdefccf6fe",
+        "flood clusters":
+            "8d14edee5119500f4a5017f0f1446263e64ad2131f96e46eb340f3dee608586f",
+        "flood payloads":
+            "b2356dca41784723426e8dbe88cecd5e4ac02a21c0b5d81bb99b7b141e15a334",
+        "flood non-strict budget":
+            "6e22b23b5392e743182fe5e907df7d9fc84cd84944bb4fdc6375a4b3efbfb76e",
+        "min_gossip":
+            "3706aaceb62b3f3d7be04b35f68836413aa2a826fbab36b008273cc1c029b5cf",
+        "cluster_broadcast":
+            "30468478817ba6d7cee5ffc16402aa226eaa8738308e5eac270c161a92c18eca",
+        "cluster_convergecast union":
+            "11e2c29f4d50bfe9d108cc1f840651b2b7032268d6acd715481da192facf90ab",
+        "cluster_convergecast count":
+            "17e1f29e6efedc411c39ecec5f6df66af8a1767665cc22692b999dc5744adf7f",
+        "decompose sim k=1":
+            "16b651b8e102627dff8c13b4cb0d6af2938d39333817d8f4d32558295dcbae5a",
+        "decompose sim k=2":
+            "73545b3973b74d878becf9a9ffa2bf67d9f64a8ff8be6889852042a35e9371ef",
+        "ghaffari_engine 70 lanes":
+            "83123c622ddc4daa0760774ac876cbdc2663487648925b0e4f352fb435ce01ea",
+    },
+}
+
+
+def _held(holdings):
+    return [sorted(h, key=repr) for h in holdings]
+
+
+def engine_outputs(name: str) -> dict[str, str]:
+    model, params, seed, big = ENGINE_INPUTS[name]
+    g = generate_graph(model, params, seed)
+    if big:
+        g = g.relabeled({v: 2**128 - 1 - 7919 * v for v in g.ids}, id_bits=128)
+    clusters = decompose(g, 2).decomposition.clusters
+    cfg = SimConfig()
+    loose = SimConfig(msg_bits=g.id_bits + 8, strict=False)
+    singles = {v: (g.ids[v], None) for v in range(g.n)}
+    by_cluster = {m: (c.id, None) for c in clusters for m in c.members}
+    payloads = {v: (g.ids[v], f"p{v}") for v in range(0, g.n, 3)}
+    out = {}
+    for key, sources, hops, fanin, conf in (
+        ("flood singletons", singles, 2, 5, cfg),
+        ("flood clusters", by_cluster, 3, 4, cfg),
+        ("flood payloads", payloads, 4, 3, cfg),
+        ("flood non-strict budget", singles, 2, 3, loose),
+    ):
+        held, stats = bounded_flood(g, sources, hops, fanin, conf)
+        out[key] = _sha([_held(held), stats.to_json()])
+    values = {m: c.id for c in clusters for m in c.members if c.color % 2}
+    best, stats = min_gossip(g, values, 3, cfg)
+    out["min_gossip"] = _sha([best, stats.to_json()])
+    got, stats = cluster_broadcast(
+        g, clusters, {c.id: c.id * 7 % 101 for c in clusters}, cfg
+    )
+    out["cluster_broadcast"] = _sha([
+        [sorted(d.items()) for d in got], stats.to_json(),
+    ])
+    for combine, values, cap in (
+        ("union", {m: {c.id: [g.ids[m] % 13, g.ids[m]]}
+                   for c in clusters for m in c.members}, 4),
+        ("count", {m: {c.id: [1]} for c in clusters for m in c.members}, 2**30),
+    ):
+        agg, stats = cluster_convergecast(g, clusters, values, cfg, combine, cap)
+        out[f"cluster_convergecast {combine}"] = _sha([
+            sorted(agg.items()), stats.to_json(),
+        ])
+    for k in (1, 2):
+        r = decompose(g, k, mode="sim")
+        out[f"decompose sim k={k}"] = _sha({
+            "decomposition": decomposition_to_json(g, r.decomposition),
+            "invariants_log": r.invariants_log,
+            "stats": r.stats.to_json(),
+        })
+    statuses, stats = ghaffari_engine(
+        g, 9, 70, seed, SimConfig(msg_bits=max(70, g.id_bits + 8), strict=True)
+    )
+    out["ghaffari_engine 70 lanes"] = _sha([statuses, stats.to_json()])
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ENGINE_INPUTS))
+def test_engine_outputs_match_pinned_digests(name):
+    assert engine_outputs(name) == ENGINE_EXPECTED[name]
+
+
 def _print_table(title, inputs, compute):
     print(f"{title} = {{")
     for name in inputs:
@@ -479,3 +661,4 @@ def _print_table(title, inputs, compute):
 if __name__ == "__main__":
     _print_table("EXPECTED", INPUTS, outputs)
     _print_table("RANDOM_EXPECTED", RANDOM_INPUTS, random_outputs)
+    _print_table("ENGINE_EXPECTED", ENGINE_INPUTS, engine_outputs)

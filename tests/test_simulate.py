@@ -185,6 +185,79 @@ class TestRun:
         assert stats.total_messages == len(bits_seen)
 
 
+class TestEngineContract:
+    def test_halted_programs_are_never_stepped_again(self):
+        # node v halts in round v (node 0 already in init); every live node
+        # keeps sending to all ports, so halted nodes keep receiving
+        g = generate_graph("gnp", {"n": 30, "p": 0.2}, 4)
+        assert list(g.ids) == list(range(g.n))
+        steps = []
+
+        class HaltAtOwnIndex(NodeProgram):
+            def init(self, view):
+                super().init(view)
+                self.index = view.node_id
+                self.halted = self.index == 0
+
+            def step(self, round_no, inbox):
+                assert not self.halted
+                steps.append((round_no, self.index))
+                if round_no >= self.index:
+                    self.halted = True
+                m = Message(round_no, TAG_BITS + 8)
+                return dict.fromkeys(range(self.view.degree), m)
+
+        _, stats = run(g, HaltAtOwnIndex, SimConfig())
+        assert steps == [
+            (r, v) for r in range(1, g.n) for v in range(g.n) if v >= r
+        ]
+        assert stats.rounds == g.n - 1
+        assert stats.total_messages == sum(
+            len(g.neighbors[v]) * v for v in range(g.n)
+        )
+
+    def test_non_strict_violations_keep_send_order(self):
+        # outboxes list their ports in reverse and vary the bits: the ledger
+        # follows rounds, then node order, then each outbox's own order
+        g = generate_graph("gnp", {"n": 25, "p": 0.2}, 2)
+        sends = []
+
+        class Loud(NodeProgram):
+            def step(self, round_no, inbox):
+                if round_no == 3:
+                    self.halted = True
+                out = {}
+                for port in reversed(range(self.view.degree)):
+                    bits = 8 + (self.view.node_id * 7 + port * 3 + round_no) % 20
+                    out[port] = Message(port, bits)
+                    sends.append((round_no, self.view.node_id, port, bits))
+                return out
+
+        budget = g.id_bits + 8
+        _, stats = run(g, Loud, SimConfig(msg_bits=budget, strict=False))
+        index = {v: i for i, v in enumerate(g.ids)}
+        want = []
+        for round_no, v, port, bits in sorted(sends, key=lambda s: s[:2]):
+            u = g.ids[g.neighbors[index[v]][port]]
+            if bits > budget:
+                want.append((round_no, (min(u, v), max(u, v)), bits))
+        assert want and len(want) < len(sends)
+        assert stats.budget_violations == want
+        assert stats.total_messages == len(sends)
+        assert stats.max_bits_per_edge_round == max(s[3] for s in sends)
+        with pytest.raises(BudgetError) as err:
+            run(g, Loud, SimConfig(msg_bits=budget, strict=True))
+        assert (err.value.round_no, err.value.edge, err.value.bits) == want[0]
+
+    def test_message_is_slotted_value(self):
+        m = Message((1, 2), 9)
+        assert m == Message((1, 2), 9) and m != Message((1, 2), 10)
+        assert hash(m) == hash(Message((1, 2), 9))
+        assert not hasattr(m, "__dict__")
+        with pytest.raises(SimError):
+            Message(None, 0)
+
+
 class TestBoundedFlood:
     def test_p3_both_endpoints(self):
         g = generate_graph("path", {"n": 3}, 0)
@@ -424,6 +497,20 @@ class TestNodeDraws:
     def test_key_conversion_matches_numpy(self, k0, k1):
         expected = np.random.Philox(key=[k0, k1]).state["state"]["key"]
         assert simulate._philox_key(k0, k1).tolist() == expected.tolist()
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        chunk=st.integers(1, 40),
+        rows=st.integers(1, 30),
+        count=st.integers(1, 50),
+    )
+    def test_row_chunks_change_no_draw(self, chunk, rows, count):
+        ids = [2**127 + 977 * v for v in range(rows)]
+        whole = node_draws(11, ids, 4, count)
+        with patch.object(simulate, "_CHUNK_BLOCKS", chunk):
+            chunked = node_draws(11, ids, 4, count)
+        assert chunked.tobytes() == whole.tobytes()
+        assert whole[-1].tobytes() == node_rng(11, ids[-1], 4).random(count).tobytes()
 
     def test_node_rng_is_one_row(self):
         for v in _BOTH_BRANCHES:
