@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graphs import Graph, _bfs_idx
+from .graphs import Graph, _bfs_idx, _malformed_json
 
 
 @dataclass
@@ -324,17 +324,18 @@ def decomposition_to_json(g: Graph, dec: Decomposition) -> dict:
 
 def decomposition_from_json(g: Graph, data: dict) -> Decomposition:
     clusters = []
-    for c in data["clusters"]:
-        clusters.append(
-            Cluster(
-                id=c["id"],
-                center=g.index_of(c["center"]),
-                members=frozenset(g.index_of(v) for v in c["members"]),
-                tree_edges=frozenset(
-                    (g.index_of(a), g.index_of(b)) for a, b in c["tree_edges"]
-                ),
-                color=c.get("color"),
+    with _malformed_json("decomposition JSON"):
+        for c in data["clusters"]:
+            clusters.append(
+                Cluster(
+                    id=c["id"],
+                    center=g.index_of(c["center"]),
+                    members=frozenset(g.index_of(v) for v in c["members"]),
+                    tree_edges=frozenset(
+                        (g.index_of(a), g.index_of(b)) for a, b in c["tree_edges"]
+                    ),
+                    color=c.get("color"),
+                )
             )
-        )
-    return Decomposition(k=data["k"], clusters=clusters)
+        return Decomposition(k=data["k"], clusters=clusters)
 

@@ -198,24 +198,21 @@ def mst_radius_scipy(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
     if not _connected(g):
         raise GraphError("mst_radius needs a connected graph")
     mst = kruskal_oracle(g)
-    ordered = sorted(g.weights.items(), key=lambda kv: kv[1])
+    ordered = sorted(g.weights, key=g.weights.__getitem__)  # Fraction order
+    edges = np.array(ordered, dtype=np.intp).reshape(-1, 2)
+    ones = np.ones(len(ordered))
     mu = 0
-    rows, cols = [], []
-    for i, ((a, b), w) in enumerate(ordered):
+    for i, (a, b) in enumerate(ordered):
         if (a, b) in mst:
-            rows.append(a)
-            cols.append(b)
             continue
-        m = csr_matrix(
-            (np.ones(len(rows)), (rows, cols)), shape=(g.n, g.n)
+        lighter = csr_matrix(  # the first i edges are the lighter ones
+            (ones[:i], (edges[:i, 0], edges[:i, 1])), shape=(g.n, g.n)
         )
-        d = shortest_path(m, method="D", directed=False, unweighted=True,
+        d = shortest_path(lighter, method="D", directed=False, unweighted=True,
                           indices=a)[b]
         if not np.isfinite(d) or d + 1 > cycle_cap:
             return None
         mu = max(mu, int(d) + 1)
-        rows.append(a)
-        cols.append(b)
     return mu
 
 

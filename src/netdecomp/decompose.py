@@ -2,14 +2,20 @@
 virtual cluster graph H, marking, H² coloring, maximal 2-independent set,
 merge rounds and residual coloring, instrumented with per-phase invariants.
 
-Two interchangeable communication backends drive each phase:
+Each phase works from one H-view: every live cluster's 2d smallest foreign
+cluster ids within k hops, its high/low degree flag, the marks, and the
+smallest marked cluster within k hops of each unmarked cluster.  Two
+interchangeable communication backends build it:
 
-* ``mode='sim'`` runs the data-plane steps (identifier flooding, per-cluster
-  convergecast, marked-cluster gossip) through the CONGEST engine and
-  records real round/bit ledgers;
-* ``mode='fast'`` recomputes the same deterministic rules centrally (sparse
-  boolean matrix reachability) and is the oracle the simulated run must
-  match exactly.
+* ``mode='sim'`` runs the data plane through the CONGEST engine and records
+  real round/bit ledgers: a bounded flood of cluster ids, a convergecast of
+  the members' holdings over each cluster tree, and a gossip of marked ids;
+* ``mode='fast'`` reads the same view off one sparse boolean product, the
+  k-hop balls of the clusters times their membership matrix, and is the
+  oracle the simulated run must match exactly.
+
+Each live cluster's communication tree (G-shortest paths from its center)
+and radius are built once, when the cluster forms.
 
 Cluster-graph control-plane steps (marking counts, Linial coloring of H²,
 2-independent set selection, merge bookkeeping) are deterministic functions
@@ -25,6 +31,7 @@ but bit widths.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -56,6 +63,8 @@ class LiveCluster:
     id: int
     center: int                 # node index
     members: set[int]           # node indices
+    tree_edges: frozenset[tuple[int, int]]  # G-shortest paths center -> member
+    radius: int                 # largest G-distance center -> member
 
 
 @dataclass
@@ -100,54 +109,47 @@ def growth_parameters(n_clusters: int) -> tuple[int, int]:
 @dataclass
 class HView:
     """What phase control decisions are made from: per-cluster perceived
-    in-neighbor ids (capped at 2d), exact high/low degree flags, out-degree
-    counts, marks, and the undirected unmarked adjacency."""
+    in-neighbor ids (capped at 2d), exact high/low degree flags, marks, the
+    smallest marked cluster within k hops of each unmarked cluster, and the
+    undirected unmarked adjacency."""
 
     order: list[int]                        # cluster ids ascending
     in_ids: dict[int, list[int]]            # cid -> perceived in-neighbor ids
     high_degree: dict[int, bool]
-    out_degree: dict[int, int]
     marked: set[int]
+    marked_nb: dict[int, int]               # unmarked cid -> marked cid
     adj: dict[int, set[int]]                # undirected view over unmarked
 
 
-def _holdings_fast(
-    g: Graph, live: list[LiveCluster], k: int, fanin: int
-) -> list[list[int]]:
-    """Per node: the fanin smallest cluster ids whose members lie within k
-    hops.  Centralized equivalent of the bounded flood."""
+def _cluster_reach(g: Graph, live: list[LiveCluster], k: int) -> sparse.csr_matrix:
+    """Boolean live-cluster x live-cluster matrix, both axes in ascending
+    id order, with sorted rows: (c, x) is set iff a member of x lies
+    within k hops of a member of c (so the diagonal is set).  Centralized
+    equivalent of the bounded flood and the convergecast over it."""
     live = sorted(live, key=lambda c: c.id)
-    order = [c.id for c in live]
     rows = [r for r, c in enumerate(live) for _ in c.members]
     cols = [m for c in live for m in c.members]
-    reach = sparse.csr_matrix(
+    member = sparse.csr_matrix(
         (np.ones(len(rows), dtype=bool), (rows, cols)),
-        shape=(len(order), g.n),
+        shape=(len(live), g.n),
     )
     adj = g.adjacency_csr().astype(bool)
-    acc = frontier = reach  # acc: the radius-t ball; frontier: its last layer
+    ball = frontier = member  # ball: the radius-t balls; frontier: their last layer
     for _ in range(k):
-        ball = (acc + frontier @ adj).astype(bool)
-        if ball.nnz == acc.nnz:
+        grown = (ball + frontier @ adj).astype(bool)
+        if grown.nnz == ball.nnz:
             break  # a ball that stops growing never grows again
-        frontier, acc = ball > acc, ball
-    csc = acc.tocsc()
-    csc.sort_indices()
-    out: list[list[int]] = []
-    for col in range(g.n):
-        r = csc.indices[csc.indptr[col] : csc.indptr[col + 1]]
-        out.append([order[x] for x in r[:fanin]])
-    return out
+        frontier, ball = grown > ball, grown
+    # a CSC -> CSR conversion sorts the rows in linear time (a product's
+    # rows come out unsorted)
+    return (member @ ball.T).T.tocsr()
 
 
 def _holdings_sim(
     g: Graph, live: list[LiveCluster], k: int, fanin: int, cfg: SimConfig,
     stats: RoundStats,
 ) -> list[list[int]]:
-    sources = {}
-    for c in live:
-        for m in c.members:
-            sources[m] = (c.id, None)
+    sources = {m: (c.id, None) for c in live for m in c.members}
     res, st = bounded_flood(g, sources, hops=k, fanin=fanin, cfg=cfg)
     stats.merge(st)
     return [sorted(o for o, _ in holding) for holding in res]
@@ -162,73 +164,83 @@ def _build_hview(
     cfg: SimConfig,
     stats: RoundStats,
 ) -> HView:
-    fanin = 2 * d + 1
     cap = 2 * d
-    if mode == "sim":
-        holdings = _holdings_sim(g, live, k, fanin, cfg, stats)
-    else:
-        holdings = _holdings_fast(g, live, k, fanin)
-
     order = sorted(c.id for c in live)
-    by_id = {c.id: c for c in live}
     in_ids: dict[int, list[int]] = {}
     high: dict[int, bool] = {}
-    if mode == "sim" and any(len(c.members) > 1 for c in live):
-        # aggregate member holdings over the cluster trees for real
-        trees = [_live_cluster_tree(g, by_id[cid])[0] for cid in order]
+    if mode == "sim":
+        # each member holds the 2d+1 smallest ids within k hops; the union
+        # over a cluster tree keeps the 2d smallest foreign ones
+        holdings = _holdings_sim(g, live, k, cap + 1, cfg, stats)
         values = {
             m: {c.id: [o for o in holdings[m] if o != c.id]}
             for c in live
             for m in c.members
         }
         agg, st = cluster_convergecast(
-            g, trees, values, cfg, combine="union", item_cap=cap
+            g, live, values, cfg, combine="union", item_cap=cap
         )
         stats.merge(st)
         for cid in order:
             in_ids[cid] = list(agg.get(cid, []))
             high[cid] = len(in_ids[cid]) >= cap
     else:
-        for cid in order:
-            foreign: set[int] = set()
-            for m in by_id[cid].members:
-                foreign.update(o for o in holdings[m] if o != cid)
-            in_ids[cid] = sorted(foreign)[:cap]
-            high[cid] = len(foreign) >= cap
+        reach = _cluster_reach(g, live, k)
+        ptr = reach.indptr.tolist()
+        for r, cid in enumerate(order):
+            start, end = ptr[r], ptr[r + 1]
+            head = reach.indices[start : min(end, start + cap + 1)].tolist()
+            in_ids[cid] = [order[x] for x in head if x != r][:cap]
+            high[cid] = end - start - 1 >= cap
 
-    out_degree = {cid: 0 for cid in order}
-    for cid in order:
-        for o in in_ids[cid]:
-            out_degree[o] += 1
+    out_degree = Counter(o for ids in in_ids.values() for o in ids)
     marked = {cid for cid in order if out_degree[cid] > 4 * d * d}
 
+    marked_nb: dict[int, int] = {}
+    if marked and mode == "sim":
+        values = {m: c.id for c in live if c.id in marked for m in c.members}
+        per_node, st = min_gossip(g, values, hops=k, cfg=cfg)
+        stats.merge(st)
+        for c in live:
+            hits = [per_node[m] for m in c.members if per_node[m] is not None]
+            if hits and c.id not in marked:
+                marked_nb[c.id] = min(hits)
+    elif marked:
+        # first marked entry of each unmarked row (rows are sorted)
+        is_marked = np.array([cid in marked for cid in order])
+        row_of = np.repeat(np.arange(len(order)), np.diff(reach.indptr))
+        hit = is_marked[reach.indices] & ~is_marked[row_of]
+        rows, first = np.unique(row_of[hit], return_index=True)
+        for r, x in zip(rows.tolist(), reach.indices[hit][first].tolist()):
+            marked_nb[order[r]] = order[x]
+
     adj: dict[int, set[int]] = {cid: set() for cid in order if cid not in marked}
-    for cid in order:
-        if cid in marked:
-            continue
+    for cid in adj:
         for o in in_ids[cid]:
-            if o not in marked:
+            if o in adj:
                 adj[cid].add(o)
                 adj[o].add(cid)
-    return HView(order, in_ids, high, out_degree, marked, adj)
+    return HView(order, in_ids, high, marked, marked_nb, adj)
 
 
 # -- cluster trees -------------------------------------------------------
 
 
-def _live_cluster_tree(g: Graph, c: LiveCluster) -> tuple[Cluster, int]:
-    """Union of G-shortest paths center -> member (communication tree), and
-    the largest G-distance from the center to a member."""
+def _live_cluster(g: Graph, cid: int, center: int, members: set[int]) -> LiveCluster:
+    """A live cluster with its communication tree, the union of G-shortest
+    paths center -> member, and its radius, the largest G-distance from
+    the center to a member."""
+    if len(members) == 1:
+        return LiveCluster(cid, center, members, frozenset(), 0)
     parent: dict[int, int] = {}
-    dist = _bfs_idx(g, [c.center], targets=c.members, parent=parent)
-    for m in c.members:
+    dist = _bfs_idx(g, [center], targets=members, parent=parent)
+    for m in members:
         if dist[m] < 0:
-            raise DecomposeError(f"cluster {c.id}: member {m} unreachable")
-    tree = Cluster(
-        id=c.id, center=c.center, members=frozenset(c.members),
-        tree_edges=path_union(parent, c.members),
+            raise DecomposeError(f"cluster {cid}: member {m} unreachable")
+    return LiveCluster(
+        cid, center, members, path_union(parent, members),
+        max(dist[m] for m in members),
     )
-    return tree, max(dist[m] for m in c.members)
 
 
 def _color_class_trees(
@@ -264,69 +276,30 @@ def _color_class_trees(
 # -- phase logic ---------------------------------------------------------
 
 
-def _marked_neighbor_map(
-    g: Graph,
-    live: list[LiveCluster],
-    marked: set[int],
-    k: int,
-    mode: str,
-    cfg: SimConfig,
-    stats: RoundStats,
-) -> dict[int, int]:
-    """Smallest marked cluster id adjacent (exact, <= k hops) per cluster."""
-    if not marked:
-        return {}
-    by_id = {c.id: c for c in live}
-    if mode == "sim":
-        values = {}
-        for mid in marked:
-            for m in by_id[mid].members:
-                values[m] = mid
-        res, st = min_gossip(g, values, hops=k, cfg=cfg)
-        stats.merge(st)
-        per_node = res
-    else:
-        per_node = [None] * g.n
-        for mid in sorted(marked, reverse=True):
-            reached: list[int] = []
-            _bfs_idx(g, sorted(by_id[mid].members), cap=k, reached=reached)
-            for v in reached:
-                cur = per_node[v]
-                if cur is None or mid < cur:
-                    per_node[v] = mid
-    out: dict[int, int] = {}
-    for c in live:
-        best = None
-        for m in c.members:
-            v = per_node[m]
-            if v is not None and v != c.id and (best is None or v < best):
-                best = v
-        if best is not None:
-            out[c.id] = best
-    return out
+def _merge_leaders(adj: dict[int, set[int]], cstar: list[int]) -> dict[int, int]:
+    """The C* cluster each cluster within 2 hops of C* in ``adj`` merges
+    into: its nearest one, ties to the smaller id (C* maps to itself).
 
-
-def _h_distances(adj: dict[int, set[int]], sources: list[int], cap: int) -> dict[int, int]:
-    dist = {s: 0 for s in sources}
-    frontier = sorted(sources)
-    d = 0
-    while frontier and d < cap:
-        d += 1
+    One BFS from all of C* in ascending id order: the frontier stays
+    grouped by ascending leader, so the first to reach a cluster carries
+    the smallest of its nearest C* clusters."""
+    leader = {cid: cid for cid in cstar}
+    frontier = sorted(cstar)
+    for _ in range(2):
         nxt = []
         for u in frontier:
-            for v in sorted(adj.get(u, ())):
-                if v not in dist:
-                    dist[v] = d
+            for v in adj[u]:
+                if v not in leader:
+                    leader[v] = leader[u]
                     nxt.append(v)
         frontier = nxt
-    return dist
+    return leader
 
 
 def _add_proximity_edges(
     g: Graph,
-    by_id: dict[int, "LiveCluster"],
+    by_id: dict[int, LiveCluster],
     residual: list[int],
-    radii: dict[int, int],
     k: int,
     sym: list[set[int]],
 ) -> None:
@@ -334,6 +307,7 @@ def _add_proximity_edges(
     <= max(k, 2*radius of either), so same-color cells stay connected."""
     res_index = {cid: i for i, cid in enumerate(residual)}
     owner = {m: cid for cid in residual for m in by_id[cid].members}
+    radii = {cid: by_id[cid].radius for cid in residual}
     for cid in residual:
         cap = max(k, 2 * radii[cid])
         reached: list[int] = []
@@ -413,11 +387,9 @@ def decompose(
     cfg = cfg or SimConfig()
     if init is not None:
         _check_init(g, init)
-        live = [
-            LiveCluster(c.id, c.center, set(c.members)) for c in init
-        ]
+        live = [_live_cluster(g, c.id, c.center, set(c.members)) for c in init]
     else:
-        live = [LiveCluster(g.ids[v], v, {v}) for v in range(g.n)]
+        live = [_live_cluster(g, g.ids[v], v, {v}) for v in range(g.n)]
     n_init = len(live)
     p_budget, d = growth_parameters(n_init)
     stats = RoundStats()
@@ -441,34 +413,15 @@ def decompose(
                 f"marked-count bound violated in phase {phase}: "
                 f"{len(hv.marked)} of {len(live)}"
             )
-        marked_nb = _marked_neighbor_map(
-            g, live, hv.marked, k, mode, cfg, stats
-        )
         cstar = _select_cstar(hv)
 
         # -- merge assignment (all ties by ascending cluster id) --
         by_id = {c.id: c for c in live}
-        group_of: dict[int, int] = {}          # old cid -> group leader cid
-        for cid in hv.marked:
-            group_of[cid] = cid
-        cstar_dist = {
-            cid: _h_distances(hv.adj, [cid], cap=2) for cid in cstar
-        }
-        for cid in hv.order:
-            if cid in hv.marked or cid in cstar:
-                continue
-            best = None
-            for target in cstar:
-                dd = cstar_dist[target].get(cid)
-                if dd is not None and (best is None or (dd, target) < best):
-                    best = (dd, target)
-            if best is not None:
-                group_of[cid] = best[1]
-        for cid in cstar:
-            group_of[cid] = cid
+        group_of = {cid: cid for cid in hv.marked}  # old cid -> group leader
+        group_of.update(_merge_leaders(hv.adj, cstar))
         # case II: a C* group re-centers at its smallest marked neighbor
         redirect = {
-            cid: marked_nb[cid] for cid in cstar if cid in marked_nb
+            cid: hv.marked_nb[cid] for cid in cstar if cid in hv.marked_nb
         }
         for cid, leader in list(group_of.items()):
             if leader in redirect:
@@ -501,13 +454,8 @@ def decompose(
                     sym[j].add(i)
         modeled = 0
         if residual:
-            radii = {}
-            for cid in residual:
-                c = by_id[cid]
-                dist = _bfs_idx(g, [c.center], targets=c.members)
-                radii[cid] = max(dist[m] for m in c.members)
-            if any(r > 0 for r in radii.values()):
-                _add_proximity_edges(g, by_id, residual, radii, k, sym)
+            if any(by_id[cid].radius > 0 for cid in residual):
+                _add_proximity_edges(g, by_id, residual, k, sym)
             sym_nb = [sorted(s) for s in sym]
             # Linial's round count; the coloring itself is not needed
             iters = sum(1 for _ in linial_stages(
@@ -523,15 +471,16 @@ def decompose(
             color_base += max(palette) + 1
 
         # -- form new live clusters --
-        new_live: dict[int, LiveCluster] = {}
-        for cid, leader in sorted(group_of.items()):
-            tgt = by_id[leader]
-            lc = new_live.get(leader)
-            if lc is None:
-                lc = LiveCluster(leader, tgt.center, set())
-                new_live[leader] = lc
-            lc.members.update(by_id[cid].members)
-        live = [new_live[leader] for leader in sorted(new_live)]
+        groups: dict[int, list[int]] = {}
+        for cid, leader in group_of.items():
+            groups.setdefault(leader, []).append(cid)
+        live = [
+            by_id[leader] if group == [leader] else _live_cluster(
+                g, leader, by_id[leader].center,
+                set().union(*(by_id[cid].members for cid in group)),
+            )
+            for leader, group in sorted(groups.items())
+        ]
 
         # -- invariants --
         if len(live) * d**phase > n_init:
@@ -539,11 +488,9 @@ def decompose(
                 f"invariant A violated in phase {phase}: "
                 f"{len(live)} > {n_init}/{d}^{phase}"
             )
-        max_r = 0
+        max_r = max((-(-c.radius // k) for c in live), default=0)  # in G^k hops
         for c in live:
-            tree, radius = _live_cluster_tree(g, c)
-            max_r = max(max_r, -(-radius // k))     # radius in G^k hops
-            for e in tree.tree_edges:
+            for e in c.tree_edges:
                 edge_usage[e] = edge_usage.get(e, 0) + 1
         max_overlap = max(edge_usage.values(), default=0)
         if max_overlap > phase * 13 * d**3:

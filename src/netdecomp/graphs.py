@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, MutableMapping, Optional, Sequence
@@ -265,19 +266,30 @@ def _load_edge_list(path: str) -> Graph:
         raise
 
 
+@contextmanager
+def _malformed_json(what: str):
+    """Report a missing key or a value of the wrong type in parsed JSON
+    input as a GraphError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise GraphError(f"{what}: missing key {exc}") from None
+    except (TypeError, IndexError, AttributeError) as exc:
+        raise GraphError(f"{what}: wrong type ({exc})") from None
+
+
 def _load_json(path: str) -> Graph:
     with open(path) as fh:
         data = json.load(fh)
-    ids = data["nodes"]
-    edges = []
-    weights: dict[tuple[int, int], Fraction] = {}
-    for e in data["edges"]:
-        u, v = int(e[0]), int(e[1])
-        edges.append((u, v))
-        if len(e) > 2:
-            weights[(u, v)] = Fraction(str(e[2]))
-    g = Graph(ids, edges, weights or None, id_bits=data.get("id_bits"))
-    return g
+    with _malformed_json(f"graph JSON {path}"):
+        edges = []
+        weights: dict[tuple[int, int], Fraction] = {}
+        for e in data["edges"]:
+            u, v = int(e[0]), int(e[1])
+            edges.append((u, v))
+            if len(e) > 2:
+                weights[(u, v)] = Fraction(str(e[2]))
+        return Graph(data["nodes"], edges, weights or None, id_bits=data.get("id_bits"))
 
 
 def save_graph_json(g: Graph, path: str) -> None:

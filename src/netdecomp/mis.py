@@ -239,7 +239,6 @@ class _GhaffariLanes(NodeProgram):
         if sub == self.OUT:
             heard = 0
             for port, msg in inbox.items():
-                nb_und[port] &= ~msg.payload  # neighbor joined
                 heard |= msg.payload
             newly_out = self.undecided & heard
             self.undecided &= ~newly_out

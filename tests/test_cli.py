@@ -135,6 +135,25 @@ class TestExperiments:
         assert main(["--gen", "path:n=5", "--algo", algo, "--k", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: --k must be >= 1")
 
+    @pytest.mark.parametrize("graph,dec", [
+        ({"edges": [[0, 1]]}, None),                       # no "nodes"
+        ({"nodes": [0, 1], "edges": [5]}, None),           # edge not a list
+        ({"nodes": ["a", 1], "edges": []}, None),          # string node id
+        ([[0, 1]], None),                                  # top-level list
+        ({"nodes": [0, 1], "edges": [[0, 1]]}, {"k": 1}),  # no "clusters"
+    ])
+    def test_malformed_json_is_graph_error(self, tmp_path, capsys, graph, dec):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(graph))
+        argv = ["--graph", str(gpath), "--algo", "netdecomp"]
+        if dec is not None:
+            dpath = tmp_path / "d.json"
+            dpath.write_text(json.dumps(dec))
+            argv = ["--graph", str(gpath), "--algo", "verify", "--dec", str(dpath)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_algorithm_error_exits_three(self):
         # a 3-bit budget is below the id_bits + 8 = 13 bits sim mode needs
         proc = subprocess.run(

@@ -1,10 +1,11 @@
 """Tests for the deterministic decomposition phase engine."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import sparse
 
 from netdecomp.clustering import Cluster, validate_decomposition
 from netdecomp.decompose import (
@@ -12,11 +13,12 @@ from netdecomp.decompose import (
     decompose,
     growth_parameters,
     _build_hview,
-    _holdings_fast,
+    _cluster_reach,
+    _merge_leaders,
     LiveCluster,
 )
 from netdecomp.graphs import Graph, all_pairs_distances, bfs_distances, generate_graph
-from netdecomp.simulate import RoundStats, SimConfig
+from netdecomp.simulate import RoundStats, SimConfig, bounded_flood_oracle
 
 
 def _colors_ok(g, res, k):
@@ -79,7 +81,7 @@ class TestSmallExamples:
 
 class TestHView:
     def _singles(self, g):
-        return [LiveCluster(g.ids[v], v, {v}) for v in range(g.n)]
+        return [LiveCluster(g.ids[v], v, {v}, frozenset(), 0) for v in range(g.n)]
 
     def test_adjacent_within_k_mutual_edges(self):
         g = generate_graph("path", {"n": 2}, 0)
@@ -90,7 +92,7 @@ class TestHView:
         g = generate_graph("path", {"n": 3}, 0)  # endpoints at distance 2
         hv = _build_hview(
             g,
-            [LiveCluster(0, 0, {0}), LiveCluster(2, 2, {2})],
+            [LiveCluster(0, 0, {0}, frozenset(), 0), LiveCluster(2, 2, {2}, frozenset(), 0)],
             1, 2, "fast", SimConfig(), RoundStats(),
         )
         assert hv.in_ids[0] == [] and hv.in_ids[2] == []
@@ -114,32 +116,61 @@ class TestHView:
         _colors_ok(g, res, 1)
 
 
-def _holdings_k_products(g, live, k, fanin):
-    """Reference: the reach matrix multiplied exactly k times, whether or
-    not it still grows."""
-    order = sorted(c.id for c in live)
-    row_of = {cid: r for r, cid in enumerate(order)}
-    by_id = {c.id: c for c in live}
-    rows, cols = [], []
-    for cid in order:
-        for m in by_id[cid].members:
-            rows.append(row_of[cid])
-            cols.append(m)
-    reach = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)),
-        shape=(len(order), g.n),
-    )
-    adj = g.adjacency_csr().astype(bool)
-    acc = reach.copy()
-    for _ in range(k):
-        reach = (reach @ adj).astype(bool)
-        acc = (acc + reach).astype(bool)
-    csc = acc.tocsc()
-    csc.sort_indices()
-    return [
-        [order[x] for x in csc.indices[csc.indptr[col] : csc.indptr[col + 1]][:fanin]]
-        for col in range(g.n)
-    ]
+def _reach_by_distances(g, live, k):
+    """Reference: (c, x) is set iff some members of c and x are at most k
+    apart, both axes in ascending id order."""
+    apd = all_pairs_distances(g)
+    live = sorted(live, key=lambda c: c.id)
+    return np.array([
+        [apd[np.ix_(sorted(c.members), sorted(x.members))].min() <= k for x in live]
+        for c in live
+    ], dtype=bool).reshape(len(live), len(live))
+
+
+def _hview_by_holdings(g, live, k, d):
+    """Reference H-view: each node holds the 2d+1 smallest cluster ids
+    within k hops (the centralized bounded flood), each cluster unions its
+    members' holdings, and a marked neighbor is the smallest marked cluster
+    within k hops by all-pairs distances."""
+    cap = 2 * d
+    sources = {m: (c.id, None) for c in live for m in c.members}
+    held = bounded_flood_oracle(g, sources, k, cap + 1)
+    in_ids, high = {}, {}
+    for c in live:
+        foreign = {o for m in c.members for o, _ in held[m] if o != c.id}
+        in_ids[c.id] = sorted(foreign)[:cap]
+        high[c.id] = len(foreign) >= cap
+    out_degree = Counter(o for ids in in_ids.values() for o in ids)
+    marked = {cid for cid in in_ids if out_degree[cid] > 4 * d * d}
+    apd = all_pairs_distances(g)
+    marked_nb = {}
+    for c in live:
+        near = [
+            x.id for x in live
+            if x.id in marked
+            and apd[np.ix_(sorted(c.members), sorted(x.members))].min() <= k
+        ]
+        if near and c.id not in marked:
+            marked_nb[c.id] = min(near)
+    return in_ids, high, marked, marked_nb
+
+
+def _random_live(data, n):
+    """Live clusters over some of the n nodes, with distinct random ids;
+    the fast H-view reads neither trees nor radii."""
+    parts = data.draw(st.integers(1, n), label="parts")
+    if data.draw(st.booleans(), label="singletons"):
+        owner = data.draw(st.permutations(range(n)))[:parts]
+        groups = [{v} for v in owner]
+    else:
+        # -1: the node is in no live cluster
+        owner = data.draw(st.lists(
+            st.integers(-1, parts - 1), min_size=n, max_size=n))
+        groups = [{v for v in range(n) if owner[v] == i} for i in range(parts)]
+        groups = [m for m in groups if m]
+    ids = data.draw(st.lists(st.integers(0, 10**6), unique=True,
+                             min_size=len(groups), max_size=len(groups)))
+    return [LiveCluster(cid, min(m), m, frozenset(), 0) for cid, m in zip(ids, groups)]
 
 
 class _CountingAdjacency:
@@ -157,7 +188,7 @@ class _CountingAdjacency:
         return other @ self.csr
 
 
-class TestHoldingsFast:
+class TestClusterReach:
     @settings(max_examples=80, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -165,29 +196,17 @@ class TestHoldingsFast:
         p=st.sampled_from([0.03, 0.1, 0.25]),
         data=st.data(),
     )
-    def test_equals_k_products_and_stops_at_the_fixpoint(self, seed, n, p, data):
+    def test_equals_distances_and_stops_at_the_fixpoint(self, seed, n, p, data):
         g = generate_graph("gnp", {"n": n, "p": p}, seed)
-        parts = data.draw(st.integers(1, n), label="parts")
-        if data.draw(st.booleans(), label="singletons"):
-            owner = data.draw(st.permutations(range(n)))[:parts]
-            groups = [{v} for v in owner]
-        else:
-            # -1: the node is in no live cluster
-            owner = data.draw(st.lists(
-                st.integers(-1, parts - 1), min_size=n, max_size=n))
-            groups = [{v for v in range(n) if owner[v] == i} for i in range(parts)]
-            groups = [m for m in groups if m]
-        ids = data.draw(st.lists(st.integers(0, 10**6), unique=True,
-                                 min_size=len(groups), max_size=len(groups)))
-        live = [LiveCluster(cid, min(m), m) for cid, m in zip(ids, groups)]
+        live = _random_live(data, n)
         k = data.draw(st.integers(1, 3 * n), label="k")
-        fanin = data.draw(st.integers(1, len(live) + 1), label="fanin")
-        want = _holdings_k_products(g, live, k, fanin)
 
         counter = _CountingAdjacency(g.adjacency_csr())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Graph, "adjacency_csr", lambda self: counter)
-            assert _holdings_fast(g, live, k, fanin) == want
+            reach = _cluster_reach(g, live, k)
+        assert reach.has_sorted_indices
+        assert np.array_equal(reach.toarray(), _reach_by_distances(g, live, k))
         # the balls stop growing once t reaches the farthest node any
         # cluster reaches; one more product finds that out
         apd = all_pairs_distances(g)
@@ -198,15 +217,90 @@ class TestHoldingsFast:
         assert counter.products == min(k, far + 1)
 
 
+class TestFastHViewEqualsHoldingsUnion:
+    @staticmethod
+    def _check(g, live, k, d):
+        hv = _build_hview(g, live, k, d, "fast", SimConfig(), RoundStats())
+        in_ids, high, marked, marked_nb = _hview_by_holdings(g, live, k, d)
+        assert hv.in_ids == in_ids
+        assert hv.high_degree == high
+        assert hv.marked == marked
+        assert hv.marked_nb == marked_nb
+        return hv
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(2, 30),
+        p=st.sampled_from([0.05, 0.15, 0.3]),
+        d=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    def test_random_clusters(self, seed, n, p, d, data):
+        g = generate_graph("gnp", {"n": n, "p": p}, seed)
+        live = _random_live(data, n)
+        k = data.draw(st.integers(1, 4), label="k")
+        self._check(g, live, k, d)
+
+    def test_star_of_leaf_pairs_marks_the_hub(self):
+        n = 41
+        g = Graph(range(n), [(0, i) for i in range(1, n)])
+        live = [LiveCluster(0, 0, {0}, frozenset(), 0)] + [
+            LiveCluster(i, i, {i, i + 1}, frozenset(), 0) for i in range(1, n, 2)
+        ]
+        hv = self._check(g, live, 1, 2)
+        assert hv.marked == {0}
+        assert set(hv.marked_nb.values()) == {0}
+
+
+class TestMergeLeaders:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_nearest_cstar_within_two_hops_ties_to_smaller_id(self, data):
+        ids = data.draw(st.lists(st.integers(0, 50), unique=True, max_size=16))
+        adj = {c: set() for c in ids}
+        if len(ids) > 1:
+            pairs = st.tuples(st.sampled_from(ids), st.sampled_from(ids))
+            for a, b in data.draw(st.lists(pairs, max_size=30)):
+                if a != b:
+                    adj[a].add(b)
+                    adj[b].add(a)
+        cstar = sorted(data.draw(st.sets(st.sampled_from(ids))) if ids else [])
+        want = {}
+        for c in ids:
+            dist = {c: 0}
+            frontier = [c]
+            for hop in (1, 2):
+                frontier = [v for u in frontier for v in adj[u] if v not in dist]
+                dist.update((v, hop) for v in frontier)
+            near = [(dist[t], t) for t in cstar if t in dist]
+            if near:
+                want[c] = min(near)[1]
+        assert _merge_leaders(adj, cstar) == want
+
+
 # (model, params, seed) and k.  A convergecast that counts ids shared by
 # several members twice makes sim mode disagree with fast mode, or raise,
-# on 10 of these 13 inputs.
+# on 10 of the first 13 inputs.  None of those marks a cluster; the last
+# two do (the star's hub; 16 marked and 278 in C* on the gnp graph).
+MARKED_CASES = [
+    (("star", {"n": 300}, 0), 1),
+    (("gnp", {"n": 300, "p": 0.0133}, 12), 12),
+]
 SIM_FAST_CASES = [(("grid", {"rows": 20, "cols": 20}, 0), 4)] + [
     (("gnp", {"n": n, "p": 0.02}, seed), k)
     for n in (200, 500)
     for seed in range(3)
     for k in (1, 2)
-]
+] + MARKED_CASES
+
+
+def _graph(spec):
+    """``generate_graph(*spec)``, plus a star on n nodes around node 0."""
+    model, params, seed = spec
+    if model == "star":
+        return Graph(range(params["n"]), [(0, i) for i in range(1, params["n"])])
+    return generate_graph(model, params, seed)
 
 
 def _also_on(cases):
@@ -229,7 +323,7 @@ class TestModesAndDeterminism:
     )
     @_also_on(SIM_FAST_CASES)
     def test_sim_matches_fast(self, spec, k):
-        g = generate_graph(*spec)
+        g = _graph(spec)
         fast = decompose(g, k, mode="fast")
         sim = decompose(g, k, mode="sim")
         key = lambda r: [
@@ -237,7 +331,14 @@ class TestModesAndDeterminism:
             for c in r.decomposition.clusters
         ]
         assert key(fast) == key(sim)
+        assert fast.invariants_log == [
+            {**log, "rounds": 0} for log in sim.invariants_log
+        ]
         assert sim.stats.rounds > 0 and fast.stats.rounds == 0
+
+    @pytest.mark.parametrize("spec,k", MARKED_CASES)
+    def test_marked_cases_mark(self, spec, k):
+        assert sum(log.marked for log in decompose(_graph(spec), k).phases) > 0
 
     def test_identical_inputs_identical_output(self):
         g = generate_graph("gnp", {"n": 80, "p": 0.06, "largest_component": True}, 11)

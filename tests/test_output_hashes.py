@@ -14,7 +14,9 @@ every draw.  The engine digests (floods, gossip, tree broadcast and
 convergecast, ``decompose(mode="sim")``, many-lane Ghaffari) were recorded
 before the engine's send queues, round loop and lane messages were
 reworked; they pin holdings, statuses and every ledger, budget violations
-included.
+included.  The digest of a simulated decomposition that marks clusters
+was recorded before the H-view came from one cluster-reach product and
+each cluster tree was built once.
 
 To print the digests of the code under test:
 
@@ -648,6 +650,30 @@ def test_engine_outputs_match_pinned_digests(name):
     assert engine_outputs(name) == ENGINE_EXPECTED[name]
 
 
+# decompose(mode="sim") on a graph whose first phase marks 16 clusters and
+# puts 278 in C*, so the marked-neighbor gossip and the case-II redirect run
+MARKED_SIM_INPUT = (("gnp", {"n": 300, "p": 0.0133}, 12), 12)
+MARKED_SIM_EXPECTED = (
+    "55950dac93fed2165afb7b1645e54db341e209944758c4cab18a31b7bbaa2f12"
+)
+
+
+def marked_sim_output() -> str:
+    spec, k = MARKED_SIM_INPUT
+    g = generate_graph(*spec)
+    r = decompose(g, k, mode="sim")
+    assert (r.phases[0].marked, r.phases[0].cstar) == (16, 278)
+    return _sha({
+        "decomposition": decomposition_to_json(g, r.decomposition),
+        "invariants_log": r.invariants_log,
+        "stats": r.stats.to_json(),
+    })
+
+
+def test_decompose_sim_with_marks_matches_pinned_digest():
+    assert marked_sim_output() == MARKED_SIM_EXPECTED
+
+
 def _print_table(title, inputs, compute):
     print(f"{title} = {{")
     for name in inputs:
@@ -662,3 +688,4 @@ if __name__ == "__main__":
     _print_table("EXPECTED", INPUTS, outputs)
     _print_table("RANDOM_EXPECTED", RANDOM_INPUTS, random_outputs)
     _print_table("ENGINE_EXPECTED", ENGINE_INPUTS, engine_outputs)
+    print(f"MARKED_SIM_EXPECTED = {json.dumps(marked_sim_output())}")
