@@ -187,6 +187,8 @@ def run_experiment(args) -> dict:
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     seeds = parse_seeds(args.seeds)
+    if not seeds:
+        raise ConfigError(f"--seeds {args.seeds} selects no seed")
     runs = [run_seed(args, s) for s in seeds]
     return {
         "schema_version": SCHEMA_VERSION,

@@ -44,7 +44,14 @@ from .coloring import (  # linial_color stays bound for the benchmark's tracer
     linial_color,
     linial_stages,
 )
-from .graphs import Graph, NetdecompError, _bfs_idx, path_union, voronoi_cells
+from .graphs import (
+    Graph,
+    NetdecompError,
+    _bfs_idx,
+    path_union,
+    symmetric_csr,
+    voronoi_cells,
+)
 from .simulate import (
     RoundStats,
     SimConfig,
@@ -296,18 +303,19 @@ def _merge_leaders(adj: dict[int, set[int]], cstar: list[int]) -> dict[int, int]
     return leader
 
 
-def _add_proximity_edges(
+def _proximity_pairs(
     g: Graph,
     by_id: dict[int, LiveCluster],
     residual: list[int],
     k: int,
-    sym: list[set[int]],
-) -> None:
-    """Force color conflicts between residual clusters at G-distance
-    <= max(k, 2*radius of either), so same-color cells stay connected."""
+) -> list[tuple[int, int]]:
+    """Position pairs of residual clusters at G-distance <= max(k, 2*radius
+    of either), which must get different colors so same-color cells stay
+    connected."""
     res_index = {cid: i for i, cid in enumerate(residual)}
     owner = {m: cid for cid in residual for m in by_id[cid].members}
     radii = {cid: by_id[cid].radius for cid in residual}
+    pairs = []
     for cid in residual:
         cap = max(k, 2 * radii[cid])
         reached: list[int] = []
@@ -317,15 +325,13 @@ def _add_proximity_edges(
             ocid = owner.get(v)
             if ocid is not None and ocid != cid and ocid not in gap:
                 gap[ocid] = dist[v]  # reached in distance order
-        i = res_index[cid]
         for ocid, dd in gap.items():
             thresh = max(k, 2 * radii[cid], 2 * radii[ocid])
             if thresh > cap:
                 continue  # handled from the other side
             if dd <= thresh:
-                j = res_index[ocid]
-                sym[i].add(j)
-                sym[j].add(i)
+                pairs.append((res_index[cid], res_index[ocid]))
+    return pairs
 
 
 def _select_cstar(hv: HView) -> list[int]:
@@ -444,22 +450,22 @@ def decompose(
         # differ in color so each one's Voronoi cell (tree territory)
         # contains its center paths.
         res_index = {cid: i for i, cid in enumerate(residual)}
-        sym: list[set[int]] = [set() for _ in residual]
-        for cid in residual:
-            i = res_index[cid]
-            for o in hv.in_ids[cid]:
-                j = res_index.get(o)
-                if j is not None:
-                    sym[i].add(j)
-                    sym[j].add(i)
+        pairs = [
+            (i, res_index[o])
+            for cid, i in res_index.items()
+            for o in hv.in_ids[cid]
+            if o in res_index
+        ]
         modeled = 0
         if residual:
             if any(by_id[cid].radius > 0 for cid in residual):
-                _add_proximity_edges(g, by_id, residual, k, sym)
-            sym_nb = [sorted(s) for s in sym]
+                pairs += _proximity_pairs(g, by_id, residual, k)
+            a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+            indptr, indices, _ = symmetric_csr(a, b, len(residual))
+            sym_nb = np.split(indices, indptr[1:-1])
             # Linial's round count; the coloring itself is not needed
             iters = sum(1 for _ in linial_stages(
-                max(residual) + 1, max(map(len, sym_nb))
+                max(residual) + 1, int(np.diff(indptr).max())
             ))
             palette = greedy_reduce(sym_nb, range(len(residual)))
             modeled += (iters + 1) * max(1, k * d**3)

@@ -60,41 +60,41 @@ class Graph:
     ``neighbors[i]`` holds the sorted neighbor *indices* of the i-th id.
     """
 
-    __slots__ = ("ids", "neighbors", "weights", "id_bits", "_index", "_csr", "_rank")
+    __slots__ = ("ids", "neighbors", "weights", "id_bits", "_index", "_rows",
+                 "_csr", "_rank")
 
     def __init__(
         self,
         ids: Sequence[int],
-        edges: Iterable[tuple[int, int]],
+        edges: Iterable[tuple[int, int]] | np.ndarray,
         weights: Optional[dict[tuple[int, int], Fraction]] = None,
         id_bits: Optional[int] = None,
     ):
+        """``edges`` is an iterable of id pairs or an (m, 2) integer array.
+        The first bad edge in input order is reported: per edge a self-loop,
+        then an unknown endpoint, then a repeat."""
         ids = sorted(set(ids))
         if any(i < 0 for i in ids):
             raise GraphError("negative node identifier")
         index = {v: i for i, v in enumerate(ids)}
         n = len(ids)
-        adj: list[set[int]] = [set() for _ in range(n)]
-        seen: set[tuple[int, int]] = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            if u not in index or v not in index:
-                raise GraphError(f"edge ({u},{v}) references unknown node")
-            a, b = index[u], index[v]
-            key = (min(a, b), max(a, b))
-            if key in seen:
-                raise GraphError(f"duplicate edge ({u},{v})")
-            seen.add(key)
-            adj[a].add(b)
-            adj[b].add(a)
+        if not isinstance(edges, (list, np.ndarray)):
+            edges = list(edges)
+        lo, hi = _index_pairs(ids, index, edges)
+        indptr, dst, repeated = symmetric_csr(lo, hi, n)
+        if repeated:  # a self-loop or a repeated edge
+            _checked_pairs(index, edges)  # raises for the first bad edge
+        # one int object per node, shared by every list that holds it
+        flat, ptr = np.arange(n, dtype=object)[dst].tolist(), indptr.tolist()
         self.ids: tuple[int, ...] = tuple(ids)
         self.neighbors: tuple[tuple[int, ...], ...] = tuple(
-            tuple(sorted(s)) for s in adj
+            tuple(flat[ptr[i]:ptr[i + 1]]) for i in range(n)
         )
         self._index = index
+        self._rows = (indptr, dst)
         w_idx: Optional[dict[tuple[int, int], Fraction]] = None
         if weights is not None:
+            seen = set(zip(lo.tolist(), hi.tolist()))
             w_idx = {}
             for (u, v), w in weights.items():
                 a, b = index[u], index[v]
@@ -166,14 +166,7 @@ class Graph:
     def adjacency_csr(self) -> sparse.csr_matrix:
         """Boolean adjacency as int8 CSR, cached."""
         if self._csr is None:
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            for i, nb in enumerate(self.neighbors):
-                indptr[i + 1] = indptr[i] + len(nb)
-            indices = np.fromiter(
-                (b for nb in self.neighbors for b in nb),
-                dtype=np.int64,
-                count=int(indptr[-1]),
-            )
+            indptr, indices = self._rows
             data = np.ones(len(indices), dtype=np.int8)
             self._csr = sparse.csr_matrix(
                 (data, indices, indptr), shape=(self.n, self.n)
@@ -206,6 +199,81 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, id_bits={self.id_bits})"
+
+
+def symmetric_csr(
+    a: np.ndarray, b: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """CSR rows (indptr, indices) over 0..n-1 holding both directions of
+    every pair (a[i], b[i]): each row sorted, each entry once; and whether
+    some entry came more than once, as a repeated pair's and a self-loop's
+    do.  One sort of the keys source * n + target."""
+    keys = np.concatenate((a * n + b, b * n + a))
+    keys.sort()  # np.unique on these keys took about 25 times as long
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    repeated = not fresh.all()
+    if repeated:
+        keys = keys[fresh]
+    src, indices = np.divmod(keys, max(n, 1))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, indices, repeated
+
+
+def _index_pairs(
+    ids: list, index: dict, edges: list | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint indices (lo, hi), lo <= hi, of every edge as int64 arrays.
+
+    Ids and endpoints that are all ints in int64 range are mapped with array
+    operations.  When an endpoint is unknown, or some value is of another
+    kind (ids near 2^128, say), the per-edge loop maps them and raises for
+    the first bad edge.  Self-loops and repeats are left to the caller."""
+    n = len(ids)
+    ends = _int64_pairs(edges)
+    ida = np.array(ids)
+    if n and ends is not None and ida.dtype.kind == "i":
+        if ida[-1] == n - 1:  # sorted, distinct, >= 0: the ids are 0..n-1
+            pos = ends
+            known = (ends >= 0) & (ends < n)
+        else:
+            pos = np.minimum(np.searchsorted(ida, ends), n - 1)
+            known = ida[pos] == ends
+        if known.all():
+            return np.minimum(pos[:, 0], pos[:, 1]), np.maximum(pos[:, 0], pos[:, 1])
+    pairs = np.array(_checked_pairs(index, edges), dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1]
+
+
+def _int64_pairs(edges: list | np.ndarray) -> Optional[np.ndarray]:
+    """``edges`` as an (m, 2) int64 array, or None unless every endpoint is
+    an int that fits in int64 (an empty list gives None).  The JSON loader's
+    per-edge ``int`` conversion would leave such endpoints unchanged."""
+    try:
+        arr = np.asarray(edges)
+    except (TypeError, ValueError, OverflowError):  # ragged rows and the like
+        return None
+    if arr.dtype.kind != "i" or arr.ndim != 2 or arr.shape[1] != 2:
+        return None
+    return arr.astype(np.int64, copy=False)
+
+
+def _checked_pairs(index: dict, edges: Iterable) -> list[tuple[int, int]]:
+    """Index pairs (a, b), a < b, of the edges, checked one by one in input
+    order; raises GraphError for the first bad edge."""
+    seen: set[tuple[int, int]] = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        if u not in index or v not in index:
+            raise GraphError(f"edge ({u},{v}) references unknown node")
+        a, b = index[u], index[v]
+        key = (a, b) if a < b else (b, a)
+        if key in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+    return list(seen)
 
 
 # -- ingestion -----------------------------------------------------------
@@ -260,10 +328,7 @@ def _load_edge_list(path: str) -> Graph:
     n = header[0]
     if len(edges) != m_expected:
         raise GraphError(f"expected {m_expected} edges, found {len(edges)}")
-    try:
-        return Graph(range(n), edges, weights or None)
-    except GraphError:
-        raise
+    return Graph(range(n), edges, weights or None)
 
 
 @contextmanager
@@ -282,13 +347,15 @@ def _load_json(path: str) -> Graph:
     with open(path) as fh:
         data = json.load(fh)
     with _malformed_json(f"graph JSON {path}"):
-        edges = []
+        edges = _int64_pairs(data["edges"])  # None unless all are int pairs
         weights: dict[tuple[int, int], Fraction] = {}
-        for e in data["edges"]:
-            u, v = int(e[0]), int(e[1])
-            edges.append((u, v))
-            if len(e) > 2:
-                weights[(u, v)] = Fraction(str(e[2]))
+        if edges is None:
+            edges = []
+            for e in data["edges"]:
+                u, v = int(e[0]), int(e[1])
+                edges.append((u, v))
+                if len(e) > 2:
+                    weights[(u, v)] = Fraction(str(e[2]))
         return Graph(data["nodes"], edges, weights or None, id_bits=data.get("id_bits"))
 
 
@@ -340,10 +407,13 @@ def generate_graph(model: str, params: dict, seed: int) -> Graph:
         # pairs i < j in row-major order, one row of draws at a time, so
         # memory stays linear in n + m
         rng = np.random.default_rng(seed)
-        edges = []
-        for i in range(n - 1):
-            hits = np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1)
-            edges.extend((i, j) for j in hits.tolist())
+        hits = [
+            np.flatnonzero(rng.random(n - 1 - i) < p) + (i + 1) for i in range(n - 1)
+        ]
+        edges = np.column_stack((
+            np.repeat(np.arange(n - 1), [len(h) for h in hits]),
+            np.concatenate([np.empty(0, dtype=np.int64), *hits]),
+        ))
         g = Graph(range(n), edges)
         if params.get("largest_component"):
             g = largest_component(g)

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from netdecomp.cli import ConfigError, main, parse_gen, parse_seeds
+from netdecomp.graphs import load_graph
 
 
 def read(path):
@@ -135,6 +137,15 @@ class TestExperiments:
         assert main(["--gen", "path:n=5", "--algo", algo, "--k", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: --k must be >= 1")
 
+    @pytest.mark.parametrize("seeds", ["3-1", "5-4"])
+    def test_empty_seed_sweep_is_config_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "r.json"
+        argv = ["--gen", "path:n=5", "--algo", "netdecomp", "--seeds", seeds,
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: --seeds {seeds} selects no seed\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("graph,dec", [
         ({"edges": [[0, 1]]}, None),                       # no "nodes"
         ({"nodes": [0, 1], "edges": [5]}, None),           # edge not a list
@@ -153,6 +164,48 @@ class TestExperiments:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
+
+    # the whole error line, with {path} for the graph file
+    @pytest.mark.parametrize("graph,line", [
+        ({"nodes": [0, 1], "edges": [[0]]},                 # short edge
+         "error: graph JSON {path}: wrong type (list index out of range)"),
+        ({"nodes": [0, 1], "edges": [[0, 1], [1]]},
+         "error: graph JSON {path}: wrong type (list index out of range)"),
+        ({"nodes": [0, 1], "edges": [[0, 2**63]]},          # beyond int64
+         "error: edge (0,9223372036854775808) references unknown node"),
+        ({"nodes": [0, 1], "edges": [[0, math.nan]]},
+         "error: cannot convert float NaN to integer"),
+        ({"nodes": [0, 1], "edges": [[True, 1]]}, "error: self-loop at node 1"),
+        ({"nodes": [0, 1, 2], "edges": [[0, 1], [2, 7], [1, 0]]},
+         "error: edge (2,7) references unknown node"),
+        ({"nodes": [0, 1, 2], "edges": [[0, 1], [1, 0], [2, 2]]},
+         "error: duplicate edge (1,0)"),
+        ({"nodes": [0, 1.0], "edges": [[0, 1]]},
+         "error: graph JSON {path}: wrong type "
+         "('float' object has no attribute 'bit_length')"),
+    ])
+    def test_malformed_json_error_line(self, tmp_path, capsys, graph, line):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps(graph))
+        assert main(["--graph", str(gpath), "--algo", "netdecomp"]) == 2
+        assert capsys.readouterr().err == line.format(path=gpath) + "\n"
+
+    @pytest.mark.parametrize("nodes,edge,neighbors,id_bits", [
+        ([0, 1], [0, 1.0], ((1,), (0,)), 1),        # float endpoint
+        ([0, 1], [0, 1.5], ((1,), (0,)), 1),        # truncated by int()
+        ([0, 1], ["0", "1"], ((1,), (0,)), 1),      # string endpoints
+        ([0, 2**63], [2**63, 0], ((1,), (0,)), 64),  # endpoint beyond int64
+        ([0, 1, 2], [1, 2, 4], ((), (2,), (1,)), 2),  # numeric weight
+    ])
+    def test_json_endpoints_convert_as_int_does(
+        self, tmp_path, nodes, edge, neighbors, id_bits
+    ):
+        gpath = tmp_path / "g.json"
+        gpath.write_text(json.dumps({"nodes": nodes, "edges": [edge]}))
+        g = load_graph(str(gpath), fmt="json")
+        assert (g.ids, g.neighbors, g.id_bits) == (tuple(nodes), neighbors, id_bits)
+        assert main(["--graph", str(gpath), "--algo", "netdecomp",
+                     "--out", str(tmp_path / "r.json")]) == 0
 
     def test_algorithm_error_exits_three(self):
         # a 3-bit budget is below the id_bits + 8 = 13 bits sim mode needs

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
 from netdecomp.graphs import (
     Graph,
@@ -509,3 +510,138 @@ class TestRank:
         assert g.rank  # cached on g only
         assert g == h and h == g
         assert h._rank is None  # comparing does not build it
+
+
+def _per_edge_construction(ids, edges):
+    """Reference: the per-edge construction loop, checks in input order
+    (per edge: self-loop, then unknown node, then duplicate); returns the
+    sorted neighbor index lists."""
+    ids = sorted(set(ids))
+    index = {v: i for i, v in enumerate(ids)}
+    adj = [set() for _ in ids]
+    seen = set()
+    for u, v in edges:
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        if u not in index or v not in index:
+            raise GraphError(f"edge ({u},{v}) references unknown node")
+        a, b = index[u], index[v]
+        key = (min(a, b), max(a, b))
+        if key in seen:
+            raise GraphError(f"duplicate edge ({u},{v})")
+        seen.add(key)
+        adj[a].add(b)
+        adj[b].add(a)
+    return tuple(tuple(sorted(s)) for s in adj)
+
+
+def _reference_message(ids, edges):
+    with pytest.raises(GraphError) as exc:
+        _per_edge_construction(ids, edges)
+    return str(exc.value)
+
+
+@st.composite
+def id_edge_lists(draw, faults):
+    """Sorted distinct ids (contiguous from 0, or gapped from a base that may
+    sit near 2^63 or 2^128) and a shuffled edge list with random endpoint
+    order; with ``faults``, self-loops, unknown endpoints and duplicates
+    are mixed in."""
+    n = draw(st.integers(0, 24), label="n")
+    if draw(st.booleans(), label="contiguous"):
+        ids = list(range(n))
+    else:
+        base = draw(st.sampled_from([1, 1000, 2**63 - 120, 2**63 - 30, 2**128 - 200]))
+        gaps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+        ids = [base + sum(gaps[:i]) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [
+        (ids[j], ids[i]) if draw(st.booleans()) else (ids[i], ids[j])
+        for i, j in chosen
+    ]
+    if faults:
+        outside = [v for v in (0, 7, ids[-1] + 1 if ids else 3, 2**64 + 5)
+                   if v not in ids]
+        for _ in range(draw(st.integers(1, 4))):
+            kind = draw(st.sampled_from(["loop", "unknown", "duplicate"]))
+            if kind == "loop" or (kind == "duplicate" and not edges):
+                v = draw(st.sampled_from(ids + outside))
+                bad = (v, v)
+            elif kind == "unknown":
+                x = draw(st.sampled_from(outside))
+                y = draw(st.sampled_from(ids + outside))
+                bad = (x, y) if draw(st.booleans()) else (y, x)
+            else:
+                u, v = draw(st.sampled_from(edges))
+                bad = (v, u) if draw(st.booleans()) else (u, v)
+            edges.insert(draw(st.integers(0, len(edges))), bad)
+    return ids, edges
+
+
+def _given(ids, edges, as_array):
+    """``edges`` as an (m, 2) int64 array if ``as_array`` and every value
+    fits in int64, else as the list."""
+    if as_array and all(v < 2**63 for v in ids + [v for e in edges for v in e]):
+        return np.array(edges, dtype=np.int64).reshape(len(edges), 2)
+    return edges
+
+
+class TestBulkConstruction:
+    """Graph construction against the per-edge reference, with edges given
+    as a list and, where the ids fit in int64, as an (m, 2) array."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=id_edge_lists(faults=False), as_array=st.booleans())
+    def test_neighbors_and_csr_match_the_reference(self, case, as_array):
+        ids, edges = case
+        g = Graph(ids, _given(ids, edges, as_array))
+        assert g.ids == tuple(ids)
+        assert g.neighbors == _per_edge_construction(ids, edges)
+        assert g._index == {v: i for i, v in enumerate(ids)}
+        assert g.m == len(edges)
+        assert g.id_bits == max([v.bit_length() for v in ids] + [1])
+        n = len(ids)
+        a = [ids.index(u) for u, _ in edges]
+        b = [ids.index(v) for _, v in edges]
+        want = sparse.coo_matrix(
+            (np.ones(2 * len(edges), dtype=np.int8), (a + b, b + a)), shape=(n, n)
+        ).tocsr()
+        csr = g.adjacency_csr()
+        assert csr.dtype == np.int8 and csr.shape == (n, n)
+        assert csr.has_sorted_indices and csr.nnz == 2 * len(edges)
+        assert (csr != want).nnz == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=id_edge_lists(faults=True), as_array=st.booleans())
+    def test_first_fault_is_reported_as_before(self, case, as_array):
+        ids, edges = case
+        with pytest.raises(GraphError) as exc:
+            Graph(ids, _given(ids, edges, as_array))
+        assert str(exc.value) == _reference_message(ids, edges)
+
+    @pytest.mark.parametrize("ids,edges", [
+        ([], []),
+        ([5], []),
+        ([0, 1, 2], np.empty((0, 2), dtype=np.int64)),
+        ([0, 1, 2], [(0, 0), (0, 9), (0, 1), (1, 0)]),
+        ([0, 1, 2], [(0, 9), (0, 0)]),
+        ([0, 1, 2], [(0, 1), (1, 0), (2, 2)]),
+        ([0, 2**100], [(2**100, 2**100)]),
+        ([0, 2**100], [(0, 2**100), (2**100, 0)]),
+        ([0, 1], [(0, 2**63)]),
+        ([3, 9], [(True, 3)]),
+        ([1, 3], [(True, 1)]),
+        ([0, 1], [(0, 1.0), (1, 0)]),
+        ([0, 1], [(0, 1.5)]),
+    ])
+    def test_edge_cases_match_the_reference(self, ids, edges):
+        listed = [tuple(e) for e in edges] if isinstance(edges, np.ndarray) else edges
+        try:
+            want = _per_edge_construction(ids, listed)
+        except GraphError as exc:
+            with pytest.raises(GraphError) as got:
+                Graph(ids, edges)
+            assert str(got.value) == str(exc)
+        else:
+            assert Graph(ids, edges).neighbors == want

@@ -16,7 +16,9 @@ before the engine's send queues, round loop and lane messages were
 reworked; they pin holdings, statuses and every ledger, budget violations
 included.  The digest of a simulated decomposition that marks clusters
 was recorded before the H-view came from one cluster-reach product and
-each cluster tree was built once.
+each cluster tree was built once.  The ``load_graph`` digests were
+recorded before graph construction and the JSON loader became bulk numpy
+operations; they pin ids, neighbor lists, weights and ``id_bits``.
 
 To print the digests of the code under test:
 
@@ -26,6 +28,10 @@ To print the digests of the code under test:
 import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
+
+import numpy as np
 
 import pytest
 
@@ -37,7 +43,7 @@ from netdecomp.clustering import (
 from netdecomp.carving import MetaGraph, ball_grow_refine, carve_decompose
 from netdecomp.covers import cover_mst, kruskal_oracle, mst_radius
 from netdecomp.decompose import decompose
-from netdecomp.graphs import generate_graph, random_weights
+from netdecomp.graphs import generate_graph, load_graph, random_weights
 from netdecomp.mis import ghaffari_engine, mis_full, run_ghaffari
 from netdecomp.simulate import (
     SimConfig,
@@ -674,6 +680,88 @@ def test_decompose_sim_with_marks_matches_pinned_digest():
     assert marked_sim_output() == MARKED_SIM_EXPECTED
 
 
+def _shuffled_edges(g, seed):
+    """``g``'s edges by id in a seeded random order, each one flipped with
+    probability 1/2, with its weight as a string if ``g`` is weighted."""
+    rng = np.random.default_rng(seed)
+    edges = []
+    for a, b in g.edge_indices():
+        e = [g.ids[a], g.ids[b]]
+        if g.weights is not None:
+            e.append(str(g.weight_of(a, b)))
+        edges.append(e)
+    out = [edges[i] for i in rng.permutation(len(edges)).tolist()]
+    for e, flip in zip(out, rng.random(len(out)) < 0.5):
+        if flip:
+            e[0], e[1] = e[1], e[0]
+    return out
+
+
+def _write_gnp_json(path: Path) -> str:
+    g = generate_graph("gnp", {"n": 2000, "p": 0.005}, 3)
+    path.write_text(json.dumps(
+        {"nodes": list(g.ids)[::-1], "edges": _shuffled_edges(g, 3)}
+    ))
+    return "json"
+
+
+def _write_weighted_json(path: Path) -> str:
+    spec = {"n": 300, "p": 0.0133, "largest_component": 1}
+    g = random_weights(generate_graph("gnp", spec, 4), 4)
+    path.write_text(json.dumps({"nodes": list(g.ids), "edges": _shuffled_edges(g, 4)}))
+    return "json"
+
+
+def _write_huge_ids_json(path: Path) -> str:
+    g = generate_graph("gnp", {"n": 300, "p": 0.02}, 5)
+    g = g.relabeled({v: 2**128 - 1 - 7919 * v for v in g.ids}, id_bits=130)
+    path.write_text(json.dumps({
+        "nodes": list(g.ids), "edges": _shuffled_edges(g, 5), "id_bits": 130,
+    }))
+    return "json"
+
+
+def _write_edge_list(path: Path) -> str:
+    g = random_weights(generate_graph("gnp", {"n": 500, "p": 0.01}, 6), 6)
+    lines = ["# gnp n=500, weighted", f"{g.n} {g.m}"]
+    lines += [f"{u} {v} {w}  # edge" for u, v, w in _shuffled_edges(g, 6)]
+    path.write_text("\n".join(lines) + "\n")
+    return "edge-list"
+
+
+LOAD_INPUTS = {
+    "json gnp n=2000": _write_gnp_json,
+    "json weighted gnp n=300": _write_weighted_json,
+    "json ids near 2^128": _write_huge_ids_json,
+    "edge list weighted gnp n=500": _write_edge_list,
+}
+
+LOAD_EXPECTED = {
+    "json gnp n=2000":
+        "ab209599a4777c72889a2eda9f2eb3c0d1cc2085112a940609a98d45f03fd6f5",
+    "json weighted gnp n=300":
+        "3422dc178b0e9a004523d71bb5faf6c9b27d392016e66dd4c65d67766c8623de",
+    "json ids near 2^128":
+        "c032ab732676912206abb0a21282328605070101bda29a01bc3f930d81cf8995",
+    "edge list weighted gnp n=500":
+        "2614a840b81db4006cb8be4eb8b6e4417f42e3e37cb3e53c47b173ee831d526b",
+}
+
+
+def load_output(name: str, workdir: Path) -> str:
+    path = workdir / "graph"
+    g = load_graph(str(path), fmt=LOAD_INPUTS[name](path))
+    weights = None
+    if g.weights is not None:
+        weights = sorted([a, b, str(w)] for (a, b), w in g.weights.items())
+    return _sha([g.ids, g.neighbors, weights, g.id_bits])
+
+
+@pytest.mark.parametrize("name", sorted(LOAD_INPUTS))
+def test_loaded_graphs_match_pinned_digests(name, tmp_path):
+    assert load_output(name, tmp_path) == LOAD_EXPECTED[name]
+
+
 def _print_table(title, inputs, compute):
     print(f"{title} = {{")
     for name in inputs:
@@ -689,3 +777,9 @@ if __name__ == "__main__":
     _print_table("RANDOM_EXPECTED", RANDOM_INPUTS, random_outputs)
     _print_table("ENGINE_EXPECTED", ENGINE_INPUTS, engine_outputs)
     print(f"MARKED_SIM_EXPECTED = {json.dumps(marked_sim_output())}")
+    print("LOAD_EXPECTED = {")
+    with tempfile.TemporaryDirectory() as tmp:
+        for name in LOAD_INPUTS:
+            print(f"    {json.dumps(name)}:\n        "
+                  f"{json.dumps(load_output(name, Path(tmp)))},")
+    print("}")
