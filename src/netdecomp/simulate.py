@@ -166,24 +166,36 @@ class NodeProgram:
         return None
 
 
-def _key_words(seed: int, node_id: int, run_index: int) -> tuple[int, int]:
-    """The 128-bit blake2b hash of (seed, node, run) as two 64-bit words."""
-    digest = hashlib.blake2b(
+def _key_digest(seed: int, node_id: int, run_index: int) -> bytes:
+    """The 128-bit blake2b hash of (seed, node, run)."""
+    return hashlib.blake2b(
         f"{seed}:{node_id}:{run_index}".encode(), digest_size=16
     ).digest()
+
+
+def _key_words(seed: int, node_id: int, run_index: int) -> tuple[int, int]:
+    """``_key_digest`` as two little-endian 64-bit words."""
+    digest = _key_digest(seed, node_id, run_index)
     return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
 
 
-def _philox_key(k0: int, k1: int) -> np.ndarray:
-    """The two uint64 words ``np.random.Philox(key=[k0, k1])`` keys with.
+def _philox_keys(words: np.ndarray) -> np.ndarray:
+    """The uint64 words ``np.random.Philox(key=[k0, k1])`` keys with, for
+    each (k0, k1) row of ``words``.
 
     numpy reads the list through ``np.asarray``: int64 when both words are
     below 2^63, uint64 when both are at least 2^63, and float64 when
-    exactly one is, which rounds both words to 53 significant bits (and
-    sends a word that rounds up to 2^64 to 0).  The same call keeps the
-    same rounding.
+    exactly one is, which rounds both words to 53 significant bits; a word
+    that rounds up to 2^64 becomes 0.  The same call keeps the same
+    rounding.
     """
-    return np.asarray([k0, k1]).astype(np.uint64)
+    keys = np.array(words, dtype=np.uint64)
+    top = keys >= np.uint64(1 << 63)
+    mixed = top[:, 0] != top[:, 1]
+    rounded = keys[mixed].astype(np.float64)
+    rounded[rounded >= 2.0**64] = 0
+    keys[mixed] = rounded.astype(np.uint64)
+    return keys
 
 
 def node_rng(seed: int, node_id: int, run_index: int = 0) -> np.random.Generator:
@@ -192,7 +204,7 @@ def node_rng(seed: int, node_id: int, run_index: int = 0) -> np.random.Generator
     The key is a 128-bit blake2b hash of the triple as two 64-bit words, so
     any id gets its own stream.  When exactly one word is >= 2^63, numpy
     reads the key list as float64 and rounds both words to 53 significant
-    bits (see ``_philox_key``); this is deterministic, and every stream
+    bits (see ``_philox_keys``); this is deterministic, and every stream
     depends on it.  ``node_draws`` computes the same streams for many
     nodes at once, bit for bit.
     """
@@ -222,7 +234,7 @@ def node_draws(seed: int, ids: Sequence[int], run_index: int, count: int) -> np.
 
     Row i equals ``node_rng(seed, ids[i], run_index).random(count)`` bit
     for bit: the keys are the same words, rounded to 53 significant bits
-    when exactly one is >= 2^63 (``_philox_key``), and Philox4x64-10 runs
+    when exactly one is >= 2^63 (``_philox_keys``), and Philox4x64-10 runs
     for a chunk of rows at once in uint64 arithmetic.  Block b of a row is
     Philox applied to the counter (b + 1, 0, 0, 0), its four words are used
     in order, and a draw is (word >> 11) * 2^-53, as in numpy's
@@ -232,9 +244,9 @@ def node_draws(seed: int, ids: Sequence[int], run_index: int, count: int) -> np.
     out = np.empty((rows, count))
     if rows == 0 or count == 0:
         return out
-    keys = np.array(
-        [_philox_key(*_key_words(seed, v, run_index)) for v in ids], dtype=np.uint64
-    ).T[:, :, None]
+    digests = b"".join(_key_digest(seed, v, run_index) for v in ids)
+    words = np.frombuffer(digests, "<u8").reshape(-1, 2)
+    keys = _philox_keys(words).T[:, :, None]
     blocks = -(-count // 4)
     step = max(1, _CHUNK_BLOCKS // blocks)
     for lo in range(0, rows, step):

@@ -1,9 +1,15 @@
 from fractions import Fraction
+from typing import Optional
+from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
+from netdecomp import covers
 from netdecomp.clustering import Cluster, Decomposition, validate_cover
 from netdecomp.covers import (
     CoverError,
@@ -22,6 +28,28 @@ from netdecomp.graphs import Graph, GraphError, generate_graph, random_weights
 
 def path(n):
     return Graph(list(range(n)), [(i, i + 1) for i in range(n - 1)])
+
+
+def scipy_mu(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
+    """Reference for μ: per edge in ``Fraction`` order, one scipy BFS over
+    the edges lighter than it.  An edge whose endpoints they join is a
+    non-MST edge, and its shortest cycle is that distance + 1."""
+    ordered = sorted(g.weights, key=g.weights.__getitem__)
+    edges = np.array(ordered, dtype=np.intp).reshape(-1, 2)
+    ones = np.ones(len(ordered))
+    mu = 0
+    for i, (a, b) in enumerate(ordered):
+        lighter = csr_matrix(  # the first i edges are the lighter ones
+            (ones[:i], (edges[:i, 0], edges[:i, 1])), shape=(g.n, g.n)
+        )
+        d = shortest_path(lighter, method="D", directed=False, unweighted=True,
+                          indices=a)[b]
+        if not np.isfinite(d):
+            continue  # an MST edge
+        if d + 1 > cycle_cap:
+            return None
+        mu = max(mu, int(d) + 1)
+    return mu
 
 
 def four_cycle():
@@ -91,6 +119,15 @@ class TestCoverFromDecomposition:
         a, b = (c.members for c in cov.clusters[:2])
         assert a == frozenset({0, 1, 2}) and b == frozenset({3, 4, 5})
         assert not (a & b)
+
+    def test_rejects_invalid_decomposition(self):
+        g = path(6)
+        dec = Decomposition(k=2, clusters=[
+            Cluster(id=0, center=0, members=frozenset(range(5)),
+                    tree_edges=frozenset((i, i + 1) for i in range(4)), color=0)
+        ])  # node 5 is in no cluster
+        with pytest.raises(CoverError, match="partition covers 5 of 6 nodes"):
+            cover_from_decomposition(g, 1, dec)
 
     def test_rejects_insufficient_separation(self):
         g = path(9)
@@ -185,9 +222,64 @@ class TestRanksAgainstFractionOracles:
             g = random_weights(g, seed)
         assert kruskal_oracle(g) == prim_oracle(g)
         mu = mst_radius(g)
-        assert mu == mst_radius_scipy(g)
+        assert mu == mst_radius_scipy(g) == scipy_mu(g)
         if g.n <= 8:
             assert mu == cycle_enumeration_mu(g)
+
+
+def _weighted_gnp(n, p, seed):
+    return random_weights(
+        generate_graph("gnp", {"n": n, "p": p, "largest_component": 1}, seed),
+        seed,
+    )
+
+
+class TestBitParallelMuOracle:
+    """``mst_radius_scipy`` against ``mst_radius`` and the per-query scipy
+    reference ``scipy_mu``."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(3, 30),
+        p=st.sampled_from([0.1, 0.2, 0.35]),
+    )
+    def test_cycle_cap_parity(self, seed, n, p):
+        g = _weighted_gnp(n, p, seed)
+        mu = mst_radius(g)
+        for cap in range(1, mu + 2):
+            want = mu if cap >= mu else None
+            assert mst_radius(g, cap) == want
+            assert mst_radius_scipy(g, cap) == want
+            assert scipy_mu(g, cap) == want
+
+    @pytest.mark.parametrize("g", [
+        Graph([], [], {}),
+        Graph([7], [], {}),
+        Graph([3, 9], [(3, 9)], {(3, 9): Fraction(1, 3)}),
+        random_weights(path(9), seed=2),
+        random_weights(Graph(list(range(8)), [(0, i) for i in range(1, 8)]), seed=4),
+    ], ids=["n0", "n1", "n2", "path", "star"])
+    def test_trees_and_tiny_graphs(self, g):
+        assert mst_radius(g) == mst_radius_scipy(g) == scipy_mu(g) == 0
+        assert mst_radius_scipy(g, cycle_cap=1) == 0
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_lane_blocks_change_no_answer(self, block):
+        for seed in range(3):
+            g = _weighted_gnp(50, 0.15, seed)   # about 140 non-MST edges
+            mu = mst_radius(g)
+            with patch.object(covers, "_LANE_BLOCK", block):
+                assert mst_radius_scipy(g) == mu == scipy_mu(g)
+                assert mst_radius_scipy(g, mu) == mu
+                assert mst_radius_scipy(g, mu - 1) is None
+
+    def test_ignores_weight_rank(self):
+        # a wrong rank must not mislead the oracle along with mst_radius
+        g = _weighted_gnp(40, 0.15, 1)
+        mu = mst_radius_scipy(g)
+        g._rank = {e: r for r, e in enumerate(reversed(list(g.rank)))}
+        assert mst_radius_scipy(g) == mu == scipy_mu(g)
 
 
 class TestMstOracles:

@@ -488,15 +488,27 @@ class TestNodeDraws:
             expected = _philox_stream(seed, v, run_index)[1].random(count)
             assert row.tobytes() == expected.tobytes()
 
-    # at 2^64 - 1 the float64 word rounds to 2^64, and numpy's cast of it
-    # warns (and gives 0) in Philox and in _philox_key alike
+    # at 2^64 - 1 the float64 word rounds to 2^64, which numpy's cast
+    # turns into 0 with a warning and _philox_keys sets to 0 itself
     @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
     @pytest.mark.parametrize(
         "k0,k1", [(2**63 - 1, 2**63), (2**63, 2**53 + 1), (2**64 - 1, 5)]
     )
     def test_key_conversion_matches_numpy(self, k0, k1):
         expected = np.random.Philox(key=[k0, k1]).state["state"]["key"]
-        assert simulate._philox_key(k0, k1).tolist() == expected.tolist()
+        words = np.array([[k0, k1]], dtype=np.uint64)
+        assert simulate._philox_keys(words)[0].tolist() == expected.tolist()
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    def test_key_rows_match_numpy(self):
+        rng = np.random.default_rng(5)
+        words = rng.integers(0, 2**64, size=(100, 2), dtype=np.uint64)
+        words[rng.random(100) < 0.3, 0] |= np.uint64(0xFFFFFFFFFFFFF800)
+        words[37] = (2**64 - 1, 5)
+        keys = simulate._philox_keys(words)
+        for row, (k0, k1) in zip(keys, words.tolist()):
+            expected = np.random.Philox(key=[k0, k1]).state["state"]["key"]
+            assert row.tolist() == expected.tolist()
 
     @settings(max_examples=20, deadline=None)
     @given(
