@@ -60,9 +60,7 @@ def _expand(g: Graph, k: int, dec: Decomposition) -> NeighborhoodCover:
     already known to be valid and 2k-separated."""
     out = []
     for c in dec.clusters:
-        reached: list[int] = []
-        _bfs_idx(g, sorted(c.members), cap=k, reached=reached)
-        expanded = frozenset(reached)
+        expanded = _ball(g, c.members, k)
         out.append(
             Cluster(
                 id=c.id,
@@ -73,6 +71,13 @@ def _expand(g: Graph, k: int, dec: Decomposition) -> NeighborhoodCover:
             )
         )
     return NeighborhoodCover(k=k, clusters=out)
+
+
+def _ball(g: Graph, members: Iterable[int], k: int) -> frozenset[int]:
+    """The nodes within k hops of ``members``."""
+    reached: list[int] = []
+    _bfs_idx(g, sorted(members), cap=k, reached=reached)
+    return frozenset(reached)
 
 
 def _strong_tree(
@@ -123,25 +128,30 @@ def kruskal_oracle(g: Graph) -> frozenset[tuple[int, int]]:
 
 
 def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
-    """Independent second oracle: Prim from each unvisited node."""
+    """Independent second oracle: Prim from each unvisited node.  The heap
+    holds each edge's position in ``Fraction`` weight order, sorted here
+    and not read from ``g.rank``; weights are distinct, so positions order
+    edges as the weights do."""
     _require_weights(g)
+    order = sorted(g.weights, key=g.weights.__getitem__)
+    pos = {e: i for i, e in enumerate(order)}
     seen = [False] * g.n
     tree = set()
     for s in range(g.n):
         if seen[s]:
             continue
         seen[s] = True
-        heap = [(g.weight_of(s, v), s, v) for v in g.neighbors[s]]
+        heap = [(pos[(s, v) if s < v else (v, s)], v) for v in g.neighbors[s]]
         heapq.heapify(heap)
         while heap:
-            w, a, b = heapq.heappop(heap)
+            i, b = heapq.heappop(heap)
             if seen[b]:
                 continue
             seen[b] = True
-            tree.add((min(a, b), max(a, b)))
+            tree.add(order[i])
             for c in g.neighbors[b]:
                 if not seen[c]:
-                    heapq.heappush(heap, (g.weight_of(b, c), b, c))
+                    heapq.heappush(heap, (pos[(b, c) if b < c else (c, b)], c))
     return frozenset(tree)
 
 
@@ -343,19 +353,25 @@ def cover_mst(g: Graph, mu: Optional[int] = None) -> MstResult:
     from .decompose import decompose
 
     # decompose's own output is 2k-separated by construction (its tests
-    # validate it); only decompositions from outside are validated
-    cover = _expand(g, k, decompose(g, 2 * k).decomposition)
-
+    # validate it), so it is expanded unvalidated.  Only the expanded member
+    # sets are read; clusters that expand to the same set share its forest.
+    clusters = decompose(g, 2 * k).decomposition.clusters
     cluster_msts: dict[int, frozenset[tuple[int, int]]] = {}
     containing: dict[tuple[int, int], list[int]] = {}
     load = [0] * g.n
-    for c in cover.clusters:
-        for v in c.members:
+    forests: dict[frozenset[int], tuple[list, frozenset]] = {}
+    for c in clusters:
+        members = _ball(g, c.members, k)
+        for v in members:
             load[v] += 1
-        sub_edges = induced_edges(g, c.members)
+        if members not in forests:
+            sub_edges = induced_edges(g, members)
+            forests[members] = (
+                sub_edges, _forest_of(g.n, sorted(sub_edges, key=g.rank.get))
+            )
+        sub_edges, cluster_msts[c.id] = forests[members]
         for e in sub_edges:
             containing.setdefault(e, []).append(c.id)
-        cluster_msts[c.id] = _forest_of(g.n, sorted(sub_edges, key=g.rank.get))
     classification: dict[tuple[int, int], str] = {}
     for a, b in g.weights:
         if (a, b) not in containing:

@@ -10,6 +10,7 @@ never structural results.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from contextlib import contextmanager
@@ -276,6 +277,24 @@ def _checked_pairs(index: dict, edges: Iterable) -> list[tuple[int, int]]:
     return list(seen)
 
 
+@contextmanager
+def paused_gc():
+    """Pause CPython's cyclic garbage collector for the block and restore
+    the caller's setting afterwards, also when the block raises.
+
+    For code that allocates many container objects but builds no reference
+    cycle: reference counting still frees each object, and no collection
+    pass rescans the live ones.  A cycle made inside the block is only
+    collected later, once the collector runs again."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- ingestion -----------------------------------------------------------
 
 
@@ -344,30 +363,43 @@ def _malformed_json(what: str):
 
 
 def _load_json(path: str) -> Graph:
-    with open(path) as fh:
-        data = json.load(fh)
-    with _malformed_json(f"graph JSON {path}"):
-        edges = _int64_pairs(data["edges"])  # None unless all are int pairs
-        weights: dict[tuple[int, int], Fraction] = {}
-        if edges is None:
-            edges = []
-            for e in data["edges"]:
-                u, v = int(e[0]), int(e[1])
-                edges.append((u, v))
-                if len(e) > 2:
-                    weights[(u, v)] = Fraction(str(e[2]))
-        return Graph(data["nodes"], edges, weights or None, id_bits=data.get("id_bits"))
+    with paused_gc():  # parsing and Graph construction build no cycle
+        with open(path) as fh:
+            data = json.load(fh)
+        with _malformed_json(f"graph JSON {path}"):
+            edges = _int64_pairs(data["edges"])  # None unless all are int pairs
+            weights: dict[tuple[int, int], Fraction] = {}
+            if edges is None:
+                edges = []
+                for e in data["edges"]:
+                    u, v = int(e[0]), int(e[1])
+                    edges.append((u, v))
+                    if len(e) > 2:
+                        weights[(u, v)] = Fraction(str(e[2]))
+            return Graph(
+                data["nodes"], edges, weights or None, id_bits=data.get("id_bits")
+            )
 
 
 def save_graph_json(g: Graph, path: str) -> None:
-    edges = []
-    for a, b in g.edge_indices():
-        e: list = [g.ids[a], g.ids[b]]
-        if g.weights is not None:
-            e.append(str(g.weight_of(a, b)))
-        edges.append(e)
+    """Write ``g`` in the JSON format ``load_graph`` reads: edges (a, b),
+    a < b, in ``edge_indices`` order, each followed by its weight as a
+    string when the graph is weighted."""
+    indptr, dst = g._rows
+    src = np.repeat(np.arange(g.n), np.diff(indptr))
+    upper = src < dst
+    a, b = src[upper], dst[upper]
+    ids = np.array(g.ids, dtype=object)
+    edges = np.column_stack((ids[a], ids[b])).tolist()
+    if g.weights is not None:
+        w = g.weights
+        for e, x, y in zip(edges, a.tolist(), b.tolist()):
+            e.append(str(w[(x, y)]))
+    # json.dumps runs the C encoder; json.dump would stream through the
+    # pure-Python one.  Both give the same text.
+    text = json.dumps({"nodes": list(g.ids), "edges": edges, "id_bits": g.id_bits})
     with open(path, "w") as fh:
-        json.dump({"nodes": list(g.ids), "edges": edges, "id_bits": g.id_bits}, fh)
+        fh.write(text)
 
 
 # -- generators ----------------------------------------------------------

@@ -196,6 +196,7 @@ class _GhaffariLanes(NodeProgram):
         self.marked = 0
         self.halve = np.zeros(lanes, dtype=bool)
         self.p = np.full(lanes, 0.5)
+        self.silent = Message(0, max(1, lanes))
 
     def init(self, view):
         super().init(view)
@@ -205,13 +206,25 @@ class _GhaffariLanes(NodeProgram):
         if self.rounds == 0:
             self.halted = True
 
-    def _broadcast(self, mask: int) -> dict[int, Message]:
-        msg = Message(mask, max(1, self.lanes))
-        return dict.fromkeys(range(self.view.degree), msg)
-
     def step(self, round_no, inbox):
         sub = self.sub
-        self.sub = (self.sub + 1) % 4
+        self.sub = (sub + 1) % 4
+        # A node decided in every lane sends zeros.  In lane l, a neighbor
+        # still undecided has heard this node leave (its nb_und masks the
+        # lane) or is itself removed by this node joining, so no one reads
+        # these bits again, and the zeros keep the ledger and the statuses.
+        out = self._sub_round(sub, inbox) if self.undecided else self.silent
+        if sub == self.DIR:
+            self.t += 1
+            if self.t >= self.rounds:
+                self.halted = True
+                return {}
+        return out
+
+    def _sub_round(self, sub: int, inbox: dict[int, Message]) -> Message:
+        """Sub-round ``sub`` at a node undecided in some lane: read the
+        inbox, update the lane flags and return the broadcast."""
+        bits = max(1, self.lanes)
         nb_und = self.nb_und
         if sub == self.MARKED:
             if inbox:
@@ -227,7 +240,7 @@ class _GhaffariLanes(NodeProgram):
             # effective degree at round start, before this round's removals
             self.halve = _port_sums(self.nb_p, und_flags) >= 2.0
             self.marked = self.undecided & _lane_mask(self.draws[self.t] < self.p)
-            return self._broadcast(self.marked)
+            return Message(self.marked, bits)
         if sub == self.JOINED:
             nb_marked = 0
             for port, msg in inbox.items():
@@ -235,24 +248,19 @@ class _GhaffariLanes(NodeProgram):
             joined = self.marked & ~nb_marked
             self.undecided &= ~joined
             self.in_mis |= joined
-            return self._broadcast(joined)
+            return Message(joined, bits)
         if sub == self.OUT:
             heard = 0
             for port, msg in inbox.items():
                 heard |= msg.payload
             newly_out = self.undecided & heard
             self.undecided &= ~newly_out
-            return self._broadcast(newly_out)
+            return Message(newly_out, bits)
         # DIR: learn removals, apply own desire update, announce direction
         for port, msg in inbox.items():
             nb_und[port] &= ~msg.payload  # neighbor removed
         self.p = _next_desire(self.p, self.halve)
-        out = self._broadcast(_lane_mask(self.halve))
-        self.t += 1
-        if self.t >= self.rounds:
-            self.halted = True
-            return {}
-        return out
+        return Message(_lane_mask(self.halve), bits)
 
     def output(self):
         return [

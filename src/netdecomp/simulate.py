@@ -11,7 +11,6 @@ and its ports — neighbor identities must be learned by messages.
 
 from __future__ import annotations
 
-import bisect
 import hashlib
 import heapq
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, NetdecompError
+from .graphs import Graph, NetdecompError, paused_gc
 
 TAG_BITS = 8
 
@@ -119,7 +118,7 @@ class RoundStats:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class NodeView:
     """What a node is allowed to see: itself and its ports, nothing else.
 
@@ -147,8 +146,10 @@ class NodeView:
 class NodeProgram:
     """Per-node state machine.  Subclasses set ``halted`` when done.
 
-    ``step`` returns an outbox {port: Message}; the same ``Message`` object
-    may be mapped to many ports (a broadcast builds one).  Once ``halted``
+    ``step`` returns an outbox in one of two forms: a dict {port: Message},
+    in which the same ``Message`` object may be mapped to many ports, or a
+    single ``Message``, which is a broadcast: that message on every port.
+    Both are counted and delivered alike.  Once ``halted``
     is set — in ``init`` or in a ``step``, whose outbox is still delivered —
     the program is never stepped again, and messages sent to it are
     dropped.
@@ -159,7 +160,9 @@ class NodeProgram:
     def init(self, view: NodeView) -> None:
         self.view = view
 
-    def step(self, round_no: int, inbox: dict[int, Message]) -> dict[int, Message]:
+    def step(
+        self, round_no: int, inbox: dict[int, Message]
+    ) -> dict[int, Message] | Message:
         raise NotImplementedError
 
     def output(self) -> Any:
@@ -293,29 +296,42 @@ def run(
     that has halted is never stepped again.  One ``Message`` object may be
     delivered on many ports, so programs must not mutate received
     messages.  Every message counts once in ``total_messages`` and in the
-    bit ledger; non-strict budget violations are logged as (round, edge,
-    bits) in the order the messages are sent.
+    bit ledger; a broadcast counts once per port, so at degree 0 it sends
+    nothing.  Non-strict budget violations are logged as (round, edge,
+    bits) in the order the messages are sent, a broadcast's in port order.
+    The cyclic garbage collector is paused for the whole run.
     """
+    # Nothing the engine builds forms a reference cycle, so reference
+    # counting frees every inbox and message, and with the cyclic collector
+    # paused no collection rescans the live programs.  ``_run`` returns
+    # inside the guard, so only its results are left when the collector
+    # resumes.  A cycle a program builds is collected after that.
+    with paused_gc():
+        return _run(g, program_factory, cfg, stop_when_quiet, count_active_only)
+
+
+def _run(
+    g: Graph,
+    program_factory: Callable[[], NodeProgram],
+    cfg: SimConfig,
+    stop_when_quiet: bool,
+    count_active_only: bool,
+) -> tuple[list[Any], RoundStats]:
     budget = cfg.budget_for(g)
     n = g.n
-    ids, neighbors = g.ids, g.neighbors
+    ids = g.ids
+    indptr, dst = g._rows
+    ptr = indptr.tolist()
+    # port p of node i leads to (j, q): j = dst[ptr[i] + p], and i is port
+    # q of j.  Rows are sorted, so the keys i * n + j ascend, and the entry
+    # of the reverse pair (j, i) is found by one binary search per entry.
+    src = np.repeat(np.arange(n), np.diff(indptr))
+    back_ports = np.searchsorted(src * n + dst, dst * n + src) - indptr[dst]
+    pairs = list(zip(dst.tolist(), back_ports.tolist()))
+    links = [pairs[ptr[i] : ptr[i + 1]] for i in range(n)]
     progs = [program_factory() for _ in range(n)]
     for i, p in enumerate(progs):
-        p.init(
-            NodeView(
-                node_id=ids[i],
-                degree=len(neighbors[i]),
-                id_bits=g.id_bits,
-                seed=cfg.seed,
-                run_index=cfg.run_index,
-            )
-        )
-    # port p of node i leads to (j, q): j = neighbors[i][p], and i is port q
-    # of j, found by binary search since neighbor lists are sorted
-    links = [
-        [(j, bisect.bisect_left(neighbors[j], i)) for j in neighbors[i]]
-        for i in range(n)
-    ]
+        p.init(NodeView(ids[i], len(links[i]), g.id_bits, cfg.seed, cfg.run_index))
     live = [i for i in range(n) if not progs[i].halted]
     inboxes: list[dict[int, Message]] = [{} for _ in range(n)]
     violations: list[tuple[int, tuple[int, int], int]] = []
@@ -331,19 +347,36 @@ def run(
             p = progs[i]
             outbox = p.step(rounds, inboxes[i])
             if outbox:
-                messages += len(outbox)
                 link = links[i]
-                for port, msg in outbox.items():
-                    j, back = link[port]
-                    next_inboxes[j][back] = msg
-                    bits = msg.bits
-                    if bits > max_bits:
-                        max_bits = bits
-                    if bits > budget:
-                        edge = (ids[min(i, j)], ids[max(i, j)])
-                        if cfg.strict:
-                            raise BudgetError(rounds, edge, bits, budget)
-                        violations.append((rounds, edge, bits))
+                if isinstance(outbox, Message):
+                    # a broadcast: its bits are checked once, and its
+                    # violations logged edge by edge in port order
+                    if link:
+                        messages += len(link)
+                        bits = outbox.bits
+                        if bits > max_bits:
+                            max_bits = bits
+                        if bits > budget:
+                            for j, _ in link:
+                                edge = (ids[min(i, j)], ids[max(i, j)])
+                                if cfg.strict:
+                                    raise BudgetError(rounds, edge, bits, budget)
+                                violations.append((rounds, edge, bits))
+                        for j, back in link:
+                            next_inboxes[j][back] = outbox
+                else:
+                    messages += len(outbox)
+                    for port, msg in outbox.items():
+                        j, back = link[port]
+                        next_inboxes[j][back] = msg
+                        bits = msg.bits
+                        if bits > max_bits:
+                            max_bits = bits
+                        if bits > budget:
+                            edge = (ids[min(i, j)], ids[max(i, j)])
+                            if cfg.strict:
+                                raise BudgetError(rounds, edge, bits, budget)
+                            violations.append((rounds, edge, bits))
             if not p.halted:
                 still_live.append(i)
         live = still_live
@@ -382,8 +415,7 @@ class _MinGossip(NodeProgram):
             return {}
         if self.best is None:
             return {}
-        m = Message(self.best, TAG_BITS + self.value_bits)
-        return dict.fromkeys(range(self.view.degree), m)
+        return Message(self.best, TAG_BITS + self.value_bits)
 
     def output(self):
         return self.best
@@ -461,8 +493,7 @@ class _Flood(NodeProgram):
             if prev is not None and prev <= h + 1:
                 continue
             sent[origin] = h + 1
-            msg = Message((origin, h + 1, payload), self.msg_bits)
-            return dict.fromkeys(range(self.view.degree), msg)
+            return Message((origin, h + 1, payload), self.msg_bits)
         return {}
 
     def output(self):

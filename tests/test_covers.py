@@ -300,6 +300,15 @@ class TestMstOracles:
             )
             assert kruskal_oracle(g) == prim_oracle(g)
 
+    def test_prim_ignores_weight_rank(self):
+        # a wrong rank must not mislead Prim along with Kruskal
+        g = random_weights(
+            generate_graph("gnp", {"n": 60, "p": 0.08}, seed=2), seed=2
+        )
+        tree = prim_oracle(g)
+        g._rank = {e: r for r, e in enumerate(reversed(list(g.rank)))}
+        assert prim_oracle(g) == tree != kruskal_oracle(g)
+
 
 class TestCoverMst:
     def test_tree_all_rule_b(self):
@@ -328,6 +337,29 @@ class TestCoverMst:
             for e, rule in res.classification.items():
                 in_true = e in res.tree_edges
                 assert in_true == (rule == "rule_B_included")
+
+    def test_cluster_forests_match_the_expanded_cover(self):
+        # each cluster's forest is Kruskal on its cover cluster, also where
+        # several clusters expand to the same node set and share one
+        g = random_weights(generate_graph(
+            "gnp", {"n": 300, "p": 0.0133, "largest_component": 1}, seed=1
+        ), seed=1)
+        res = cover_mst(g)
+        k = max(1, res.mu)
+        cover = cover_from_decomposition(g, k, decompose(g, 2 * k).decomposition)
+        load = [0] * g.n
+        want = {}
+        for c in cover.clusters:
+            for v in c.members:
+                load[v] += 1
+            lighter_first = sorted(
+                (e for e in g.weights if set(e) <= c.members), key=g.rank.get
+            )
+            want[c.id] = covers._forest_of(g.n, lighter_first)
+        assert len({c.members for c in cover.clusters}) < len(cover.clusters)
+        assert res.cluster_msts == want
+        assert res.cover_sparsity == max(load)
+        assert res.tree_edges == kruskal_oracle(g)
 
     @pytest.mark.parametrize("mu", [None, 5])
     def test_mu_radius_computed_once(self, monkeypatch, mu):

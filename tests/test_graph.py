@@ -1,5 +1,8 @@
 """Tests for graph construction, file ingestion, generators, and oracles."""
 
+import gc
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -22,6 +25,7 @@ from netdecomp.graphs import (
     largest_component,
     load_graph,
     log_star,
+    paused_gc,
     power_graph,
     quotient,
     random_weights,
@@ -85,6 +89,56 @@ class TestLoadGraph:
         save_graph_json(g, str(p))
         g2 = load_graph(str(p), fmt="json")
         assert g2 == g
+
+    @pytest.mark.parametrize("case", ["weighted", "unweighted", "ids near 2^128"])
+    def test_json_writer_bytes_unchanged(self, case, tmp_path):
+        g = generate_graph("gnp", {"n": 60, "p": 0.1}, seed=2)
+        if case == "weighted":
+            g = random_weights(g, seed=2)
+        elif case == "ids near 2^128":
+            g = g.relabeled({v: 2**128 - 1 - 7919 * v for v in g.ids}, id_bits=130)
+        p = tmp_path / "g.json"
+        save_graph_json(g, str(p))
+        # the writer as it was: edge_indices order, streamed by json.dump
+        edges = []
+        for a, b in g.edge_indices():
+            e = [g.ids[a], g.ids[b]]
+            if g.weights is not None:
+                e.append(str(g.weight_of(a, b)))
+            edges.append(e)
+        want = io.StringIO()
+        json.dump({"nodes": list(g.ids), "edges": edges, "id_bits": g.id_bits}, want)
+        assert g.m > 0 and p.read_text() == want.getvalue()
+        assert load_graph(str(p), fmt="json") == g
+
+    def test_json_loader_restores_the_collector(self, tmp_path):
+        p = tmp_path / "g.json"
+        save_graph_json(path5(), str(p))
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"nodes": [0, 1]}')
+        assert gc.isenabled()
+        load_graph(str(p), fmt="json")
+        assert gc.isenabled()
+        with pytest.raises(GraphError):
+            load_graph(str(bad), fmt="json")
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            load_graph(str(p), fmt="json")
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_paused_gc_restores_the_setting(self):
+        with paused_gc():
+            assert not gc.isenabled()
+            with paused_gc():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+        with pytest.raises(KeyError), paused_gc():
+            raise KeyError("x")
+        assert gc.isenabled()
 
     def test_json_arbitrary_ids(self, tmp_path):
         p = tmp_path / "g.json"

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from netdecomp import mis as mis_module
 from netdecomp.clustering import validate_mis, validate_ruling_set
 from netdecomp.graphs import Graph, generate_graph, induced_subgraph
 from netdecomp.mis import (
@@ -24,7 +26,7 @@ from netdecomp.mis import (
     run_ghaffari,
     shatter_check,
 )
-from netdecomp.simulate import SimConfig, node_rng
+from netdecomp.simulate import Message, SimConfig, node_rng
 
 
 def path(n):
@@ -143,6 +145,80 @@ class TestEngineLanes:
                 for v in range(g.n)
             ]
             assert got == want
+
+
+class _LoggedLanes(mis_module._GhaffariLanes):
+    """Logs (sub-round, node id, lanes undecided, payload) of every
+    broadcast."""
+
+    log: list = []
+
+    def step(self, round_no, inbox):
+        out = super().step(round_no, inbox)
+        if isinstance(out, Message):
+            self.log.append(
+                (round_no, self.view.node_id, self.undecided, out.payload)
+            )
+        return out
+
+
+class _SteppedLanes(_LoggedLanes):
+    """Reference: every sub-round runs in full, also at a node decided in
+    every lane."""
+
+    def step(self, round_no, inbox):
+        sub = self.sub
+        self.sub = (sub + 1) % 4
+        out = self._sub_round(sub, inbox)
+        if sub == self.DIR:
+            self.t += 1
+            if self.t >= self.rounds:
+                self.halted = True
+                return {}
+        self.log.append((round_no, self.view.node_id, self.undecided, out.payload))
+        return out
+
+
+class TestDecidedNodesSendZeros:
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(1, 40),
+        p=st.floats(0.05, 0.5),
+        graph_seed=st.integers(0, 1000),
+        seed=st.integers(0, 2**32),
+        lanes=st.sampled_from([0, 1, 3, 18, 70]),
+        rounds=st.integers(0, 16),
+    )
+    @example(n=40, p=0.2, graph_seed=3, seed=7, lanes=3, rounds=16)
+    def test_statuses_and_ledger_equal_the_full_steps(
+        self, n, p, graph_seed, seed, lanes, rounds
+    ):
+        g = generate_graph("gnp", {"n": n, "p": p}, graph_seed)
+        cfg = SimConfig(msg_bits=max(lanes, g.id_bits + 8), strict=True)
+        runs = []
+        for prog in (_LoggedLanes, _SteppedLanes):
+            logged = type("Logged", (prog,), {"log": []})
+            with patch.object(mis_module, "_GhaffariLanes", logged):
+                outs, stats = ghaffari_engine(g, rounds, lanes, seed, cfg)
+            runs.append((logged.log, outs, stats))
+        (log, outs, stats), (ref_log, ref_outs, ref_stats) = runs
+        assert outs == ref_outs and stats == ref_stats
+        # the same sends, whose bits differ only in lanes the sender has
+        # decided: no neighbor reads those
+        assert [e[:3] for e in log] == [e[:3] for e in ref_log]
+        for (_, _, undecided, bits), (*_, ref_bits) in zip(log, ref_log):
+            assert (bits ^ ref_bits) & undecided == 0
+
+    def test_the_zeros_replace_live_direction_bits(self):
+        # n=40 p=0.2: some decided node would still announce desire halving
+        g = generate_graph("gnp", {"n": 40, "p": 0.2}, 3)
+        logs = []
+        for prog in (_LoggedLanes, _SteppedLanes):
+            logged = type("Logged", (prog,), {"log": []})
+            with patch.object(mis_module, "_GhaffariLanes", logged):
+                ghaffari_engine(g, 16, 3, 7)
+            logs.append(logged.log)
+        assert logs[0] != logs[1]
 
 
 def _statuses(g, rounds, seed, lane):

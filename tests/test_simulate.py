@@ -1,6 +1,7 @@
 """Engine tests: handshake fixtures, budget accounting, determinism,
 locality, flooding vs its central oracle, tree broadcast/convergecast."""
 
+import gc
 import hashlib
 from contextlib import ExitStack, contextmanager
 from unittest.mock import patch
@@ -258,6 +259,161 @@ class TestEngineContract:
             Message(None, 0)
 
 
+class _Echo(NodeProgram):
+    """Sends every round, halts in round 4, and logs each inbox as sorted
+    (port, payload, bits); its outbox is built by ``outbox``."""
+
+    log: list = []
+
+    def outbox(self, msg):
+        raise NotImplementedError
+
+    def step(self, round_no, inbox):
+        self.log.append((round_no, self.view.node_id, sorted(
+            (port, m.payload, m.bits) for port, m in inbox.items()
+        )))
+        if round_no == 4:
+            self.halted = True
+        bits = 8 + (self.view.node_id * 7 + round_no * 5) % 20
+        return self.outbox(Message((self.view.node_id, round_no), bits))
+
+
+class _EchoBroadcast(_Echo):
+    def outbox(self, msg):
+        return msg
+
+
+class _EchoDict(_Echo):
+    def outbox(self, msg):
+        return dict.fromkeys(range(self.view.degree), msg)
+
+
+class TestBroadcastOutbox:
+    def _graph(self):
+        # isolated nodes 0..4 broadcast too
+        g = generate_graph("gnp", {"n": 30, "p": 0.15}, 5)
+        edges = [(u + 5, v + 5) for u, v in g.edges_by_id()]
+        return Graph(range(35), edges)
+
+    def _runs(self, g, cfg):
+        runs = []
+        for base in (_EchoBroadcast, _EchoDict):
+            prog = type("Logged", (base,), {"log": []})
+            try:
+                out, stats = run(g, prog, cfg)
+            except BudgetError as err:
+                out, stats = None, (err.round_no, err.edge, err.bits)
+            runs.append((prog.log, out, stats))
+        return runs
+
+    def test_message_outbox_equals_the_dict_outbox(self):
+        g = self._graph()
+        budget = g.id_bits + 8
+        (log, out, stats), (ref_log, ref_out, ref_stats) = self._runs(
+            g, SimConfig(msg_bits=budget, strict=False)
+        )
+        assert log == ref_log and out == ref_out
+        assert stats == ref_stats
+        assert 0 < len(stats.budget_violations) < stats.total_messages
+        assert stats.total_messages == 4 * 2 * g.m
+        strict = self._runs(g, SimConfig(msg_bits=budget, strict=True))
+        assert strict[0] == strict[1]
+        assert strict[0][2] == stats.budget_violations[0]
+
+    def test_degree_zero_broadcast_sends_nothing(self):
+        g = Graph(range(3), [])
+
+        class Loud(NodeProgram):
+            def step(self, round_no, inbox):
+                self.halted = True
+                return Message(None, 10_000)
+
+        _, stats = run(g, Loud, SimConfig(strict=True))
+        assert stats == RoundStats(rounds=1)
+
+
+class TestGcGuard:
+    def test_run_restores_the_collector(self):
+        g = generate_graph("path", {"n": 2}, 0)
+        seen = []
+
+        class Probe(NodeProgram):
+            def step(self, round_no, inbox):
+                seen.append(gc.isenabled())
+                self.halted = True
+                return {}
+
+        class TooWide(NodeProgram):
+            def step(self, round_no, inbox):
+                return Message(None, 10_000)
+
+        class Forever(NodeProgram):
+            def step(self, round_no, inbox):
+                return {}
+
+        assert gc.isenabled()
+        run(g, Probe, SimConfig())
+        assert seen == [False, False] and gc.isenabled()
+        with pytest.raises(BudgetError):
+            run(g, TooWide, SimConfig(strict=True))
+        assert gc.isenabled()
+        with pytest.raises(SimError, match="max_rounds"):
+            run(g, Forever, SimConfig(max_rounds=3))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            run(g, Probe, SimConfig())
+            with pytest.raises(BudgetError):
+                run(g, TooWide, SimConfig(strict=True))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_engine_builds_no_reference_cycle(self):
+        # the premise of pausing the collector: after each primitive, with
+        # the collector off, a full collection finds nothing unreachable
+        g = generate_graph("gnp", {"n": 80, "p": 0.05}, 1)
+        clusters = decompose.decompose(g, 2).decomposition.clusters
+        cfg = SimConfig()
+        members = {m: c for c in clusters for m in c.members}
+        calls = {
+            "run": lambda: run(g, Handshake, cfg),
+            "min_gossip": lambda: min_gossip(
+                g, {m: c.id for m, c in members.items()}, 2, cfg),
+            "bounded_flood": lambda: bounded_flood(
+                g, {v: (g.ids[v], f"p{v}") for v in range(g.n)}, 2, 3, cfg),
+            "cluster_broadcast": lambda: cluster_broadcast(
+                g, clusters, {c.id: c.id for c in clusters}, cfg),
+            "cluster_convergecast union": lambda: cluster_convergecast(
+                g, clusters, {m: {c.id: [m]} for m, c in members.items()}, cfg),
+            "cluster_convergecast count": lambda: cluster_convergecast(
+                g, clusters, {m: {c.id: [1]} for m, c in members.items()}, cfg,
+                combine="count"),
+            "ghaffari_engine": lambda: mis.ghaffari_engine(g, 5, 4, 1),
+            "decompose sim": lambda: decompose.decompose(g, 2, mode="sim"),
+        }
+
+        class Cyclic(NodeProgram):  # the control: a program in a cycle
+            def step(self, round_no, inbox):
+                self.me = self
+                self.halted = True
+                return {}
+
+        found = {}
+        gc.collect()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                call()
+                found[name] = gc.collect()
+            run(g, Cyclic, cfg)
+            control = gc.collect()
+        finally:
+            gc.enable()
+        assert found == dict.fromkeys(calls, 0)
+        assert control >= g.n
+
+
 class TestBoundedFlood:
     def test_p3_both_endpoints(self):
         g = generate_graph("path", {"n": 3}, 0)
@@ -297,14 +453,18 @@ class TestBoundedFlood:
 
 
 class _Recorded:
-    """Mixin for flood programs: logs (round, node id, outbox) per step."""
+    """Mixin for flood programs: logs (round, node id, outbox) per step,
+    with a broadcast expanded into the message on each of its ports."""
 
     log: list = []
 
     def step(self, round_no, inbox):
         out = super().step(round_no, inbox)
+        sent = out
+        if isinstance(out, Message):
+            sent = dict.fromkeys(range(self.view.degree), out)
         self.log.append((round_no, self.view.node_id, sorted(
-            (port, m.payload, m.bits) for port, m in out.items()
+            (port, m.payload, m.bits) for port, m in sent.items()
         )))
         return out
 
