@@ -259,16 +259,25 @@ def _color_class_trees(
     Each cell is connected, contains all of its cluster's members, and the
     cells of distinct same-color clusters are vertex-disjoint — so the BFS
     trees built inside them, pruned to the center -> member paths, never
-    share a G-edge.
+    share a G-edge.  A cluster whose only member is its center has the
+    empty tree and needs no search, and a class made only of such clusters
+    needs no cells either.  Every other class seeds its cells with all of its
+    clusters, so its trees do not depend on which of them are single nodes.
     """
     ranked = sorted(group)
+    trees: dict[int, frozenset[tuple[int, int]]] = {
+        cid: frozenset() for cid, _, members in ranked if len(members) == 1
+    }
+    if len(trees) == len(ranked):
+        return trees
     owner = voronoi_cells(g, [members for _, _, members in ranked])
     cells: list[set[int]] = [set() for _ in ranked]
     for v, r in enumerate(owner):
         if r >= 0:
             cells[r].add(v)
-    trees: dict[int, frozenset[tuple[int, int]]] = {}
     for (cid, center, members), cell in zip(ranked, cells):
+        if cid in trees:
+            continue
         parent: dict[int, int] = {}
         dist = _bfs_idx(g, [center], targets=members, parent=parent, within=cell)
         missing = [m for m in members if dist[m] < 0]
@@ -336,37 +345,53 @@ def _proximity_pairs(
 
 def _select_cstar(hv: HView) -> list[int]:
     """Maximal 2-independent set of high-degree unmarked clusters, scanning
-    a proper H² coloring class by class (ids ascending within class).
+    the first-fit coloring of H² in ascending id order class by class (ids
+    ascending within a class): each high-degree cluster that no earlier
+    choice blocks joins C* and blocks its H² row.
 
-    The H² coloring here only fixes the scan order (its round cost is part
-    of the modeled ledger), so the cheap first-fit reduction suffices.  H²
-    is the boolean (A + I)² (the pattern of A + A²) of the unmarked
-    clusters without its diagonal; a chosen cluster blocks its row of it.
+    H² is the boolean (A + I)² (the pattern of A + A²) of the unmarked
+    clusters.  The coloring only fixes the scan order (its round cost is
+    part of the modeled ledger).  Class c of that first-fit coloring is the
+    lexicographically first maximal independent set of H² among the
+    clusters in no class below c, so the classes are built one at a time
+    over boolean masks, and the scan stops as soon as every high-degree
+    cluster is chosen or blocked, at once if there is none.  The H² row of
+    a scanned cluster is the union of the closed H rows N[u] = A_u + I_u
+    of its closed neighbourhood, and only the closed rows it reads are
+    built, so H² is never materialized.
     """
     unmarked = [cid for cid in hv.order if cid not in hv.marked]
-    if not unmarked:
+    # high-degree clusters neither scanned nor blocked
+    open_ = np.array([hv.high_degree[cid] for cid in unmarked], dtype=bool)
+    if not open_.any():
         return []
-    m = len(unmarked)
     idx = {cid: i for i, cid in enumerate(unmarked)}
-    rows = [idx[cid] for cid in unmarked for _ in hv.adj[cid]]
-    cols = [idx[u] for cid in unmarked for u in hv.adj[cid]]
-    closed = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m)
-    ) + sparse.identity(m, dtype=bool, format="csr")
-    h2 = closed @ closed
-    h2.setdiag(False)
-    h2.eliminate_zeros()
-    nb2 = np.split(h2.indices, h2.indptr[1:-1])
-    colors = greedy_reduce(nb2, range(m))
+    rows: list[Optional[np.ndarray]] = [None] * len(unmarked)
+
+    def closed(i: int) -> np.ndarray:
+        row = rows[i]
+        if row is None:
+            row = rows[i] = np.array(
+                [idx[u] for u in hv.adj[unmarked[i]]] + [i], dtype=np.int64
+            )
+        return row
+
     cstar: list[int] = []
-    blocked = np.zeros(m, dtype=bool)
-    for i in np.argsort(colors, kind="stable").tolist():
-        cid = unmarked[i]
-        if not hv.high_degree[cid] or blocked[i]:
-            continue
-        cstar.append(cid)
-        blocked[i] = True
-        blocked[nb2[i]] = True
+    unscanned = np.ones(len(unmarked), dtype=bool)
+    while open_.any():
+        # the next class: unscanned clusters H²-adjacent to none of its members
+        cand = unscanned.copy()
+        v = int(cand.argmax())
+        while cand[v]:
+            h2_row = np.concatenate([closed(u) for u in closed(v).tolist()])
+            cand[h2_row] = False
+            unscanned[v] = False
+            if open_[v]:
+                cstar.append(unmarked[v])
+                open_[h2_row] = False
+                if not open_.any():
+                    break
+            v += int(cand[v:].argmax())
     return sorted(cstar)
 
 

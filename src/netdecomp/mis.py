@@ -34,7 +34,9 @@ from .simulate import (  # node_rng stays bound for the benchmark's tracer
     RoundStats,
     SimConfig,
     node_draws,
+    node_keys,
     node_rng,
+    philox_draws,
     run,
 )
 
@@ -109,21 +111,34 @@ def run_ghaffari(
     Returns (in_mis, removed, undecided, final desire levels), all as node
     index sets.  The in_mis set is independent and every removed node has
     an in_mis neighbor at every intermediate round by construction.
+
+    Round t reads draw t of each node's ``node_rng(seed, id, lane)``
+    stream (``_draws[:, t]`` when given).  The four draws of Philox block
+    t // 4 are made when round t = 0 mod 4 is reached, and only for the
+    nodes still undecided, since no other node reads them.
     """
     if rounds < 0:
         raise MisError("rounds must be >= 0")
     n = g.n
     A = g.adjacency_csr().astype(np.float64)
-    draws = _draws if _draws is not None else node_draws(seed, g.ids, lane, rounds)
+    keys = node_keys(seed, g.ids, lane) if _draws is None else None
+    block = np.zeros((n, 4))  # rows of decided nodes go stale, unread
     p = np.full(n, 0.5)
     status = np.zeros(n, dtype=np.int8)
     for t in range(rounds):
         und = status == UNDECIDED
         if not und.any():
             break
+        if _draws is not None:
+            draw = _draws[:, t]
+        else:
+            if t % 4 == 0:
+                rows = np.flatnonzero(und)
+                block[rows] = philox_draws(keys[:, rows], 1, t // 4)
+            draw = block[:, t % 4]
         pu = np.where(und, p, 0.0)
         eff = A @ pu
-        marked = und & (draws[:, t] < p)
+        marked = und & (draw < p)
         marked_nb = A @ marked.astype(np.float64)
         joined = marked & (marked_nb == 0)
         removed = und & ~joined & ((A @ joined.astype(np.float64)) > 0)

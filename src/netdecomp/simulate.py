@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -169,16 +170,23 @@ class NodeProgram:
         return None
 
 
-def _key_digest(seed: int, node_id: int, run_index: int) -> bytes:
-    """The 128-bit blake2b hash of (seed, node, run)."""
-    return hashlib.blake2b(
-        f"{seed}:{node_id}:{run_index}".encode(), digest_size=16
-    ).digest()
+def _key_digests(seed: int, ids: Iterable[int], run_index: int) -> bytes:
+    """The 128-bit blake2b hashes of (seed, id, run) for each id,
+    concatenated.  Each hash continues a copy of a state that has absorbed
+    the seed prefix, which gives the bytes of hashing the whole string."""
+    prefix = hashlib.blake2b(f"{seed}:".encode(), digest_size=16)
+    suffix = f":{run_index}"
+    out = []
+    for v in ids:
+        h = prefix.copy()
+        h.update(f"{v}{suffix}".encode())
+        out.append(h.digest())
+    return b"".join(out)
 
 
 def _key_words(seed: int, node_id: int, run_index: int) -> tuple[int, int]:
-    """``_key_digest`` as two little-endian 64-bit words."""
-    digest = _key_digest(seed, node_id, run_index)
+    """The hash of (seed, node, run) as two little-endian 64-bit words."""
+    digest = _key_digests(seed, [node_id], run_index)
     return int.from_bytes(digest[:8], "little"), int.from_bytes(digest[8:], "little")
 
 
@@ -232,6 +240,23 @@ _W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None
 _CHUNK_BLOCKS = 1 << 14
 
 
+def node_keys(seed: int, ids: Sequence[int], run_index: int) -> np.ndarray:
+    """The Philox keys of ``node_rng(seed, v, run_index)`` for each v in
+    ``ids``, as the (k0, k1) pairs stacked on axis 0: shape (2, len(ids), 1),
+    ready for ``philox_draws``."""
+    words = np.frombuffer(_key_digests(seed, ids, run_index), "<u8")
+    return _philox_keys(words.reshape(-1, 2)).T[:, :, None]
+
+
+def philox_draws(keys: np.ndarray, blocks: int, offset: int) -> np.ndarray:
+    """Draws 4 * offset .. 4 * (offset + blocks) - 1 of the stream of each
+    key of ``keys`` (from ``node_keys``), one row per key: the uniform
+    doubles ``Generator.random`` makes of Philox blocks offset + 1 ..
+    offset + blocks."""
+    words = _philox_words(keys, blocks, offset)
+    return (words >> np.uint64(11)) * (1.0 / 9007199254740992.0)
+
+
 def node_draws(seed: int, ids: Sequence[int], run_index: int, count: int) -> np.ndarray:
     """``count`` uniform draws on [0, 1) for each id, one row per id.
 
@@ -247,25 +272,21 @@ def node_draws(seed: int, ids: Sequence[int], run_index: int, count: int) -> np.
     out = np.empty((rows, count))
     if rows == 0 or count == 0:
         return out
-    digests = b"".join(_key_digest(seed, v, run_index) for v in ids)
-    words = np.frombuffer(digests, "<u8").reshape(-1, 2)
-    keys = _philox_keys(words).T[:, :, None]
+    keys = node_keys(seed, ids, run_index)
     blocks = -(-count // 4)
     step = max(1, _CHUNK_BLOCKS // blocks)
     for lo in range(0, rows, step):
-        words = _philox_words(keys[:, lo : lo + step], blocks)[:, :count]
-        np.multiply(
-            words >> np.uint64(11), 1.0 / 9007199254740992.0, out=out[lo : lo + step]
-        )
+        out[lo : lo + step] = philox_draws(keys[:, lo : lo + step], blocks, 0)[:, :count]
     return out
 
 
-def _philox_words(keys: np.ndarray, blocks: int) -> np.ndarray:
-    """The words of blocks 1..``blocks`` under each key of ``keys`` (the
-    (k0, k1) pairs stacked on axis 0), one row of 4 * blocks per key."""
+def _philox_words(keys: np.ndarray, blocks: int, offset: int) -> np.ndarray:
+    """The words of blocks offset + 1 .. offset + ``blocks`` under each key
+    of ``keys`` (the (k0, k1) pairs stacked on axis 0), one row of
+    4 * blocks per key."""
     rows = keys.shape[1]
     mul = np.zeros((2, rows, blocks), dtype=np.uint64)   # (x0, x2)
-    mul[0] = np.arange(1, blocks + 1, dtype=np.uint64)
+    mul[0] = np.arange(offset + 1, offset + blocks + 1, dtype=np.uint64)
     xor = np.zeros_like(mul)                             # (x1, x3)
     for r in range(10):
         if r:
@@ -572,9 +593,10 @@ def bounded_flood_oracle(
         acc = (acc + reach).astype(bool)
     out: list[set] = [set() for _ in range(n)]
     csc = acc.tocsc()  # row order == ascending origin id
+    assert csc.has_sorted_indices  # so a column's first fanin rows are its smallest
+    ptr = csc.indptr.tolist()
     for col in range(n):
-        rr = csc.indices[csc.indptr[col] : csc.indptr[col + 1]]
-        for r in sorted(rr)[:fanin]:
+        for r in csc.indices[ptr[col] : min(ptr[col + 1], ptr[col] + fanin)].tolist():
             origin = origins[r]
             out[col].add((origin, payload_of[origin]))
     return out
@@ -725,21 +747,23 @@ class _Convergecast(NodeProgram):
         self.item_cap = item_cap
         self.item_bits = item_bits
         self.got: dict[int, dict[int, list[int]]] = {}
+        self.children: dict[int, frozenset[int]] = {}
         self.done_children: dict[int, set[int]] = {}
-        self.queue: dict[int, list] = {}
+        self.queue: dict[int, deque] = {}
         self.result: dict[int, Any] = {}
 
     def init(self, view):
         super().init(view)
         for r in self.roles:
             self.got[r.cluster_id] = {p: [] for p in r.child_ports}
+            self.children[r.cluster_id] = frozenset(r.child_ports)
             self.done_children[r.cluster_id] = set()
             if not r.child_ports and r.parent_port is None:
                 value = self._subtree_value(r)
                 self.result[r.cluster_id] = (
                     value[0] if self.mode == "count" else value
                 )
-                self.queue[r.cluster_id] = []
+                self.queue[r.cluster_id] = deque()
         if not self.roles or all(
             not self.queue.get(r.cluster_id, [True]) for r in self.roles
         ):
@@ -764,7 +788,7 @@ class _Convergecast(NodeProgram):
         busy: set[int] = set()
         for r in self.roles:  # ascending cluster id priority
             cid = r.cluster_id
-            if self.done_children[cid] != set(r.child_ports):
+            if self.done_children[cid] != self.children[cid]:
                 continue
             if cid not in self.queue:
                 value = self._subtree_value(r)
@@ -772,12 +796,12 @@ class _Convergecast(NodeProgram):
                     self.result[cid] = (
                         value[0] if self.mode == "count" else value
                     )
-                    self.queue[cid] = []
+                    self.queue[cid] = deque()
                 else:
-                    self.queue[cid] = value + [-1]
+                    self.queue[cid] = deque(value + [-1])
             if r.parent_port is not None and self.queue[cid]:
                 if r.parent_port not in busy:
-                    item = self.queue[cid].pop(0)
+                    item = self.queue[cid].popleft()
                     out[r.parent_port] = Message(
                         (cid, item), TAG_BITS + self.item_bits
                     )

@@ -1,23 +1,38 @@
 """Tests for the deterministic decomposition phase engine."""
 
+import tracemalloc
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 
+from netdecomp import decompose as decompose_module
 from netdecomp.clustering import Cluster, validate_decomposition
+from netdecomp.coloring import greedy_reduce
 from netdecomp.decompose import (
     DecomposeError,
     decompose,
     growth_parameters,
     _build_hview,
     _cluster_reach,
+    _color_class_trees,
     _merge_leaders,
+    _select_cstar,
+    HView,
     LiveCluster,
 )
-from netdecomp.graphs import Graph, all_pairs_distances, bfs_distances, generate_graph
+from netdecomp.graphs import (
+    Graph,
+    _bfs_idx,
+    all_pairs_distances,
+    bfs_distances,
+    generate_graph,
+    path_union,
+    voronoi_cells,
+)
 from netdecomp.simulate import RoundStats, SimConfig, bounded_flood_oracle
 
 
@@ -277,6 +292,144 @@ class TestMergeLeaders:
             if near:
                 want[c] = min(near)[1]
         assert _merge_leaders(adj, cstar) == want
+
+
+def _cstar_by_h2_coloring(hv):
+    """Reference C*: materialize H² = (A + I)² of the unmarked clusters
+    without its diagonal, color every row first-fit in ascending id order
+    with ``greedy_reduce``, then scan by (color, id) and keep each
+    high-degree cluster whose H² row holds no earlier choice."""
+    unmarked = [cid for cid in hv.order if cid not in hv.marked]
+    if not unmarked:
+        return []
+    m = len(unmarked)
+    idx = {cid: i for i, cid in enumerate(unmarked)}
+    rows = [idx[cid] for cid in unmarked for _ in hv.adj[cid]]
+    cols = [idx[u] for cid in unmarked for u in hv.adj[cid]]
+    closed = sparse.csr_matrix(
+        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(m, m)
+    ) + sparse.identity(m, dtype=bool, format="csr")
+    h2 = closed @ closed
+    h2.setdiag(False)
+    h2.eliminate_zeros()
+    nb2 = np.split(h2.indices, h2.indptr[1:-1])
+    colors = greedy_reduce(nb2, range(m))
+    cstar = []
+    blocked = np.zeros(m, dtype=bool)
+    for i in np.argsort(colors, kind="stable").tolist():
+        cid = unmarked[i]
+        if not hv.high_degree[cid] or blocked[i]:
+            continue
+        cstar.append(cid)
+        blocked[i] = True
+        blocked[nb2[i]] = True
+    return sorted(cstar)
+
+
+def _hview(order, adj, high, marked):
+    """An H-view holding only what C* selection reads."""
+    return HView(order, {}, high, marked, {}, adj)
+
+
+class TestSelectCstar:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.6, 0.95, 1.0]),
+        high_share=st.sampled_from([0.0, 0.3, 1.0]),
+        marked_share=st.sampled_from([0.0, 0.2, 1.0]),
+    )
+    def test_equals_the_h2_coloring_scan(self, data, density, high_share, marked_share):
+        """Random views: sparse to complete H, with no, some or only
+        high-degree clusters, and none, some or all of them marked."""
+        ids = sorted(data.draw(st.lists(st.integers(0, 10**6), unique=True, max_size=40)))
+        rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        marked = {cid for cid in ids if rnd.random() < marked_share}
+        unmarked = [cid for cid in ids if cid not in marked]
+        adj = {cid: set() for cid in unmarked}
+        for i, a in enumerate(unmarked):
+            for b in unmarked[i + 1 :]:
+                if rnd.random() < density:
+                    adj[a].add(b)
+                    adj[b].add(a)
+        high = {cid: bool(rnd.random() < high_share) for cid in ids}
+        hv = _hview(ids, adj, high, marked)
+        assert _select_cstar(hv) == _cstar_by_h2_coloring(hv)
+
+    def test_dense_view_allocates_less_than_its_h2(self):
+        # H is a star: every cluster lists the hub, so H² is complete while
+        # H has 2(m - 1) entries.  Only the largest id is high-degree, so
+        # the scan walks all m one-cluster classes of H² before it settles.
+        m = 2000
+        order = list(range(m))
+        adj = {cid: {0} for cid in order}
+        adj[0] = set(range(1, m))
+        high = {cid: cid == m - 1 for cid in order}
+        hv = _hview(order, adj, high, set())
+        h2_entries = m * m
+        tracemalloc.start()
+        try:
+            cstar = _select_cstar(hv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert cstar == [m - 1]
+        # far below one byte per H² entry; a materialized H² takes five
+        # (an int32 index and a bool) per entry
+        assert peak < h2_entries // 4, peak
+
+
+def _trees_in_all_cells(g, group):
+    """Reference trees: one Voronoi cell per cluster of the class and one
+    BFS from each center inside its cell, pruned to the center -> member
+    paths, single-node clusters included."""
+    ranked = sorted(group)
+    owner = voronoi_cells(g, [members for _, _, members in ranked])
+    trees = {}
+    for r, (cid, center, members) in enumerate(ranked):
+        cell = {v for v in range(g.n) if owner[v] == r}
+        parent = {}
+        _bfs_idx(g, [center], targets=members, parent=parent, within=cell)
+        trees[cid] = path_union(parent, members)
+    return trees
+
+
+class TestColorClassTrees:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        model=st.sampled_from([
+            ("gnp", {"n": 60, "p": 0.06}),
+            ("grid", {"rows": 7, "cols": 9}),
+            ("tree", {"n": 80}),
+        ]),
+        k=st.integers(1, 3),
+    )
+    def test_single_node_trees_empty_and_others_unchanged(self, seed, model, k):
+        g = generate_graph(model[0], model[1], seed)
+        dec = decompose(g, k).decomposition
+        by_color = {}
+        for c in dec.clusters:
+            by_color.setdefault(c.color, []).append((c.id, c.center, c.members))
+        for group in by_color.values():
+            trees = _color_class_trees(g, group)
+            assert trees == _trees_in_all_cells(g, group)
+            for cid, _, members in group:
+                if len(members) == 1:
+                    assert trees[cid] == frozenset()
+
+    def test_class_of_single_nodes_searches_nothing(self):
+        g = generate_graph("path", {"n": 9}, 0)
+        group = [(v, v, frozenset({v})) for v in (0, 4, 8)]
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("no search expected")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose_module, "voronoi_cells", refuse)
+            mp.setattr(decompose_module, "_bfs_idx", refuse)
+            trees = _color_class_trees(g, group)
+        assert trees == {0: frozenset(), 4: frozenset(), 8: frozenset()}
 
 
 # (model, params, seed) and k.  A convergecast that counts ids shared by

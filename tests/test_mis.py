@@ -26,7 +26,7 @@ from netdecomp.mis import (
     run_ghaffari,
     shatter_check,
 )
-from netdecomp.simulate import Message, SimConfig, node_rng
+from netdecomp.simulate import Message, SimConfig, node_draws, node_rng, philox_draws
 
 
 def path(n):
@@ -121,6 +121,38 @@ class TestRunGhaffari:
     def test_negative_rounds_rejected(self):
         with pytest.raises(MisError):
             run_ghaffari(path(3), -1)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 60),
+        p=st.sampled_from([0.02, 0.1, 0.3]),
+        rounds=st.sampled_from([0, 1, 3, 4, 5, 13, 64]),
+        lane=st.integers(0, 3),
+    )
+    def test_blocks_drawn_as_reached_equal_the_full_draws(self, seed, n, p, rounds, lane):
+        g = generate_graph("gnp", {"n": n, "p": p}, seed)
+        drawn = []
+
+        def logged(keys, blocks, offset):
+            drawn.append((keys.shape[1], blocks, offset))
+            return philox_draws(keys, blocks, offset)
+
+        with patch.object(mis_module, "philox_draws", logged):
+            lazy = run_ghaffari(g, rounds, seed=seed, lane=lane)
+        full = run_ghaffari(
+            g, rounds, seed=seed, lane=lane,
+            _draws=node_draws(seed, g.ids, lane, rounds),
+        )
+        assert lazy[:3] == full[:3]
+        assert lazy[3].tobytes() == full[3].tobytes()
+        # one block per four rounds run, each for the nodes still undecided
+        assert [(b, o) for _, b, o in drawn] == [(1, o) for o in range(len(drawn))]
+        sizes = [r for r, _, _ in drawn]
+        assert sizes == sorted(sizes, reverse=True)
+        if drawn:
+            assert sizes[0] == n
+            assert len(drawn) <= -(-rounds // 4)
 
 
 class TestEngineLanes:

@@ -29,7 +29,9 @@ from netdecomp.simulate import (
     cluster_convergecast,
     min_gossip,
     node_draws,
+    node_keys,
     node_rng,
+    philox_draws,
     run,
 )
 
@@ -683,6 +685,21 @@ class TestNodeDraws:
             chunked = node_draws(11, ids, 4, count)
         assert chunked.tobytes() == whole.tobytes()
         assert whole[-1].tobytes() == node_rng(11, ids[-1], 4).random(count).tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64),
+        ids=st.lists(st.integers(0, 2**128 - 1), min_size=1, max_size=6, unique=True),
+        offset=st.integers(0, 40),
+        blocks=st.integers(1, 5),
+    )
+    @example(seed=5, ids=_BOTH_BRANCHES, offset=3, blocks=2)
+    def test_block_offset_continues_the_stream(self, seed, ids, offset, blocks):
+        out = philox_draws(node_keys(seed, ids, 9), blocks, offset)
+        assert out.shape == (len(ids), 4 * blocks)
+        for row, v in zip(out, ids):
+            stream = _philox_stream(seed, v, 9)[1].random(4 * (offset + blocks))
+            assert row.tobytes() == stream[4 * offset :].tobytes()
 
     def test_node_rng_is_one_row(self):
         for v in _BOTH_BRANCHES:
