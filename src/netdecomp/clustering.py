@@ -12,7 +12,9 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .graphs import Graph, _bfs_idx, _malformed_json
+import numpy as np
+
+from .graphs import Graph, _bfs_idx, _malformed_json, connected_components
 
 
 @dataclass
@@ -127,38 +129,66 @@ def _check_tree(g: Graph, cluster: Cluster, rep: Report, strong: bool) -> Option
     return dist
 
 
+# members per lane block of ``weak_diameter``: 16 words of 64 lanes
+_LANES = 1024
+# frontier words that ``weak_diameter`` gathers at once (2 MB)
+_PULL_WORDS = 1 << 18
+
+
 def weak_diameter(g: Graph, members: Iterable[int]) -> int:
     """Max over member pairs of d_G; -1 if two members are disconnected in G.
 
-    One bit-parallel multi-source BFS (Then et al., PVLDB 2014): bit i of
-    ``seen[v]`` is set once member i is within r hops of v, each round ORs
-    only the newly set bits across edges, and the answer is the first r at
-    which every member has seen every member.  Sources go in blocks of
-    4,096 (answer: the maximum over blocks), so memory is O(reached nodes
-    x 4,096 bits) and time O(r x edges reached x members / 64): all nodes
-    of a 5,000-node path (r = 4,999) take ~30x as long as one BFS each.
-    """
-    mem = sorted(set(members))
+    One bit-parallel multi-source BFS (Then et al., PVLDB 2014) in packed
+    uint64 lanes.  Members go in blocks of ``_LANES`` = 1,024; member i of a
+    block owns bit i % 64 of word i // 64, so a block keeps ``seen`` and
+    ``frontier`` as (n, W) uint64 arrays, W = ceil(block / 64).  Bit i of
+    ``seen[v]`` is set once member i is within r hops of v.  A round pulls
+    the frontier over the CSR rows with ``bitwise_or.reduceat`` of
+    ``frontier[dst]``, in pieces of at most ``_PULL_WORDS`` gathered words
+    (rows without neighbours left out), and keeps the bits not yet seen.
+    The answer is the first r at which every member has every lane bit, the
+    maximum over blocks; -1 if the frontier empties first.  Memory is three
+    (n, W) arrays, O(n x block / 8) bytes, plus a 2 MB piece; a round costs
+    O((n + m) x W) word operations, so all members take
+    O(r x (n + m) x members / 64).  A set of at most one member is 0
+    without array work."""
+    mem = members if isinstance(members, (set, frozenset)) else set(members)
+    if len(mem) <= 1:
+        return 0
+    mem = np.sort(np.fromiter(mem, dtype=np.int64, count=len(mem)))
+    indptr, dst = g._rows
+    # reduceat gives an empty row the element at its start, not 0
+    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
+    starts = indptr[rows]
+    ends = np.append(starts, len(dst))
     best = 0
-    for lo in range(0, len(mem), 4096):
-        seen = {v: 1 << i for i, v in enumerate(mem[lo : lo + 4096])}
-        full = (1 << len(seen)) - 1
-        frontier = dict(seen)
+    for lo in range(0, len(mem), _LANES):
+        block = mem[lo : lo + _LANES]
+        lanes = np.arange(len(block))
+        words = (len(block) + 63) // 64
+        cuts = np.searchsorted(starts, np.arange(0, len(dst), _PULL_WORDS // words))
+        cuts = cuts.tolist() + [len(rows)]
+        pieces = [
+            (rows[a:b], dst[ends[a] : ends[b]], starts[a:b] - ends[a])
+            for a, b in zip(cuts, cuts[1:]) if a < b
+        ]
+        seen = np.zeros((g.n, words), dtype=np.uint64)
+        seen[block, lanes >> 6] = np.uint64(1) << (lanes & 63).astype(np.uint64)
+        full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
+        full[-1] >>= np.uint64(64 * words - len(block))
+        frontier, pulled = seen.copy(), np.zeros_like(seen)
         r = 0
-        while any(seen.get(v) != full for v in mem):
-            if not frontier:
+        while not (seen[mem] == full).all():
+            if not frontier.any():
                 return -1  # disconnected in G: treated as invalid upstream
             r += 1
-            incoming: dict[int, int] = {}
-            for u, bits in frontier.items():
-                for v in g.neighbors[u]:
-                    incoming[v] = incoming.get(v, 0) | bits
-            frontier = {}
-            for v, bits in incoming.items():
-                s = seen.get(v, 0)
-                if bits | s != s:
-                    frontier[v] = bits & ~s
-                    seen[v] = s | bits
+            for at, nbrs, first in pieces:
+                pulled[at] = np.bitwise_or.reduceat(frontier[nbrs], first, axis=0)
+            # rows without neighbours keep an older frontier, a subset of seen
+            pulled |= seen
+            pulled ^= seen
+            frontier, pulled = pulled, frontier
+            seen |= frontier
         best = max(best, r)
     return best
 
@@ -169,8 +199,22 @@ def weak_diameter(g: Graph, members: Iterable[int]) -> int:
 def validate_decomposition(
     g: Graph, dec: Decomposition, strong: bool = False, check_trees: bool = True
 ) -> Report:
-    """Certify the partition, same-color separation (>= k+1 hops), per-color
-    tree edge-disjointness, and measure the weak diameter."""
+    """Certify the partition, the trees, connectivity in G, same-color
+    separation (>= k+1 hops) and per-color tree edge-disjointness, and
+    measure the weak diameter."""
+    rep = _check_decomposition(g, dec, strong, check_trees)
+    rep.stats["max_weak_diameter"] = max(
+        [0] + [weak_diameter(g, c.members) for c in dec.clusters]
+    )
+    return rep
+
+
+def _check_decomposition(
+    g: Graph, dec: Decomposition, strong: bool = False, check_trees: bool = True
+) -> Report:
+    """The verdicts of ``validate_decomposition`` and every stat but the weak
+    diameter.  Members are connected in G exactly when one connected
+    component holds them all."""
     rep = Report(valid=True)
     owner: dict[int, int] = {}
     for c in dec.clusters:
@@ -184,12 +228,13 @@ def validate_decomposition(
         for c in dec.clusters:
             _check_tree(g, c, rep, strong=strong)
 
-    max_diam = 0
+    component = [0] * g.n
+    for i, comp in enumerate(connected_components(g)):
+        for v in comp:
+            component[v] = i
     for c in dec.clusters:
-        wd = weak_diameter(g, c.members)
-        if wd < 0:
+        if len({component[v] for v in c.members}) > 1:
             rep.fail(f"cluster {c.id}: members disconnected in G")
-        max_diam = max(max_diam, wd)
 
     min_gap = None
     total_usage: Counter[tuple[int, int]] = Counter()
@@ -227,7 +272,6 @@ def validate_decomposition(
 
     rep.stats = {
         "colors": dec.colors_used,
-        "max_weak_diameter": max_diam,
         "min_same_color_gap": min_gap,
         "max_edge_overlap": max(total_usage.values(), default=0),
     }
@@ -236,7 +280,9 @@ def validate_decomposition(
 
 def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
     """Definition-clause verdicts for a sparse neighborhood cover: strong
-    spanning trees, k-ball containment, and per-node sparsity."""
+    spanning trees, k-ball containment, and per-node sparsity.  Containment
+    takes one bounded BFS per cluster (``_ball_interior``), not one per
+    node."""
     rep = Report(valid=True)
     max_depth = 0
     for c in cover.clusters:
@@ -250,13 +296,11 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
             load[v] += 1
     sparsity = max(load, default=0)
 
-    uncovered = []
-    for v in range(g.n):
-        reached: list[int] = []
-        _bfs_idx(g, [v], cap=cover.k, reached=reached)
-        ball = set(reached)
-        if not any(ball <= c.members for c in cover.clusters):
-            uncovered.append(v)
+    inside = [False] * g.n
+    for c in cover.clusters:
+        for v in _ball_interior(g, c.members, cover.k):
+            inside[v] = True
+    uncovered = [v for v in range(g.n) if not inside[v]]
     if uncovered:
         rep.fail(f"{len(uncovered)} nodes have an uncovered {cover.k}-ball")
     rep.stats = {
@@ -266,6 +310,19 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
         "uncovered_balls": uncovered,
     }
     return rep
+
+
+def _ball_interior(g: Graph, members: frozenset[int], k: int) -> frozenset[int]:
+    """The members whose k-ball lies in ``members``: those more than k hops
+    from every non-member.  A shortest path to the nearest non-member leaves
+    ``members`` only at its last step, so one BFS inside ``members``, seeded
+    at distance 1 at the members with a non-member neighbour and stopped at
+    k, reaches exactly the members whose ball does not lie in it."""
+    reached: list[int] = []
+    if k >= 1:
+        edge = [v for v in members if any(u not in members for u in g.neighbors[v])]
+        _bfs_idx(g, edge, cap=k - 1, within=members, reached=reached)
+    return members.difference(reached)
 
 
 def validate_mis(g: Graph, s: Iterable[int]) -> tuple[bool, Optional[str]]:

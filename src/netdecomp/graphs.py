@@ -222,22 +222,31 @@ def symmetric_csr(
     return indptr, indices, repeated
 
 
+# ``_index_pairs`` maps ids below this multiple of n through a lookup array
+_DENSE_IDS = 4
+
+
 def _index_pairs(
     ids: list, index: dict, edges: list | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint indices (lo, hi), lo <= hi, of every edge as int64 arrays.
 
     Ids and endpoints that are all ints in int64 range are mapped with array
-    operations.  When an endpoint is unknown, or some value is of another
-    kind (ids near 2^128, say), the per-edge loop maps them and raises for
-    the first bad edge.  Self-loops and repeats are left to the caller."""
+    operations: through a dense id -> index array when the largest id is
+    below ``_DENSE_IDS`` x n, else by binary search.  When an endpoint is
+    unknown, or some value is of another kind (ids near 2^128, say), the
+    per-edge loop maps them and raises for the first bad edge.  Self-loops
+    and repeats are left to the caller."""
     n = len(ids)
     ends = _int64_pairs(edges)
     ida = np.array(ids)
     if n and ends is not None and ida.dtype.kind == "i":
-        if ida[-1] == n - 1:  # sorted, distinct, >= 0: the ids are 0..n-1
-            pos = ends
-            known = (ends >= 0) & (ends < n)
+        top = int(ida[-1])  # ids are sorted, distinct and >= 0
+        if top < _DENSE_IDS * n:
+            lookup = np.full(top + 1, -1, dtype=np.int64)
+            lookup[ida] = np.arange(n)
+            pos = lookup[np.clip(ends, 0, top)]
+            known = (ends >= 0) & (ends <= top) & (pos >= 0)
         else:
             pos = np.minimum(np.searchsorted(ida, ends), n - 1)
             known = ida[pos] == ends

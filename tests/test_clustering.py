@@ -1,5 +1,7 @@
 """Validator tests: decomposition separation, cover clauses, MIS, ruling sets."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -15,10 +17,19 @@ from netdecomp.clustering import (
     validate_cover,
     validate_decomposition,
     validate_mis,
+    _LANES,
     validate_ruling_set,
     weak_diameter,
 )
-from netdecomp.graphs import Graph, all_pairs_distances, generate_graph
+from netdecomp.covers import cover_from_decomposition
+from netdecomp.decompose import decompose
+from netdecomp.graphs import (
+    Graph,
+    _bfs_idx,
+    all_pairs_distances,
+    connected_components,
+    generate_graph,
+)
 
 
 def star(k):
@@ -36,6 +47,21 @@ def singleton_clusters(g, color=0):
         Cluster(id=g.ids[v], center=v, members=frozenset([v]), color=color)
         for v in range(g.n)
     ]
+
+
+@functools.cache
+def _lane_graph():
+    """``gnp`` n=1200 with mean degree 3.5 (a giant component of 1,150
+    nodes, small components and 38 isolated nodes), its all-pairs hop
+    distances, and node pools to draw members from; computed once."""
+    g = generate_graph("gnp", {"n": 1200, "p": 3.5 / 1200}, 5)
+    comps = connected_components(g)
+    pools = {
+        "giant component": np.array(max(comps, key=len)),
+        "all nodes": np.arange(g.n),
+        "isolated nodes": np.array([c[0] for c in comps if len(c) == 1]),
+    }
+    return g, all_pairs_distances(g), pools
 
 
 class TestValidateDecomposition:
@@ -109,15 +135,57 @@ class TestValidateDecomposition:
         assert weak_diameter(g, range(g.n)) == 599
 
     def test_weak_diameter_across_source_blocks(self):
-        # sources go in blocks of 4,096 members
+        # lanes go in blocks of 1,024 members, 64 to a word
+        assert _LANES == 1024
         assert weak_diameter(_star(5000), range(5001)) == 2
-        # farthest pair (4097, 4099): both in the second block
-        edges = [(0, i) for i in range(1, 4096)]
-        edges += [(0, 4096), (4096, 4097), (0, 4098), (4098, 4099)]
-        assert weak_diameter(Graph(range(4100), edges), range(4100)) == 4
-        # farthest pair (1, 4097): one in each block
-        edges = [(0, i) for i in range(2, 4097)] + [(1, 2), (4096, 4097)]
-        assert weak_diameter(Graph(range(4098), edges), range(4098)) == 4
+        for b in (1024, 4096):
+            # farthest pair (b + 1, b + 3): both in the block starting at b
+            edges = [(0, i) for i in range(1, b)]
+            edges += [(0, b), (b, b + 1), (0, b + 2), (b + 2, b + 3)]
+            assert weak_diameter(Graph(range(b + 4), edges), range(b + 4)) == 4
+            # farthest pair (1, b + 1): one in the first block, one in that one
+            edges = [(0, i) for i in range(2, b + 1)] + [(1, 2), (b, b + 1)]
+            assert weak_diameter(Graph(range(b + 2), edges), range(b + 2)) == 4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        size=st.sampled_from([0, 1, 2, 63, 64, 65, 1023, 1024, 1025, 1100])
+        | st.integers(0, 1200),
+        pool=st.sampled_from(["giant component", "all nodes", "isolated nodes"]),
+        split=st.booleans(),
+        form=st.sampled_from(["frozenset", "list with repeats", "generator"]),
+        seed=st.integers(0, 10_000),
+    )
+    @example(size=2, pool="isolated nodes", split=False, form="frozenset", seed=0)
+    @example(size=1025, pool="giant component", split=True, form="generator", seed=1)
+    @example(size=1025, pool="giant component", split=False, form="frozenset", seed=1)
+    def test_weak_diameter_against_all_pairs(self, size, pool, split, form, seed):
+        g, dist, pools = _lane_graph()
+        inf = np.iinfo(np.int32).max // 8
+        rng = np.random.default_rng(seed)
+        members = rng.choice(pools[pool], min(size, len(pools[pool])), replace=False)
+        pair = dist[np.ix_(members, members)]
+        worst = int(pair.max(initial=0))
+        expect = -1 if worst >= inf else worst
+        # relabel so that the farthest pair gets the lowest index and the
+        # lowest or the highest: one lane block, or two once size > 1,024
+        order = rng.permutation(g.n)
+        if len(members) > 1:
+            a, b = members[list(np.unravel_index(pair.argmax(), pair.shape))]
+            rest = [v for v in order.tolist() if v not in (a, b)]
+            order = np.array([a] + rest + [b] if split else [a, b] + rest)
+        new = np.empty(g.n, dtype=np.int64)
+        new[order] = np.arange(g.n)
+        h = Graph(range(g.n), [(new[a], new[b]) for a, b in g.edge_indices()])
+        ids = new[members].tolist()
+        if form == "frozenset":
+            given = frozenset(ids)
+        elif form == "generator":
+            given = (v for v in ids)
+        else:
+            given = ids + ids[: len(ids) // 2]
+            rng.shuffle(given)
+        assert weak_diameter(h, given) == expect
 
     def test_json_roundtrip(self):
         g = generate_graph("grid", {"rows": 3, "cols": 3}, 0)
@@ -224,6 +292,42 @@ class TestSameColorScan:
             assert rep.stats["max_weak_diameter"] == _pairwise_weak_diameter(g, dec)
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10_000), parts=st.integers(1, 12))
+    def test_disconnected_members_by_pairwise_distance(self, seed, parts):
+        # random partitions of a graph with several components
+        g = generate_graph("gnp", {"n": 40, "p": 0.04}, seed)
+        owner = np.random.default_rng(seed).integers(parts, size=g.n)
+        clusters = [
+            Cluster(id=i, center=int(np.flatnonzero(owner == i)[0]),
+                    members=frozenset(np.flatnonzero(owner == i).tolist()), color=i)
+            for i in range(parts) if (owner == i).any()
+        ]
+        apd = all_pairs_distances(g)
+        big = np.iinfo(np.int32).max // 8
+        want = [
+            f"cluster {c.id}: members disconnected in G" for c in clusters
+            if max(int(apd[u, v]) for u in c.members for v in c.members) >= big
+        ]
+        rep = validate_decomposition(g, Decomposition(1, clusters), check_trees=False)
+        assert [f for f in rep.failures if "disconnected" in f] == want
+        dec = Decomposition(1, clusters)
+        assert rep.stats["max_weak_diameter"] == max(0, _pairwise_weak_diameter(g, dec))
+
+
+def _uncovered_by_balls(g, clusters, k):
+    """Reference: the nodes whose k-ball, found by one BFS per node, lies in
+    no cluster."""
+    uncovered = []
+    for v in range(g.n):
+        reached: list[int] = []
+        _bfs_idx(g, [v], cap=k, reached=reached)
+        ball = set(reached)
+        if not any(ball <= c.members for c in clusters):
+            uncovered.append(v)
+    return uncovered
+
+
 class TestValidateCover:
     def test_star_single_cluster(self):
         g = _star(5)
@@ -271,6 +375,43 @@ class TestValidateCover:
         g, cs = self._p5_two_clusters()
         rep = validate_cover(g, NeighborhoodCover(k=2, clusters=cs))
         assert not rep.valid and 2 in rep.stats["uncovered_balls"]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        mean_degree=st.floats(0.5, 6.0),
+        k=st.integers(0, 3),
+        clusters=st.integers(0, 8),
+        seed=st.integers(0, 10_000),
+    )
+    def test_uncovered_balls_match_the_per_node_definition(
+        self, n, mean_degree, k, clusters, seed
+    ):
+        # clusters are balls of random radius around random centers, some
+        # with a member removed: covers with holes inside and at the edge
+        g = generate_graph("gnp", {"n": n, "p": min(1.0, mean_degree / n)}, seed)
+        rng = np.random.default_rng(seed)
+        cs = []
+        for i in range(clusters):
+            center = int(rng.integers(n))
+            ball: list[int] = []
+            _bfs_idx(g, [center], cap=int(rng.integers(0, 5)), reached=ball)
+            if len(ball) > 1 and rng.random() < 0.5:
+                ball.remove(ball[int(rng.integers(1, len(ball)))])
+            cs.append(Cluster(id=i, center=center, members=frozenset(ball)))
+        rep = validate_cover(g, NeighborhoodCover(k=k, clusters=cs))
+        want = _uncovered_by_balls(g, cs, k)
+        assert rep.stats["uncovered_balls"] == want
+        line = f"{len(want)} nodes have an uncovered {k}-ball"
+        assert rep.failures.count(line) == (1 if want else 0)
+
+    def test_dropped_cluster_of_a_cover(self):
+        g = generate_graph("gnp", {"n": 300, "p": 0.01, "largest_component": 1}, 2)
+        cover = cover_from_decomposition(g, 2, decompose(g, 4).decomposition)
+        for drop in cover.clusters:
+            rest = [c for c in cover.clusters if c is not drop]
+            rep = validate_cover(g, NeighborhoodCover(k=2, clusters=rest))
+            assert rep.stats["uncovered_balls"] == _uncovered_by_balls(g, rest, 2)
 
 
 class TestValidateMis:

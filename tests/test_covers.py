@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import shortest_path
 
-from netdecomp import covers
+from netdecomp import clustering, covers
 from netdecomp.clustering import Cluster, Decomposition, validate_cover
 from netdecomp.covers import (
     CoverError,
@@ -127,6 +127,22 @@ class TestCoverFromDecomposition:
                     tree_edges=frozenset((i, i + 1) for i in range(4)), color=0)
         ])  # node 5 is in no cluster
         with pytest.raises(CoverError, match="partition covers 5 of 6 nodes"):
+            cover_from_decomposition(g, 1, dec)
+
+    def test_checks_the_input_without_weak_diameters(self, monkeypatch):
+        # the cover reads only the verdicts, never the diameter stat
+        def unread(*args):
+            raise AssertionError("weak diameter computed for the cover")
+
+        monkeypatch.setattr(clustering, "weak_diameter", unread)
+        g = path(9)
+        cov = cover_from_decomposition(g, 1, decompose(g, 2).decomposition)
+        assert validate_cover(g, cov).valid
+        dec = Decomposition(k=2, clusters=[
+            Cluster(id=0, center=0, members=frozenset(range(5)),
+                    tree_edges=frozenset((i, i + 1) for i in range(4)), color=0)
+        ])
+        with pytest.raises(CoverError, match="partition covers 5 of 9 nodes"):
             cover_from_decomposition(g, 1, dec)
 
     def test_rejects_insufficient_separation(self):

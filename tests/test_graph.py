@@ -674,6 +674,30 @@ class TestBulkConstruction:
             Graph(ids, _given(ids, edges, as_array))
         assert str(exc.value) == _reference_message(ids, edges)
 
+    @pytest.mark.parametrize("top,searched", [(1999, False), (2000, True),
+                                              (2**40, True)])
+    def test_gapped_ids_below_four_times_n_map_through_a_lookup(
+        self, monkeypatch, top, searched
+    ):
+        # n = 500: the largest id decides between the lookup array and the
+        # binary search, and both give the reference graph
+        rng = np.random.default_rng(top % 97)
+        ids = sorted(rng.choice(1500, 499, replace=False).tolist()) + [top]
+        pairs = {tuple(sorted(p)) for p in rng.choice(500, (3000, 2)).tolist()
+                 if p[0] != p[1]}
+        edges = [(ids[a], ids[b]) if a % 2 else (ids[b], ids[a]) for a, b in pairs]
+        calls = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted",
+                            lambda *a, **kw: calls.append(1) or search(*a, **kw))
+        for given in (edges, np.array(edges, dtype=np.int64)):
+            assert Graph(ids, given).neighbors == _per_edge_construction(ids, edges)
+        assert bool(calls) == searched
+        bad = edges + [(ids[3], top + 1)]
+        with pytest.raises(GraphError) as exc:
+            Graph(ids, np.array(bad, dtype=np.int64))
+        assert str(exc.value) == _reference_message(ids, bad)
+
     @pytest.mark.parametrize("ids,edges", [
         ([], []),
         ([5], []),

@@ -18,7 +18,10 @@ included.  The digest of a simulated decomposition that marks clusters
 was recorded before the H-view came from one cluster-reach product and
 each cluster tree was built once.  The ``load_graph`` digests were
 recorded before graph construction and the JSON loader became bulk numpy
-operations; they pin ids, neighbor lists, weights and ``id_bits``.
+operations; they pin ids, neighbor lists, weights and ``id_bits``.  The
+validator digests on clusters of up to 2,000 members were recorded before
+weak diameters moved to packed uint64 lanes, connectivity to a component
+labelling and cover containment to one BFS per cluster.
 
 To print the digests of the code under test:
 
@@ -36,14 +39,28 @@ import numpy as np
 import pytest
 
 from netdecomp.clustering import (
+    Cluster,
     Decomposition,
+    NeighborhoodCover,
     decomposition_to_json,
+    validate_cover,
     validate_decomposition,
 )
 from netdecomp.carving import MetaGraph, ball_grow_refine, carve_decompose
-from netdecomp.covers import cover_mst, kruskal_oracle, mst_radius
+from netdecomp.covers import (
+    cover_from_decomposition,
+    cover_mst,
+    kruskal_oracle,
+    mst_radius,
+)
 from netdecomp.decompose import decompose
-from netdecomp.graphs import generate_graph, load_graph, random_weights
+from netdecomp.graphs import (
+    _bfs_idx,
+    connected_components,
+    generate_graph,
+    load_graph,
+    random_weights,
+)
 from netdecomp.mis import ghaffari_engine, mis_full, run_ghaffari
 from netdecomp.simulate import (
     SimConfig,
@@ -680,6 +697,97 @@ def test_decompose_sim_with_marks_matches_pinned_digest():
     assert marked_sim_output() == MARKED_SIM_EXPECTED
 
 
+# Validator reports on clusters above 64 members (one 64-bit word of
+# ``weak_diameter`` lanes) and across a lane block: the fast decompositions
+# of the benchmark's ``tree`` n=2000 k=3 and ``gnp`` n=2000 k=2 graphs and
+# their one-color recolorings; the whole graph as one cluster on a BFS tree
+# (1,957 and 2,000 members); a decomposition of ``gnp`` with its small
+# components kept whose largest cluster absorbs a cluster of another
+# component; and the k=1 cover of the ``gnp`` decomposition, whole and
+# with its largest cluster dropped.
+VALIDATOR_INPUTS = {
+    "tree n=2000 k=3": (("tree", {"n": 2000}, 3), 3),
+    "gnp n=2000 k=2": (
+        ("gnp", {"n": 2000, "p": 0.002, "largest_component": 1}, 3), 2
+    ),
+}
+VALIDATOR_EXPECTED = {
+    "tree n=2000 k=3": {
+        "validate":
+            "e5b56e66aebb99e2ba5c7c770fadf1ba3f5d8f959bb886e74fd4a41a70daabb2",
+        "validate one-color":
+            "8b09a78377d9fb9a5f57598df4b6651473e7e9fe6cdbb4bfb505d40cda1145a6",
+        "validate one cluster":
+            "68b7276a170a1047b2d2759d940e85a5b7fcb33de4b07960ff13ab58181ee2b7",
+    },
+    "gnp n=2000 k=2": {
+        "validate":
+            "8d14d55be1bdfd7e877b6a0355c7d9c8e9e45342ab7b033b5defc6fb4a1d6cd4",
+        "validate one-color":
+            "5b841d237d6e35617aca7378d75dc796a64b694395b51fb33815fa416525ec09",
+        "validate one cluster":
+            "ff3d18b5e002796af2a6adfe08cacd07d0a83ef07f0bed44da18845abc342ef4",
+        "validate disconnected cluster":
+            "07982da6ec338d56232a3a26643246fbb7f4fa8885aef22e1164e55b3b30dc06",
+        "validate_cover":
+            "88df819712f898ed8e1db50dc3e01bf2a0f9c21470fd541f32eca78de0c3235b",
+        "validate_cover dropped cluster":
+            "e268c72377d86fc25d9363a10fc1c683f3d58d2deb24a3fb93c01dd3de186fd0",
+    },
+}
+
+
+def _report(rep):
+    return _sha({"valid": rep.valid, "failures": rep.failures, "stats": rep.stats})
+
+
+def _bfs_tree_cluster(g):
+    parent: dict = {}
+    _bfs_idx(g, [0], parent=parent)
+    edges = frozenset((p, v) for v, p in parent.items() if v != p)
+    return Cluster(id=0, center=0, members=frozenset(parent), tree_edges=edges, color=0)
+
+
+def validator_outputs(name: str) -> dict[str, str]:
+    spec, k = VALIDATOR_INPUTS[name]
+    g = generate_graph(*spec)
+    dec = decompose(g, k).decomposition
+    one_color = Decomposition(
+        k, [dataclasses.replace(c, color=0) for c in dec.clusters]
+    )
+    out = {
+        "validate": _report(validate_decomposition(g, dec)),
+        "validate one-color": _report(validate_decomposition(g, one_color)),
+        "validate one cluster": _report(
+            validate_decomposition(g, Decomposition(k, [_bfs_tree_cluster(g)]))
+        ),
+    }
+    if spec[0] != "gnp":
+        return out
+    whole = generate_graph(spec[0], {**spec[1], "largest_component": 0}, spec[2])
+    clusters = decompose(whole, k).decomposition.clusters
+    labels = {v: i for i, comp in enumerate(connected_components(whole)) for v in comp}
+    big = max(clusters, key=lambda c: len(c.members))
+    other = next(c for c in clusters
+                 if labels[c.center] != labels[big.center])
+    merged = dataclasses.replace(big, members=big.members | other.members)
+    rest = [c for c in clusters if c is not big and c is not other]
+    out["validate disconnected cluster"] = _report(
+        validate_decomposition(whole, Decomposition(k, [merged] + rest))
+    )
+    cover = cover_from_decomposition(g, 1, dec)
+    out["validate_cover"] = _report(validate_cover(g, cover))
+    largest = max(cover.clusters, key=lambda c: len(c.members))
+    holed = NeighborhoodCover(1, [c for c in cover.clusters if c is not largest])
+    out["validate_cover dropped cluster"] = _report(validate_cover(g, holed))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(VALIDATOR_INPUTS))
+def test_validator_reports_match_pinned_digests(name):
+    assert validator_outputs(name) == VALIDATOR_EXPECTED[name]
+
+
 def _shuffled_edges(g, seed):
     """``g``'s edges by id in a seeded random order, each one flipped with
     probability 1/2, with its weight as a string if ``g`` is weighted."""
@@ -777,6 +885,7 @@ if __name__ == "__main__":
     _print_table("RANDOM_EXPECTED", RANDOM_INPUTS, random_outputs)
     _print_table("ENGINE_EXPECTED", ENGINE_INPUTS, engine_outputs)
     print(f"MARKED_SIM_EXPECTED = {json.dumps(marked_sim_output())}")
+    _print_table("VALIDATOR_EXPECTED", VALIDATOR_INPUTS, validator_outputs)
     print("LOAD_EXPECTED = {")
     with tempfile.TemporaryDirectory() as tmp:
         for name in LOAD_INPUTS:
