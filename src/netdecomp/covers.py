@@ -159,80 +159,53 @@ def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
 def mst_radius(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
     """μ(G, ω): over non-MST edges e={u,v}, the length of the shortest
     cycle through e in which e is heaviest, maximized.  None if some edge
-    exceeds ``cycle_cap``.  Trees have μ = 0 by convention."""
+    exceeds ``cycle_cap``.  Trees have μ = 0 by convention.  Computed by
+    ``_mu_lanes`` over the edges in cached ``g.rank`` order."""
     _require_weights(g)
-    if not _connected(g):
-        raise GraphError("mst_radius needs a connected graph")
-    mst = kruskal_oracle(g)
-    rank = g.rank
-    by_rank = [sorted((rank[(min(u, v), max(u, v))], v) for v in nb)
-               for u, nb in enumerate(g.neighbors)]
-    mu = 0
-    for (a, b), r in rank.items():
-        if (a, b) in mst:
-            continue
-        d = _lighter_distance(by_rank, a, b, r)
-        if d is None or d + 1 > cycle_cap:
-            return None
-        mu = max(mu, d + 1)
-    return mu
-
-
-def _lighter_distance(by_rank: list, a: int, b: int, r: int) -> Optional[int]:
-    """Shortest a-b hop distance using only edges of rank below r;
-    ``by_rank[u]`` lists u's (edge rank, neighbor) pairs in rank order."""
-    dist = {a: 0}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for rv, v in by_rank[u]:
-                if rv >= r:
-                    break
-                if v not in dist:
-                    dist[v] = dist[u] + 1
-                    if v == b:
-                        return dist[v]
-                    nxt.append(v)
-        frontier = nxt
-    return dist.get(b)
-
-
-def _connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return all(d >= 0 for d in _bfs_idx(g, [0]))
-
-
-# lanes per pass of ``mst_radius_scipy``: one 4,096-bit int per reached node
-_LANE_BLOCK = 4096
+    return _mu_lanes(g.n, g.rank, cycle_cap)
 
 
 def mst_radius_scipy(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
-    """Independent second oracle for μ, as one bit-parallel multi-source
-    BFS (Then et al., PVLDB 2014) that compares ``Fraction`` weights and
-    reads no weight rank.  The name is kept for its callers; the tests
-    compare it with one scipy BFS per edge.
+    """μ as ``mst_radius`` computes it, over an edge order sorted here by
+    ``Fraction`` weight instead of read from ``g.rank``; a wrong rank makes
+    the two disagree.  The name is kept for its callers; the tests compare
+    both with one scipy BFS per edge and with cycle enumeration."""
+    _require_weights(g)
+    return _mu_lanes(g.n, sorted(g.weights, key=g.weights.__getitem__),
+                     cycle_cap)
 
-    A sweep in ``Fraction`` order finds the non-MST edges: those whose
-    endpoints a union-find has already joined.  Lane l is the l-th of them,
+
+# lanes per pass of ``_mu_lanes``: one 4,096-bit int per reached node
+_LANE_BLOCK = 4096
+
+
+def _mu_lanes(
+    n: int, edges: Iterable[tuple[int, int]], cycle_cap: int
+) -> Optional[int]:
+    """μ over ``edges``, which come in increasing-weight order, as one
+    bit-parallel multi-source BFS (Then et al., PVLDB 2014).
+
+    The sweep in that order finds the non-MST edges: those whose endpoints
+    a union-find has already joined.  Lane l is the l-th of them,
     (a_l, b_l); its bit starts at a_l.  Each edge keeps c, the number of
     non-MST edges no heavier than itself, and crossing it clears the low c
     bits, so a lane walks only edges lighter than its own.  A lane ends
     when its bit first reaches b_l, and μ is 1 + the round in which the
     last lane ends.  Lanes go in blocks of ``_LANE_BLOCK``, so memory is
     O(n x 512 bytes)."""
-    _require_weights(g)
-    if not _connected(g):
-        raise GraphError("mst_radius needs a connected graph")
-    dsu = _DSU(g.n)
+    dsu = _DSU(n)
+    joins = 0
     lanes: list[tuple[int, int]] = []
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-    for a, b in sorted(g.weights, key=g.weights.__getitem__):
-        if not dsu.union(a, b):
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for a, b in edges:
+        if dsu.union(a, b):
+            joins += 1
+        else:
             lanes.append((a, b))
         adj[a].append((b, len(lanes)))
         adj[b].append((a, len(lanes)))
+    if joins < n - 1:
+        raise GraphError("mst_radius needs a connected graph")
     mu = 0
     for lo in range(0, len(lanes), _LANE_BLOCK):
         block = lanes[lo : lo + _LANE_BLOCK]

@@ -207,10 +207,16 @@ class TestMstRadius:
         assert mst_radius(four_cycle(), cycle_cap=3) is None
 
     def test_disconnected_rejected(self):
-        g = Graph([0, 1, 2, 3], [(0, 1), (2, 3)],
-                  {(0, 1): Fraction(1), (2, 3): Fraction(2)})
-        with pytest.raises(GraphError):
-            mst_radius(g)
+        two_edges = Graph([0, 1, 2, 3], [(0, 1), (2, 3)],
+                          {(0, 1): Fraction(1), (2, 3): Fraction(2)})
+        isolated_node = Graph(
+            [0, 1, 2, 3], [(0, 1), (1, 2), (0, 2)],
+            {(0, 1): Fraction(1), (1, 2): Fraction(2), (0, 2): Fraction(3)},
+        )
+        for g in (two_edges, isolated_node):
+            for mu_of in (mst_radius, mst_radius_scipy):
+                with pytest.raises(GraphError, match="needs a connected graph"):
+                    mu_of(g)
 
 
 # distinct rationals with many shared numerators and shared denominators
@@ -251,8 +257,8 @@ def _weighted_gnp(n, p, seed):
 
 
 class TestBitParallelMuOracle:
-    """``mst_radius_scipy`` against ``mst_radius`` and the per-query scipy
-    reference ``scipy_mu``."""
+    """The lane sweep both μ entry points share, against the per-query
+    scipy reference ``scipy_mu``."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -284,11 +290,17 @@ class TestBitParallelMuOracle:
     def test_lane_blocks_change_no_answer(self, block):
         for seed in range(3):
             g = _weighted_gnp(50, 0.15, seed)   # about 140 non-MST edges
-            mu = mst_radius(g)
+            mu = scipy_mu(g)
             with patch.object(covers, "_LANE_BLOCK", block):
-                assert mst_radius_scipy(g) == mu == scipy_mu(g)
-                assert mst_radius_scipy(g, mu) == mu
-                assert mst_radius_scipy(g, mu - 1) is None
+                for mu_of in (mst_radius, mst_radius_scipy):
+                    assert mu_of(g) == mu
+                    assert mu_of(g, mu) == mu
+                    assert mu_of(g, mu - 1) is None
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_criterion_10_scale(self, seed):
+        g = _weighted_gnp(300, 6 / 300, seed)
+        assert mst_radius(g) == scipy_mu(g)
 
     def test_ignores_weight_rank(self):
         # a wrong rank must not mislead the oracle along with mst_radius
@@ -296,6 +308,13 @@ class TestBitParallelMuOracle:
         mu = mst_radius_scipy(g)
         g._rank = {e: r for r, e in enumerate(reversed(list(g.rank)))}
         assert mst_radius_scipy(g) == mu == scipy_mu(g)
+
+    def test_wrong_rank_misleads_mst_radius(self):
+        # so comparing the two entry points catches a wrong g.rank
+        g = _weighted_gnp(40, 0.15, 1)
+        mu = mst_radius(g)
+        g._rank = {e: r for r, e in enumerate(reversed(list(g.rank)))}
+        assert mst_radius(g) != mu == mst_radius_scipy(g)
 
 
 class TestMstOracles:

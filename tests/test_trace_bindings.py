@@ -1,8 +1,10 @@
 """The traced benchmark (``perfbench/layers.py``) wraps functions by name in
 every module that binds them.  A refactor that renames such a function or
 drops a module's binding would break ``perfbench/run.py --trace 1``; these
-checks catch it in the unit tests."""
+checks catch it in the unit tests, and keep every other module-level
+import of ``src/netdecomp`` in use."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
@@ -39,3 +41,39 @@ def test_bfs_kernel_returns_a_full_distance_list():
         out = graphs._bfs_idx(g, [0], **kwargs)
         assert isinstance(out, list) and len(out) == g.n
         assert out[0] == 0
+
+
+def _unused_imports(source: str) -> set[str]:
+    """Names bound by the module-level imports of ``source`` that it never
+    reads and does not list in ``__all__``."""
+    tree = ast.parse(source)
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound |= {a.asname or a.name for a in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    exported = {
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    }
+    return bound - read - exported
+
+
+def test_no_dead_imports():
+    # a binding the tracer wraps in a module is used there even if unread
+    traced = {}
+    for _layer, name, consumers, _leaf in _wrapped():
+        for consumer in consumers:
+            traced.setdefault(consumer, set()).add(name)
+    src = Path(graphs.__file__).resolve().parent
+    dead = {
+        f"{path.stem}.{name}"
+        for path in src.glob("*.py")
+        for name in _unused_imports(path.read_text()) - traced.get(path.stem, set())
+    }
+    assert not dead, f"unused imports: {sorted(dead)}"
