@@ -3,8 +3,11 @@
 Runs one algorithm over a seed sweep on a generated or loaded graph and
 writes a single JSON report: per-seed output summary, validator verdict,
 round statistics, and invariant logs.  Exit status is 1 if any validator
-fails, 2 on bad arguments or input and 3 if an algorithm fails.  Reports
-contain no timestamps, so identical configs produce byte-identical files.
+fails, 2 on bad arguments or input and 3 if an algorithm fails.  An
+algorithm failure on one seed of a sweep is recorded as that seed's
+``{"seed": s, "error": "..."}`` entry and the sweep goes on; bad arguments
+or input abort it.  Reports contain no timestamps, so identical configs
+produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -189,7 +192,13 @@ def run_experiment(args) -> dict:
     seeds = parse_seeds(args.seeds)
     if not seeds:
         raise ConfigError(f"--seeds {args.seeds} selects no seed")
-    runs = [run_seed(args, s) for s in seeds]
+    runs = []
+    for s in seeds:
+        try:
+            runs.append(run_seed(args, s))
+        except NetdecompError as exc:  # exit 3: the other seeds still run
+            print(f"error: seed {s}: {exc}", file=sys.stderr)
+            runs.append({"seed": s, "error": f"{type(exc).__name__}: {exc}"})
     return {
         "schema_version": SCHEMA_VERSION,
         "config": {
@@ -204,7 +213,7 @@ def run_experiment(args) -> dict:
             "strict": args.strict,
         },
         "runs": runs,
-        "all_valid": all(r["valid"] for r in runs),
+        "all_valid": all(r.get("valid", False) for r in runs),
     }
 
 
@@ -267,6 +276,8 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     _emit(report, args.out)
+    if any("error" in r for r in report["runs"]):
+        return 3
     return 0 if report["all_valid"] else 1
 
 

@@ -9,12 +9,13 @@ independent all-pairs backend is used in tests to cross-check verdicts.
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import Graph, _bfs_idx, _malformed_json, connected_components
+from .graphs import Graph, _bfs_idx, _malformed_json
 
 
 @dataclass
@@ -90,6 +91,8 @@ def _check_tree(g: Graph, cluster: Cluster, rep: Report, strong: bool) -> Option
     if cluster.center not in cluster.members:
         rep.fail(f"cluster {cid}: center not a member")
         return None
+    if not cluster.tree_edges and len(cluster.members) == 1:
+        return {cluster.center: 0}
     edges = set()
     for a, b in cluster.tree_edges:
         if b not in g.neighbors[a]:
@@ -129,68 +132,163 @@ def _check_tree(g: Graph, cluster: Cluster, rep: Report, strong: bool) -> Option
     return dist
 
 
-# members per lane block of ``weak_diameter``: 16 words of 64 lanes
+# lanes per block of the weak-diameter kernel: 16 words of 64 lanes
 _LANES = 1024
-# frontier words that ``weak_diameter`` gathers at once (2 MB)
+# frontier words that a pull of a CSR tail gathers at once (2 MB)
 _PULL_WORDS = 1 << 18
+# _PREFIX[b] has the low b bits set, b = 0..64
+_PREFIX = np.array([(1 << b) - 1 for b in range(65)], dtype=np.uint64)
 
 
 def weak_diameter(g: Graph, members: Iterable[int]) -> int:
     """Max over member pairs of d_G; -1 if two members are disconnected in G.
-
-    One bit-parallel multi-source BFS (Then et al., PVLDB 2014) in packed
-    uint64 lanes.  Members go in blocks of ``_LANES`` = 1,024; member i of a
-    block owns bit i % 64 of word i // 64, so a block keeps ``seen`` and
-    ``frontier`` as (n, W) uint64 arrays, W = ceil(block / 64).  Bit i of
-    ``seen[v]`` is set once member i is within r hops of v.  A round pulls
-    the frontier over the CSR rows with ``bitwise_or.reduceat`` of
-    ``frontier[dst]``, in pieces of at most ``_PULL_WORDS`` gathered words
-    (rows without neighbours left out), and keeps the bits not yet seen.
-    The answer is the first r at which every member has every lane bit, the
-    maximum over blocks; -1 if the frontier empties first.  Memory is three
-    (n, W) arrays, O(n x block / 8) bytes, plus a 2 MB piece; a round costs
-    O((n + m) x W) word operations, so all members take
-    O(r x (n + m) x members / 64).  A set of at most one member is 0
-    without array work."""
+    A set of at most one member is 0 without array work; otherwise this is
+    ``_lane_rounds`` on the one set."""
     mem = members if isinstance(members, (set, frozenset)) else set(members)
     if len(mem) <= 1:
         return 0
-    mem = np.sort(np.fromiter(mem, dtype=np.int64, count=len(mem)))
-    indptr, dst = g._rows
-    # reduceat gives an empty row the element at its start, not 0
-    rows = np.flatnonzero(indptr[1:] > indptr[:-1])
-    starts = indptr[rows]
-    ends = np.append(starts, len(dst))
+    mem = np.fromiter(mem, dtype=np.int64, count=len(mem))
+    return _lane_rounds(g, mem, np.array([0, len(mem)]))
+
+
+def _lane_rounds(g: Graph, flat: np.ndarray, bounds: np.ndarray) -> int:
+    """The largest weak diameter of the member sets ``flat[bounds[i] :
+    bounds[i + 1]]`` (none empty); -1 if some set is not connected in G.
+
+    One bit-parallel multi-source BFS (Then et al., PVLDB 2014) in packed
+    uint64 lanes shared by all sets: position p of ``flat`` is lane p, and
+    lanes go in blocks of ``_LANES`` = 1,024 in set order, so a block holds
+    many small sets and a big set spans several blocks.  Lane i of a block
+    owns bit i % 64 of word i // 64.  ``unseen`` and ``frontier`` are (n, W)
+    uint64 arrays, W = ceil(block / 64), over the nodes in ``_PullPlan``
+    order; bit i of ``unseen[v]`` is cleared once lane i's member is within
+    r hops of v.  A round pulls the frontier over G's edges and keeps the
+    bits still unseen.  Each member row of a set with a lane in the block
+    needs the lanes of its own set there; a block ends at the first r at
+    which every row holds them, and the answer is the maximum over blocks;
+    -1 if a frontier empties first.  Memory is four (n, W) arrays, the
+    rows' (rows, W) masks and a piece of at most ``_PULL_WORDS`` words; a
+    round costs O((n + m) x W) word operations."""
+    plan = _PullPlan(g)
+    flat = plan.rank[flat]
+    sizes = np.diff(bounds)
     best = 0
-    for lo in range(0, len(mem), _LANES):
-        block = mem[lo : lo + _LANES]
-        lanes = np.arange(len(block))
-        words = (len(block) + 63) // 64
-        cuts = np.searchsorted(starts, np.arange(0, len(dst), _PULL_WORDS // words))
-        cuts = cuts.tolist() + [len(rows)]
-        pieces = [
-            (rows[a:b], dst[ends[a] : ends[b]], starts[a:b] - ends[a])
-            for a, b in zip(cuts, cuts[1:]) if a < b
-        ]
-        seen = np.zeros((g.n, words), dtype=np.uint64)
-        seen[block, lanes >> 6] = np.uint64(1) << (lanes & 63).astype(np.uint64)
-        full = np.full(words, np.iinfo(np.uint64).max, dtype=np.uint64)
-        full[-1] >>= np.uint64(64 * words - len(block))
-        frontier, pulled = seen.copy(), np.zeros_like(seen)
+    for lo in range(0, len(flat), _LANES):
+        hi = min(lo + _LANES, len(flat))
+        lanes = np.arange(hi - lo)
+        words = (hi - lo + 63) // 64
+        # sets s0..s1-1 have lanes here; a member row needs its set's lanes
+        s0 = int(np.searchsorted(bounds, lo, side="right")) - 1
+        s1 = int(np.searchsorted(bounds, hi, side="left"))
+        word_lo = 64 * np.arange(words)
+        begin = np.clip(bounds[s0:s1, None] - lo - word_lo, 0, 64)
+        end = np.clip(bounds[s0 + 1 : s1 + 1, None] - lo - word_lo, 0, 64)
+        need = np.repeat(_PREFIX[end] ^ _PREFIX[begin], sizes[s0:s1], axis=0)
+        wait = flat[bounds[s0] : bounds[s1]]
+        frontier = np.zeros((g.n, words), dtype=np.uint64)
+        # bitwise_or.at: overlapping sets may give one node two lanes
+        np.bitwise_or.at(frontier, (flat[lo:hi], lanes >> 6),
+                         np.uint64(1) << (lanes & 63).astype(np.uint64))
+        unseen = ~frontier
+        pulled = np.empty_like(frontier)
+        # overlapping sets may give more member rows than nodes
+        scratch = np.empty((max(g.n, len(wait)), words), dtype=np.uint64)
         r = 0
-        while not (seen[mem] == full).all():
+        while True:
+            missing = np.take(unseen, wait, axis=0, out=scratch[: len(wait)], mode="clip")
+            missing &= need
+            if not missing.any():
+                break
             if not frontier.any():
                 return -1  # disconnected in G: treated as invalid upstream
             r += 1
-            for at, nbrs, first in pieces:
-                pulled[at] = np.bitwise_or.reduceat(frontier[nbrs], first, axis=0)
-            # rows without neighbours keep an older frontier, a subset of seen
-            pulled |= seen
-            pulled ^= seen
+            plan.pull(frontier, pulled, scratch[: g.n])
+            pulled &= unseen
+            unseen ^= pulled
             frontier, pulled = pulled, frontier
-            seen |= frontier
         best = max(best, r)
     return best
+
+
+class _PullPlan:
+    """G's adjacency laid out for pulling packed lanes.
+
+    Nodes are renumbered by decreasing degree (node v becomes ``rank[v]``).
+    Column j holds the j-th neighbour of each of the first c_j nodes, the
+    ones with more than j neighbours, so one gather per column ORs it into
+    a prefix of the rows.  Columns stop before c_j drops below 64; the
+    further neighbours of the nodes still left stay a CSR tail, reduced with
+    ``bitwise_or.reduceat`` in pieces of at most ``_PULL_WORDS`` gathered
+    words."""
+
+    def __init__(self, g: Graph):
+        indptr, dst = g._rows
+        deg = np.diff(indptr)
+        order = np.argsort(-deg, kind="stable")
+        self.rank = np.empty(g.n, dtype=np.int64)
+        self.rank[order] = np.arange(g.n)
+        # c_j for j = 0 .. max degree - 1
+        counts = g.n - np.cumsum(np.bincount(deg, minlength=1))[:-1]
+        cols = int(np.count_nonzero(counts >= 64))
+        first = indptr[order]
+        self.columns = [(c, self.rank[dst[first[:c] + j]])
+                        for j, c in enumerate(counts[:cols].tolist())]
+        self.tail = int(counts[cols]) if cols < len(counts) else 0
+        more = deg[order[: self.tail]] - cols
+        self.tail_first = np.cumsum(more) - more
+        at = np.repeat(first[: self.tail] + cols - self.tail_first, more)
+        self.tail_dst = self.rank[dst[at + np.arange(len(at))]]
+
+    def pull(self, frontier: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
+        """out[v] = OR of frontier[u] over the neighbours u of v (0 if none);
+        ``scratch`` is an array like ``out`` that this overwrites."""
+        out[:] = 0
+        for c, col in self.columns:
+            np.take(frontier, col, axis=0, out=scratch[:c], mode="clip")
+            out[:c] |= scratch[:c]
+        step = max(1, _PULL_WORDS // frontier.shape[1])
+        cuts = np.searchsorted(self.tail_first, np.arange(0, len(self.tail_dst), step))
+        cuts = cuts.tolist() + [self.tail]
+        ends = np.append(self.tail_first, len(self.tail_dst))
+        for a, b in zip(cuts, cuts[1:]):
+            if a < b:
+                out[a:b] |= np.bitwise_or.reduceat(
+                    frontier[self.tail_dst[ends[a] : ends[b]]],
+                    self.tail_first[a:b] - ends[a], axis=0,
+                )
+
+
+def _separated(g: Graph, members: np.ndarray, labels: np.ndarray, k: int) -> bool:
+    """True iff no two members with different labels lie within k hops.
+
+    A node listed with two labels is a pair at distance 0.  Otherwise one
+    multi-source search from all members (scipy ``dijkstra``, unweighted,
+    stopped at k) gives every node v its distance d(v) to the nearest member
+    and the label lab(v) of that member, and some pair lies within k exactly
+    when some G-edge (u, v) has lab(u) != lab(v) and d(u) + 1 + d(v) <= k.
+    If such an edge exists, the members nearest to u and to v are at most
+    d(u) + 1 + d(v) hops apart.  Conversely, take a closest pair (a, b) with
+    different labels, at distance D <= k, and a shortest path x_0 = a, ...,
+    x_D = b.  lab(x_0) = lab(a) and lab(x_D) = lab(b), since a member is its
+    own nearest member, so the label changes across some edge (x_t, x_t+1),
+    and d(x_t) <= t, d(x_t+1) <= D - t - 1: the edge meets the test.  The
+    cost is one search and one pass over the CSR edges."""
+    from scipy.sparse.csgraph import dijkstra  # see _certify
+
+    owner = np.full(g.n, -1, dtype=np.int64)
+    owner[members] = labels
+    if (owner[members] != labels).any():
+        return False
+    if k < 1 or len(members) == 0:
+        return True
+    dist, _, source = dijkstra(
+        g.adjacency_csr(), indices=members, unweighted=True, limit=k,
+        min_only=True, return_predecessors=True,
+    )
+    lab = owner[np.maximum(source, 0)]  # unreached nodes have dist inf
+    indptr, dst = g._rows
+    src = np.repeat(np.arange(g.n), np.diff(indptr))
+    return not ((dist[src] + dist[dst] < k) & (lab[src] != lab[dst])).any()
 
 
 # -- validators ----------------------------------------------------------
@@ -201,11 +299,11 @@ def validate_decomposition(
 ) -> Report:
     """Certify the partition, the trees, connectivity in G, same-color
     separation (>= k+1 hops) and per-color tree edge-disjointness, and
-    measure the weak diameter."""
-    rep = _check_decomposition(g, dec, strong, check_trees)
-    rep.stats["max_weak_diameter"] = max(
-        [0] + [weak_diameter(g, c.members) for c in dec.clusters]
-    )
+    measure the weak diameter: one ``_lane_rounds`` over the multi-member
+    clusters that one component of G holds (the others are 0 or -1, below
+    the floor of 0)."""
+    rep, flat, bounds = _certify(g, dec, strong, check_trees)
+    rep.stats["max_weak_diameter"] = _lane_rounds(g, flat, bounds)
     return rep
 
 
@@ -213,53 +311,77 @@ def _check_decomposition(
     g: Graph, dec: Decomposition, strong: bool = False, check_trees: bool = True
 ) -> Report:
     """The verdicts of ``validate_decomposition`` and every stat but the weak
-    diameter.  Members are connected in G exactly when one connected
-    component holds them all."""
+    diameter."""
+    return _certify(g, dec, strong, check_trees)[0]
+
+
+def _certify(
+    g: Graph, dec: Decomposition, strong: bool, check_trees: bool
+) -> tuple[Report, np.ndarray, np.ndarray]:
+    """The report of ``_check_decomposition``, and the members of every
+    multi-member cluster that one component of G holds, concatenated in
+    cluster order, with the offsets where each starts (``_lane_rounds``'s
+    input).  One member array serves every check.  Members are connected
+    in G exactly when one component holds them all.  A color class with
+    more than one cluster is checked by ``_separated``; only a class that
+    fails it goes through ``_gap_failures``, which writes its lines."""
+    # imported on first use: scipy.sparse.csgraph loads scipy.sparse.linalg
+    # (about 11 MB and 0.1 s), which a run that checks no decomposition
+    # should not pay for
+    from scipy.sparse.csgraph import connected_components
+
     rep = Report(valid=True)
-    owner: dict[int, int] = {}
-    for c in dec.clusters:
-        for v in c.members:
-            if v in owner:
-                rep.fail(f"node {v} in clusters {owner[v]} and {c.id}")
-            owner[v] = c.id
-    if len(owner) != g.n:
-        rep.fail(f"partition covers {len(owner)} of {g.n} nodes")
+    clusters = dec.clusters
+    sizes = np.fromiter((len(c.members) for c in clusters), dtype=np.int64,
+                        count=len(clusters))
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    flat = np.fromiter(chain.from_iterable(c.members for c in clusters),
+                       dtype=np.int64, count=int(bounds[-1]))
+    covered = len(np.unique(flat))
+    if covered < len(flat):
+        owner: dict[int, int] = {}
+        for c in clusters:
+            for v in c.members:
+                if v in owner:
+                    rep.fail(f"node {v} in clusters {owner[v]} and {c.id}")
+                owner[v] = c.id
+    if covered != g.n:
+        rep.fail(f"partition covers {covered} of {g.n} nodes")
     if check_trees:
-        for c in dec.clusters:
+        for c in clusters:
             _check_tree(g, c, rep, strong=strong)
 
-    component = [0] * g.n
-    for i, comp in enumerate(connected_components(g)):
-        for v in comp:
-            component[v] = i
-    for c in dec.clusters:
-        if len({component[v] for v in c.members}) > 1:
-            rep.fail(f"cluster {c.id}: members disconnected in G")
+    whole = sizes >= 2
+    if whole.any():
+        # strong components of the symmetric CSR: no transposed copy
+        _, comp = connected_components(g.adjacency_csr(), connection="strong")
+        at = comp[flat]
+        nonempty = np.flatnonzero(sizes)
+        cut = bounds[nonempty]
+        split = np.zeros(len(clusters), dtype=bool)
+        split[nonempty] = np.minimum.reduceat(at, cut) != np.maximum.reduceat(at, cut)
+        for i in np.flatnonzero(split).tolist():
+            rep.fail(f"cluster {clusters[i].id}: members disconnected in G")
+        whole &= ~split
 
+    classes = dec.color_classes()
+    color_of = {color: i for i, color in enumerate(classes)}
+    cls = np.fromiter((color_of[c.color] for c in clusters), dtype=np.int64,
+                      count=len(clusters))
+    entry_cls = np.repeat(cls, sizes)
+    order = np.argsort(entry_cls, kind="stable")
+    cls_bounds = np.searchsorted(entry_cls[order], np.arange(len(classes) + 1))
+    by_class, pos = flat[order], np.repeat(np.arange(len(clusters)), sizes)[order]
     min_gap = None
     total_usage: Counter[tuple[int, int]] = Counter()
-    for color, group in dec.color_classes().items():
-        # positions in ``group`` of the clusters holding each node (more
-        # than one when clusters overlap)
-        holders: dict[int, list[int]] = {}
-        for j, c in enumerate(group):
-            for v in c.members:
-                holders.setdefault(v, []).append(j)
-        for i, c in enumerate(group):
-            reached: list[int] = []
-            dist = _bfs_idx(g, sorted(c.members), cap=dec.k, reached=reached)
-            gaps: dict[int, int] = {}
-            for v in reached:  # distance order: the first hit is the gap
-                for j in holders.get(v, ()):
-                    if j > i and j not in gaps:
-                        gaps[j] = dist[v]
-            for j in sorted(gaps):
-                gap = gaps[j]
-                min_gap = gap if min_gap is None else min(min_gap, gap)
-                rep.fail(
-                    f"color {color}: clusters {c.id},{group[j].id} at distance "
-                    f"{gap} <= k={dec.k}"
-                )
+    for i, (color, group) in enumerate(classes.items()):
+        if len(group) > 1:
+            lo, hi = cls_bounds[i], cls_bounds[i + 1]
+            if not (isinstance(dec.k, int)
+                    and _separated(g, by_class[lo:hi], pos[lo:hi], dec.k)):
+                gap = _gap_failures(g, color, group, dec.k, rep)
+                if gap is not None:
+                    min_gap = gap if min_gap is None else min(min_gap, gap)
         usage: dict[tuple[int, int], int] = {}
         for c in group:
             for a, b in c.tree_edges:
@@ -275,7 +397,39 @@ def _check_decomposition(
         "min_same_color_gap": min_gap,
         "max_edge_overlap": max(total_usage.values(), default=0),
     }
-    return rep
+    keep = np.repeat(whole, sizes)
+    return rep, flat[keep], np.concatenate(([0], np.cumsum(sizes[whole])))
+
+
+def _gap_failures(
+    g: Graph, color, group: list[Cluster], k: int, rep: Report
+) -> Optional[int]:
+    """One BFS per cluster of a color class: a failure line for every pair
+    of its clusters within k hops, in cluster order; the smallest such gap,
+    or None."""
+    min_gap = None
+    # positions in ``group`` of the clusters holding each node (more than
+    # one when clusters overlap)
+    holders: dict[int, list[int]] = {}
+    for j, c in enumerate(group):
+        for v in c.members:
+            holders.setdefault(v, []).append(j)
+    for i, c in enumerate(group):
+        reached: list[int] = []
+        dist = _bfs_idx(g, sorted(c.members), cap=k, reached=reached)
+        gaps: dict[int, int] = {}
+        for v in reached:  # distance order: the first hit is the gap
+            for j in holders.get(v, ()):
+                if j > i and j not in gaps:
+                    gaps[j] = dist[v]
+        for j in sorted(gaps):
+            gap = gaps[j]
+            min_gap = gap if min_gap is None else min(min_gap, gap)
+            rep.fail(
+                f"color {color}: clusters {c.id},{group[j].id} at distance "
+                f"{gap} <= k={k}"
+            )
+    return min_gap
 
 
 def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:

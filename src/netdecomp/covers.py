@@ -26,6 +26,7 @@ from .graphs import (
     _bfs_idx,
     induced_edges,
     path_union,
+    weight_key,
 )
 
 
@@ -130,11 +131,12 @@ def kruskal_oracle(g: Graph) -> frozenset[tuple[int, int]]:
 
 def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
     """Independent second oracle: Prim from each unvisited node.  The heap
-    holds each edge's position in ``Fraction`` weight order, sorted here
-    and not read from ``g.rank``; weights are distinct, so positions order
-    edges as the weights do."""
+    holds each edge's position in ``Fraction`` weight order (``weight_key``),
+    sorted here and not read from ``g.rank``; weights are distinct, so
+    positions order edges as the weights do."""
     _require_weights(g)
-    order = sorted(g.weights, key=g.weights.__getitem__)
+    w = g.weights
+    order = sorted(w, key=lambda e: weight_key(w[e]))
     pos = {e: i for i, e in enumerate(order)}
     seen = [False] * g.n
     tree = set()
@@ -167,12 +169,13 @@ def mst_radius(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
 
 def mst_radius_scipy(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
     """μ as ``mst_radius`` computes it, over an edge order sorted here by
-    ``Fraction`` weight instead of read from ``g.rank``; a wrong rank makes
-    the two disagree.  The name is kept for its callers; the tests compare
-    both with one scipy BFS per edge and with cycle enumeration."""
+    ``Fraction`` weight (``weight_key``) instead of read from ``g.rank``; a
+    wrong rank makes the two disagree.  The name is kept for its callers;
+    the tests compare both with one scipy BFS per edge and with cycle
+    enumeration."""
     _require_weights(g)
-    return _mu_lanes(g.n, sorted(g.weights, key=g.weights.__getitem__),
-                     cycle_cap)
+    w = g.weights
+    return _mu_lanes(g.n, sorted(w, key=lambda e: weight_key(w[e])), cycle_cap)
 
 
 # lanes per pass of ``_mu_lanes``: one 4,096-bit int per reached node

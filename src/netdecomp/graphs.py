@@ -160,7 +160,8 @@ class Graph:
         order; cached.  Weights are distinct, so ranks order edges as they do."""
         assert self.weights is not None
         if self._rank is None:
-            order = sorted(self.weights, key=self.weights.__getitem__)
+            w = self.weights
+            order = sorted(w, key=lambda e: weight_key(w[e]))
             self._rank = {e: r for r, e in enumerate(order)}
         return self._rank
 
@@ -200,6 +201,18 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m}, id_bits={self.id_bits})"
+
+
+def weight_key(w: Fraction) -> tuple[float, Fraction]:
+    """Sort key that orders weights exactly as their ``Fraction`` values do,
+    comparing floats first: rounding is monotone, so the float order never
+    contradicts the exact one, and only weights whose floats tie compare as
+    ``Fraction``.  A weight beyond the float range (about 1e308) keys as
+    inf."""
+    try:
+        return float(w), w
+    except OverflowError:
+        return math.inf, w
 
 
 def symmetric_csr(

@@ -566,40 +566,48 @@ def bounded_flood_oracle(
     g: Graph, sources: dict[int, tuple[int, Any]], hops: int, fanin: int
 ) -> list[set[tuple[int, Any]]]:
     """Centralized reference: BFS ball of each origin (union over its source
-    nodes), then per node the fanin smallest in-range origins.  Uses boolean
-    sparse matrix powers."""
-    from scipy import sparse
-
-    n = g.n
-    adj = g.adjacency_csr().astype(bool)
+    nodes), then per node the fanin smallest in-range origins
+    (``_smallest_in_reach``)."""
     payload_of: dict[int, Any] = {}
     members: dict[int, list[int]] = {}
     for i, (origin, payload) in sources.items():
         payload_of[origin] = payload
         members.setdefault(origin, []).append(i)
     origins = sorted(members)
-    rows, cols = [], []
-    for r, origin in enumerate(origins):
-        for i in members[origin]:
-            rows.append(r)
-            cols.append(i)
+    items = np.empty(len(origins), dtype=object)
+    items[:] = [(origin, payload_of[origin]) for origin in origins]
+    rows, ptr = _smallest_in_reach(g, [members[o] for o in origins], hops, fanin)
+    kept = items[rows]
+    return [set(kept[a:b]) for a, b in zip(ptr, ptr[1:])]
+
+
+def _smallest_in_reach(
+    g: Graph, groups: list[list[int]], hops: int, fanin: int
+) -> tuple[np.ndarray, list[int]]:
+    """For each node, the positions of the first ``fanin`` groups within
+    ``hops`` of it, in ascending order, concatenated over the nodes, and
+    the offsets where each node's run starts.  Uses boolean sparse matrix
+    powers and keeps each column's first ``fanin`` rows with one rank mask;
+    the matrices are freed on return, before the caller builds its sets."""
+    from scipy import sparse
+
+    adj = g.adjacency_csr().astype(bool)
+    rows = np.repeat(np.arange(len(groups)), [len(m) for m in groups])
+    cols = [i for m in groups for i in m]
     reach = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)),
-        shape=(len(origins), n),
+        (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(len(groups), g.n)
     )
     acc = reach.copy()
     for _ in range(hops):
         reach = (reach @ adj).astype(bool)
         acc = (acc + reach).astype(bool)
-    out: list[set] = [set() for _ in range(n)]
-    csc = acc.tocsc()  # row order == ascending origin id
-    assert csc.has_sorted_indices  # so a column's first fanin rows are its smallest
-    ptr = csc.indptr.tolist()
-    for col in range(n):
-        for r in csc.indices[ptr[col] : min(ptr[col + 1], ptr[col] + fanin)].tolist():
-            origin = origins[r]
-            out[col].add((origin, payload_of[origin]))
-    return out
+    csc = acc.tocsc()  # row order == group order
+    assert csc.has_sorted_indices  # so a column's first fanin rows are its first
+    counts = np.diff(csc.indptr)
+    rank = np.arange(csc.nnz, dtype=csc.indptr.dtype)
+    rank -= np.repeat(csc.indptr[:-1], counts)
+    ptr = np.concatenate(([0], np.cumsum(np.minimum(counts, fanin)))).tolist()
+    return csc.indices[rank < fanin], ptr
 
 
 # -- cluster trees -------------------------------------------------------

@@ -132,6 +132,29 @@ class TestExperiments:
         assert main(["--gen", "gnp:n=4,p=0", "--algo", "mst"]) == 2
         assert "connected" in capsys.readouterr().err
 
+    def test_graph_error_aborts_a_sweep(self, tmp_path, capsys):
+        out = tmp_path / "r.json"
+        argv = ["--gen", "gnp:n=4,p=0", "--algo", "mst", "--seeds", "0-2",
+                "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
+    def test_algorithm_error_on_one_seed_keeps_the_sweep(self, tmp_path, capsys):
+        # grid 3x3 has MST-radius 6 at seed 0 and 4 at seed 1 (MST_RUNS)
+        out = tmp_path / "r.json"
+        argv = ["--gen", "grid:rows=3,cols=3", "--algo", "mst", "--seeds", "0,1",
+                "--mu", "5", "--out", str(out)]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "error: seed 0: supplied mu=5 below MST-radius 6\n"
+        )
+        report = read(out)
+        first, second = report["runs"]
+        assert first == {"seed": 0, "error": "MstError: supplied mu=5 below MST-radius 6"}
+        assert second["seed"] == 1 and second["valid"] and second["mst_radius"] == 4
+        assert report["all_valid"] is False
+
     @pytest.mark.parametrize("algo", ["netdecomp", "cover"])
     def test_k_below_one_is_config_error(self, capsys, algo):
         assert main(["--gen", "path:n=5", "--algo", algo, "--k", "0"]) == 2

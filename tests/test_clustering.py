@@ -1,12 +1,14 @@
 """Validator tests: decomposition separation, cover clauses, MIS, ruling sets."""
 
 import functools
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from netdecomp import clustering
 from netdecomp.clustering import (
     Cluster,
     Decomposition,
@@ -18,6 +20,8 @@ from netdecomp.clustering import (
     validate_decomposition,
     validate_mis,
     _LANES,
+    _PullPlan,
+    _separated,
     validate_ruling_set,
     weak_diameter,
 )
@@ -29,6 +33,7 @@ from netdecomp.graphs import (
     all_pairs_distances,
     connected_components,
     generate_graph,
+    voronoi_cells,
 )
 
 
@@ -313,6 +318,179 @@ class TestSameColorScan:
         assert [f for f in rep.failures if "disconnected" in f] == want
         dec = Decomposition(1, clusters)
         assert rep.stats["max_weak_diameter"] == max(0, _pairwise_weak_diameter(g, dec))
+
+
+def _within(apd, c, c2, k):
+    return min(int(apd[u, v]) for u in c.members for v in c2.members) <= k
+
+
+class TestSeparationSearch:
+    """One search per color class (``_separated``) against Floyd-Warshall:
+    its verdict per class, and the failure lines and gap of the report,
+    which only the classes it rejects get from the per-cluster BFS."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.sampled_from(["gnp", "grid"]),
+        n=st.integers(40, 120),
+        mean_degree=st.floats(0.8, 5.0),
+        k=st.integers(1, 4),
+        source=st.sampled_from(["decompose", "voronoi"]),
+        palette=st.integers(1, 6),
+        overlaps=st.integers(0, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_verdicts_and_lines_match_floyd_warshall(
+        self, shape, n, mean_degree, k, source, palette, overlaps, seed
+    ):
+        # gnp below mean degree ~1 has many components
+        if shape == "gnp":
+            g = generate_graph("gnp", {"n": n, "p": mean_degree / n}, seed)
+        else:
+            g = generate_graph("grid", {"rows": n // 10, "cols": 10}, seed)
+        rng = np.random.default_rng(seed)
+        if source == "decompose":
+            groups = [c.members for c in decompose(g, k).decomposition.clusters]
+        else:
+            owner = np.array(voronoi_cells(
+                g, [[int(v)] for v in rng.choice(g.n, 1 + g.n // 8, replace=False)]))
+            owner[owner < 0] = owner.max() + 1 + np.flatnonzero(owner < 0)
+            groups = [frozenset(np.flatnonzero(owner == i).tolist())
+                      for i in np.unique(owner).tolist()]
+        groups = [set(m) for m in groups]
+        for _ in range(overlaps):  # one more member, taken from anywhere
+            groups[int(rng.integers(len(groups)))].add(int(rng.integers(g.n)))
+        clusters = [
+            Cluster(i, min(m), frozenset(m), color=int(rng.integers(palette)))
+            for i, m in enumerate(groups)
+        ]
+        dec = Decomposition(k, clusters)
+        rep = validate_decomposition(g, dec, check_trees=False)
+        lines, gap = _pairwise_same_color(g, dec)
+        assert _same_color_lines(rep) == lines
+        assert rep.stats["min_same_color_gap"] == gap
+        apd = all_pairs_distances(g)
+        for group in dec.color_classes().values():
+            members = np.array([v for c in group for v in c.members])
+            labels = np.repeat(np.arange(len(group)), [len(c.members) for c in group])
+            near = any(_within(apd, c, c2, k)
+                       for i, c in enumerate(group) for c2 in group[i + 1 :])
+            assert _separated(g, members, labels, k) == (not near)
+
+    def test_pair_at_exactly_k_and_k_plus_one(self):
+        # on a path, labels 0 and 1 at distance d: separated iff d > k
+        g = generate_graph("path", {"n": 12}, 0)
+        for d in range(1, 8):
+            members, labels = np.array([2, 2 + d]), np.array([0, 1])
+            for k in range(1, 8):
+                assert _separated(g, members, labels, k) == (d > k)
+
+    def test_node_with_two_labels_is_not_separated(self):
+        g = generate_graph("path", {"n": 5}, 0)
+        assert not _separated(g, np.array([1, 3, 1]), np.array([0, 1, 1]), 1)
+        assert _separated(g, np.array([1, 4]), np.array([0, 1]), 2)
+
+    def test_valid_grid_makes_no_per_cluster_bfs(self):
+        g = generate_graph("grid", {"rows": 30, "cols": 30}, 0)
+        dec = decompose(g, 2).decomposition
+        with patch.object(clustering, "_bfs_idx", wraps=clustering._bfs_idx) as bfs:
+            rep = validate_decomposition(g, dec)
+        assert rep.valid and bfs.call_count == 0
+
+
+class TestSharedLaneBlocks:
+    """Weak diameters from lane blocks that clusters share.  ``_LANES`` is
+    patched to 64, so small clusters straddle block edges and a big one
+    spans three blocks or more."""
+
+    def test_segments_of_two_paths(self):
+        # a 400-node path and a 10-node path.  The clusters are segments of
+        # the long path, of 30, 50, 140, 45, 100 and 35 nodes (lanes 30..79
+        # straddle lane 64; lanes 80..219 span three blocks), the last one
+        # joined with 5 nodes of the short path (disconnected in G), and
+        # the other 5 nodes of the short path.
+        edges = [(i, i + 1) for i in range(399)] + [(i, i + 1) for i in range(400, 409)]
+        g = Graph(range(410), edges)
+        cuts = np.cumsum([0, 30, 50, 140, 45, 100, 35]).tolist()
+        groups = [set(range(a, b)) for a, b in zip(cuts, cuts[1:])]
+        groups[-1] |= set(range(400, 405))
+        groups.append(set(range(405, 410)))
+        clusters = [Cluster(i, min(m), frozenset(m), color=i) for i, m in enumerate(groups)]
+        dec = Decomposition(1, clusters)
+        want = validate_decomposition(g, dec, check_trees=False)
+        with patch.object(clustering, "_LANES", 64):
+            rep = validate_decomposition(g, dec, check_trees=False)
+        assert rep.stats["max_weak_diameter"] == want.stats["max_weak_diameter"] == 139
+        assert rep.failures == want.failures == ["cluster 5: members disconnected in G"]
+        assert _pairwise_weak_diameter(g, dec) == 139
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        n=st.integers(200, 300),
+        mean_degree=st.floats(2.5, 4.0),
+        parts=st.integers(5, 40),
+        big_at=st.integers(0, 40),
+        seed=st.integers(0, 10_000),
+    )
+    def test_max_weak_diameter_matches_all_pairs(self, n, mean_degree, parts, big_at, seed):
+        g = generate_graph("gnp", {"n": n, "p": mean_degree / n}, seed)
+        rng = np.random.default_rng(seed)
+        giant = max(connected_components(g), key=len)
+        assume(len(giant) >= 140)
+        # 140 members of the giant component span at least three blocks;
+        # the other nodes go to random clusters, some of them disconnected
+        big = frozenset(rng.choice(giant, 140, replace=False).tolist())
+        rest = np.array([v for v in range(g.n) if v not in big])
+        owner = rng.integers(parts, size=len(rest))
+        groups = [frozenset(rest[owner == i].tolist()) for i in range(parts)]
+        groups = [m for m in groups if m]
+        groups.insert(min(big_at, len(groups)), big)
+        clusters = [Cluster(i, min(m), m, color=i) for i, m in enumerate(groups)]
+        dec = Decomposition(1, clusters)
+        with patch.object(clustering, "_LANES", 64):
+            rep = validate_decomposition(g, dec, check_trees=False)
+        # the lane sets are the multi-member clusters connected in G, and
+        # the big one spans three blocks or more
+        _, flat, bounds = clustering._certify(g, dec, False, False)
+        sets = [frozenset(flat[a:b].tolist()) for a, b in zip(bounds, bounds[1:])]
+        split = [f"cluster {c.id}: members disconnected in G" in rep.failures
+                 for c in clusters]
+        assert sets == [c.members for c, cut in zip(clusters, split)
+                        if len(c.members) > 1 and not cut]
+        lo = int(bounds[sets.index(big)])
+        assert (lo + 139) // 64 - lo // 64 >= 2
+        assert rep.stats["max_weak_diameter"] == _pairwise_weak_diameter(g, dec)
+        assert rep.stats == validate_decomposition(g, dec, check_trees=False).stats
+
+
+class TestPullPlan:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 200),
+        mean_degree=st.floats(0.0, 8.0),
+        hub=st.floats(0.0, 1.0),
+        words=st.integers(1, 3),
+        piece=st.sampled_from([1, 5, 1 << 18]),
+        seed=st.integers(0, 10_000),
+    )
+    def test_pull_ors_every_neighbour(self, n, mean_degree, hub, words, piece, seed):
+        # gnp plus a hub joined to a share of the nodes: high-degree rows in
+        # the CSR tail, and isolated nodes with nothing to pull
+        g = generate_graph("gnp", {"n": n, "p": min(1.0, mean_degree / n)}, seed)
+        rng = np.random.default_rng(seed)
+        spokes = [(n, v) for v in range(n) if rng.random() < hub]
+        g = Graph(range(n + 1), g.edges_by_id() + spokes)
+        plan = _PullPlan(g)
+        frontier = rng.integers(0, 1 << 62, size=(g.n, words)).astype(np.uint64)
+        want = np.zeros_like(frontier)
+        for v in range(g.n):
+            for u in g.neighbors[v]:
+                want[plan.rank[v]] |= frontier[plan.rank[u]]
+        out, scratch = np.full_like(frontier, 7), np.empty_like(frontier)
+        with patch.object(clustering, "_PULL_WORDS", piece):
+            plan.pull(frontier, out, scratch)
+        assert np.array_equal(out, want)
+        assert sorted(plan.rank.tolist()) == list(range(g.n))
 
 
 def _uncovered_by_balls(g, clusters, k):

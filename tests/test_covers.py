@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from typing import Optional
 from unittest.mock import patch
@@ -23,7 +24,13 @@ from netdecomp.covers import (
     prim_oracle,
 )
 from netdecomp.decompose import decompose
-from netdecomp.graphs import Graph, GraphError, generate_graph, random_weights
+from netdecomp.graphs import (
+    Graph,
+    GraphError,
+    generate_graph,
+    random_weights,
+    weight_key,
+)
 
 
 def path(n):
@@ -247,6 +254,35 @@ class TestRanksAgainstFractionOracles:
         assert mu == mst_radius_scipy(g) == scipy_mu(g)
         if g.n <= 8:
             assert mu == cycle_enumeration_mu(g)
+
+
+# one float for the first six weights, and beyond the float range (inf)
+# for the last three
+TIED_WEIGHTS = ([Fraction(1, 3) + Fraction(j, 10**30) for j in range(6)]
+                + [Fraction(10**400 + j) for j in range(3)])
+
+
+class TestWeightOrder:
+    """``Graph.rank``, ``prim_oracle`` and ``mst_radius_scipy`` sort by
+    ``weight_key``: floats first, ``Fraction`` only where the floats tie."""
+
+    def test_keys_tie_only_where_floats_do(self):
+        assert len({float(w) for w in TIED_WEIGHTS[:6]}) == 1
+        with pytest.raises(OverflowError):
+            float(TIED_WEIGHTS[-1])
+        assert {weight_key(w)[0] for w in TIED_WEIGHTS[6:]} == {math.inf}
+        assert sorted(TIED_WEIGHTS[::-1], key=weight_key) == TIED_WEIGHTS
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tied_floats_order_as_fractions(self, seed):
+        # a wheel: hub 0 and rim 1..9, every rim edge on a triangle
+        edges = [(0, i) for i in range(1, 10)] + [(i, i % 9 + 1) for i in range(1, 10)]
+        weights = [Fraction(j + 1, 7) for j in range(9)] + TIED_WEIGHTS
+        np.random.default_rng(seed).shuffle(weights)
+        g = Graph(range(10), edges, dict(zip(edges, weights)))
+        assert list(g.rank) == sorted(g.weights, key=g.weights.__getitem__)
+        assert kruskal_oracle(g) == prim_oracle(g)
+        assert mst_radius(g) == mst_radius_scipy(g) == scipy_mu(g)
 
 
 def _weighted_gnp(n, p, seed):
