@@ -9,8 +9,8 @@ Every distributed output is checked against an independent centralized
 oracle.
 """
 
-from .graphs import Graph, generate_graph, load_graph, power_graph
+from .graphs import Graph, generate_graph, load_graph
 
-__all__ = ["Graph", "generate_graph", "load_graph", "power_graph"]
+__all__ = ["Graph", "generate_graph", "load_graph"]
 
 __version__ = "0.1.0"

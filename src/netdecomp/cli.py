@@ -143,7 +143,8 @@ def run_seed(args, seed: int) -> dict:
         else:
             dec, logs = ball_grow_refine(h, inter)
             entry["phases"] = len(logs)
-        rep = validate_decomposition(g, dec)
+        # both refinements build each tree inside its cluster
+        rep = validate_decomposition(g, dec, strong=True)
         entry.update(
             valid=rep.valid, failures=rep.failures, stats=rep.stats,
             colors=dec.colors_used,

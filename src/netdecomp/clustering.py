@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import Graph, _bfs_idx, _malformed_json
+from .graphs import Graph, _bfs_idx, _json_int, _malformed_json
 
 
 @dataclass
@@ -281,6 +281,7 @@ def _separated(g: Graph, members: np.ndarray, labels: np.ndarray, k: int) -> boo
         return False
     if k < 1 or len(members) == 0:
         return True
+    k = min(k, g.n)  # no distance reaches n; a k past the float range would overflow
     dist, _, source = dijkstra(
         g.adjacency_csr(), indices=members, unweighted=True, limit=k,
         min_only=True, return_predecessors=True,
@@ -534,19 +535,22 @@ def decomposition_to_json(g: Graph, dec: Decomposition) -> dict:
 
 
 def decomposition_from_json(g: Graph, data: dict) -> Decomposition:
+    what = "decomposition JSON"
     clusters = []
-    with _malformed_json("decomposition JSON"):
+    with _malformed_json(what):
         for c in data["clusters"]:
+            color = c.get("color")
             clusters.append(
                 Cluster(
-                    id=c["id"],
+                    id=_json_int(c["id"], f"{what}: cluster id"),
                     center=g.index_of(c["center"]),
                     members=frozenset(g.index_of(v) for v in c["members"]),
                     tree_edges=frozenset(
                         (g.index_of(a), g.index_of(b)) for a, b in c["tree_edges"]
                     ),
-                    color=c.get("color"),
+                    color=None if color is None else _json_int(color, f"{what}: color"),
                 )
             )
-        return Decomposition(k=data["k"], clusters=clusters)
+        return Decomposition(k=_json_int(data["k"], f"{what}: k", least=1),
+                             clusters=clusters)
 

@@ -251,39 +251,6 @@ def _mu_lanes(
     return mu
 
 
-def cycle_enumeration_mu(g: Graph, max_len: int = 12) -> int:
-    """Brute-force second oracle for μ on small graphs: enumerate all
-    simple cycles up to ``max_len`` through every non-MST edge (depth-first
-    over simple paths of strictly lighter edges)."""
-    _require_weights(g)
-    mst = kruskal_oracle(g)
-    rank = g.rank
-    mu = 0
-    for a, b in g.weights:
-        if (a, b) in mst:
-            continue
-        r = rank[(a, b)]
-        best = None
-        stack = [(a, {a}, 0)]
-        while stack:
-            u, visited, length = stack.pop()
-            if best is not None and length + 1 >= best:
-                continue
-            for v in g.neighbors[u]:
-                if rank[(min(u, v), max(u, v))] >= r or v in visited:
-                    continue
-                if v == b:
-                    cycle_len = length + 2  # path edges + the edge e itself
-                    if best is None or cycle_len < best:
-                        best = cycle_len
-                elif length + 1 < max_len - 1:
-                    stack.append((v, visited | {v}, length + 1))
-        if best is None:
-            raise MstError(f"no cycle of length <= {max_len} for edge ({a},{b})")
-        mu = max(mu, best)
-    return mu
-
-
 # -- cover-based MST -----------------------------------------------------
 
 RULE_A_EXCLUDED = "rule_A_excluded"

@@ -1,6 +1,6 @@
 """Immutable graph representation, generators, file ingestion and the
-centralized distance oracles (BFS, all-pairs, power graphs) that every
-validator in this package is built on.
+BFS kernel, Voronoi cells and subgraph operations that the algorithms and
+validators of this package are built on.
 
 Node identifiers are arbitrary non-negative integers; internally all
 algorithms work on dense indices 0..n-1 in ascending-id order, so id
@@ -14,7 +14,6 @@ import gc
 import json
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Container, Iterable, Mapping, MutableMapping, Optional, Sequence
 
@@ -28,30 +27,6 @@ class GraphError(ValueError):
 
 class NetdecompError(RuntimeError):
     """An algorithm or the simulator failed on a well-formed input."""
-
-
-def log_star(x: float) -> int:
-    """Iterated base-2 logarithm: number of log2 applications until <= 1."""
-    if x < 0:
-        raise ValueError("log_star undefined for negative values")
-    count = 0
-    v = float(x)
-    while v > 1.0:
-        v = math.log2(v)
-        count += 1
-    return count
-
-
-@dataclass(frozen=True)
-class DistanceMap:
-    """Exact hop distances from ``source``; nodes beyond ``cap`` are absent."""
-
-    source: int
-    dist: dict[int, int]
-    cap: Optional[int] = None
-
-    def get(self, node: int) -> Optional[int]:
-        return self.dist.get(node)
 
 
 class Graph:
@@ -149,10 +124,6 @@ class Graph:
     @property
     def m(self) -> int:
         return sum(len(a) for a in self.neighbors) // 2
-
-    def weight_of(self, a: int, b: int) -> Fraction:
-        assert self.weights is not None
-        return self.weights[(min(a, b), max(a, b))]
 
     @property
     def rank(self) -> dict[tuple[int, int], int]:
@@ -380,8 +351,17 @@ def _malformed_json(what: str):
         yield
     except KeyError as exc:
         raise GraphError(f"{what}: missing key {exc}") from None
-    except (TypeError, IndexError, AttributeError) as exc:
+    except (TypeError, IndexError, AttributeError, OverflowError) as exc:
         raise GraphError(f"{what}: wrong type ({exc})") from None
+
+
+def _json_int(value, what: str, least: Optional[int] = None) -> int:
+    """``value`` if it is an integer (not a bool) of at least ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (least is not None and value < least)):
+        bound = "" if least is None else f" >= {least}"
+        raise GraphError(f"{what} must be an integer{bound}, got {value!r}")
+    return value
 
 
 def _load_json(path: str) -> Graph:
@@ -397,10 +377,16 @@ def _load_json(path: str) -> Graph:
                     u, v = int(e[0]), int(e[1])
                     edges.append((u, v))
                     if len(e) > 2:
-                        weights[(u, v)] = Fraction(str(e[2]))
-            return Graph(
-                data["nodes"], edges, weights or None, id_bits=data.get("id_bits")
-            )
+                        try:
+                            weights[(u, v)] = Fraction(str(e[2]))
+                        except (ValueError, ZeroDivisionError):
+                            raise GraphError(
+                                f"graph JSON {path}: edge {e!r}: bad weight {e[2]!r}"
+                            ) from None
+            id_bits = data.get("id_bits")
+            if id_bits is not None:
+                _json_int(id_bits, f"graph JSON {path}: id_bits")
+            return Graph(data["nodes"], edges, weights or None, id_bits=id_bits)
 
 
 def save_graph_json(g: Graph, path: str) -> None:
@@ -430,14 +416,14 @@ def save_graph_json(g: Graph, path: str) -> None:
 def generate_graph(model: str, params: dict, seed: int) -> Graph:
     """Deterministic graph generator; same (model, params, seed) => same graph."""
     if model == "path":
-        n = _positive(params, "n")
+        n = _positive(params, model, "n")
         return Graph(range(n), [(i, i + 1) for i in range(n - 1)])
     if model == "clique":
-        n = _positive(params, "n")
+        n = _positive(params, model, "n")
         return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n)])
     if model == "grid":
-        rows = _positive(params, "rows")
-        cols = _positive(params, "cols")
+        rows = _positive(params, model, "rows")
+        cols = _positive(params, model, "cols")
         def nid(r, c):
             return r * cols + c
         edges = []
@@ -449,13 +435,13 @@ def generate_graph(model: str, params: dict, seed: int) -> Graph:
                     edges.append((nid(r, c), nid(r + 1, c)))
         return Graph(range(rows * cols), edges)
     if model == "tree":
-        n = _positive(params, "n")
+        n = _positive(params, model, "n")
         rng = np.random.default_rng(seed)
         edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
         return Graph(range(n), edges)
     if model == "gnp":
-        n = _positive(params, "n")
-        p = float(params["p"])
+        n = _positive(params, model, "n")
+        p = float(_required(params, model, "p"))
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"gnp needs p in [0,1], got {p}")
         # pairs i < j in row-major order, one row of draws at a time, so
@@ -475,8 +461,18 @@ def generate_graph(model: str, params: dict, seed: int) -> Graph:
     raise GraphError(f"unknown model {model!r}")
 
 
-def _positive(params: dict, key: str) -> int:
-    v = int(params[key])
+def _required(params: dict, model: str, key: str):
+    if key not in params:
+        raise GraphError(f"model {model!r} needs parameter {key!r}")
+    return params[key]
+
+
+def _positive(params: dict, model: str, key: str) -> int:
+    raw = _required(params, model, key)
+    try:
+        v = int(raw)
+    except (ValueError, OverflowError):  # a word, or nan / inf from parse_gen
+        raise GraphError(f"parameter {key} must be an integer, got {raw!r}") from None
     if v < 1:
         raise GraphError(f"parameter {key} must be >= 1, got {v}")
     return v
@@ -494,18 +490,7 @@ def random_weights(g: Graph, seed: int) -> Graph:
     return Graph(g.ids, edges, weights, id_bits=g.id_bits)
 
 
-# -- distance oracles ----------------------------------------------------
-
-
-def bfs_distances(g: Graph, source: int, cap: Optional[int] = None) -> DistanceMap:
-    """Exact hop distances from ``source`` (a node id), bounded by ``cap``."""
-    s = g.index_of(source)
-    dist = _bfs_idx(g, [s], cap)
-    return DistanceMap(
-        source=source,
-        dist={g.ids[i]: d for i, d in enumerate(dist) if d >= 0},
-        cap=cap,
-    )
+# -- distances and subgraphs ---------------------------------------------
 
 
 def _bfs_idx(
@@ -603,33 +588,6 @@ def path_union(
             edges.add((min(v, p), max(v, p)))
             v, p = p, parent[p]
     return frozenset(edges)
-
-
-def all_pairs_distances(g: Graph) -> np.ndarray:
-    """Floyd-Warshall all-pairs hop distances (independent oracle, n small)."""
-    n = g.n
-    inf = np.iinfo(np.int32).max // 4
-    d = np.full((n, n), inf, dtype=np.int32)
-    np.fill_diagonal(d, 0)
-    for a, b in g.edge_indices():
-        d[a, b] = d[b, a] = 1
-    for k in range(n):
-        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
-    return d
-
-
-def power_graph(g: Graph, k: int) -> Graph:
-    """G^k: edge {u,v} iff 1 <= d_G(u,v) <= k.  Oracle/validator use only."""
-    if k < 1:
-        raise GraphError(f"power parameter must be >= 1, got {k}")
-    if k == 1:
-        return g
-    edges = []
-    for i in range(g.n):
-        reached: list[int] = []
-        _bfs_idx(g, [i], cap=k, reached=reached)
-        edges.extend((g.ids[i], g.ids[j]) for j in reached if i < j)
-    return Graph(g.ids, edges, id_bits=g.id_bits)
 
 
 def connected_components(g: Graph) -> list[list[int]]:

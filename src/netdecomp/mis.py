@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional
 
 import numpy as np
@@ -45,58 +44,6 @@ UNDECIDED, IN_MIS, REMOVED = 0, 1, 2
 
 class MisError(NetdecompError):
     pass
-
-
-def next_desire(p: Fraction, d: Fraction) -> Fraction:
-    """Desire-level update: halve under crowding, else double capped at 1/2."""
-    if d >= 2:
-        return p / 2
-    return min(2 * p, Fraction(1, 2))
-
-
-@dataclass
-class MisState:
-    """Reference (exact-arithmetic) per-node state."""
-
-    p: dict[int, Fraction]                  # node index -> desire level
-    status: dict[int, int]
-    round: int = 0
-
-    @classmethod
-    def fresh(cls, g: Graph) -> "MisState":
-        return cls(
-            p={v: Fraction(1, 2) for v in range(g.n)},
-            status={v: UNDECIDED for v in range(g.n)},
-        )
-
-
-def ghaffari_round(
-    g: Graph, state: MisState, mark_draws: dict[int, float]
-) -> MisState:
-    """One exact-arithmetic round (the reference code path): mark with
-    probability p_t, join if no marked neighbor, remove joined nodes'
-    neighbors, then update desire levels from the round-t effective
-    degrees."""
-    und = {v for v, s in state.status.items() if s == UNDECIDED}
-    marked = {v for v in und if Fraction(mark_draws[v]) < state.p[v]}
-    joined = {
-        v for v in marked
-        if not any(u in marked for u in g.neighbors[v] if u in und)
-    }
-    eff = {
-        v: sum((state.p[u] for u in g.neighbors[v] if u in und), Fraction(0))
-        for v in und
-    }
-    status = dict(state.status)
-    for v in joined:
-        status[v] = IN_MIS
-        for u in g.neighbors[v]:
-            if status[u] == UNDECIDED:
-                status[u] = REMOVED
-    p = dict(state.p)
-    for v in und:
-        p[v] = next_desire(state.p[v], eff[v])
-    return MisState(p=p, status=status, round=state.round + 1)
 
 
 def run_ghaffari(
@@ -156,7 +103,7 @@ def run_ghaffari(
 
 
 def _next_desire(p: np.ndarray, halve: np.ndarray) -> np.ndarray:
-    """``next_desire`` in floats: p/2 where ``halve``, else min(2p, 1/2).
+    """The desire-level update: p/2 where ``halve``, else min(2p, 1/2).
     Desire levels never exceed 1/2, so p/2 needs no cap, and p*0.5 is p/2
     exactly."""
     q = p * np.where(halve, 0.5, 2.0)

@@ -1,5 +1,5 @@
 """Round-synchronous CONGEST engine with per-edge bit budgets, plus the
-cluster-communication primitives (bounded flooding, min-gossip, broadcast,
+cluster-communication primitives (bounded flooding, min-gossip,
 convergecast) the decomposition phases are built from.
 
 Execution model: all nodes step in lockstep; a message sent in round r is
@@ -621,7 +621,6 @@ class TreeRole:
     cluster_id: int
     parent_port: Optional[int]
     child_ports: tuple[int, ...]
-    is_member: bool
 
 
 def tree_roles(g: Graph, clusters) -> list[list[TreeRole]]:
@@ -655,91 +654,8 @@ def tree_roles(g: Graph, clusters) -> list[list[TreeRole]]:
                 else g.neighbors[u].index(parent[u])
             )
             cp = tuple(sorted(g.neighbors[u].index(v) for v in children[u]))
-            roles[u].append(TreeRole(c.id, pp, cp, u in c.members))
+            roles[u].append(TreeRole(c.id, pp, cp))
     return roles
-
-
-class _Broadcast(NodeProgram):
-    """Root-to-leaves delivery on every tree, one payload per edge per round,
-    smallest cluster id first on shared edges."""
-
-    def __init__(self, roles: list[TreeRole], payload: Optional[dict[int, Any]],
-                 payload_bits: int):
-        self.roles = roles
-        self.values: dict[int, Any] = dict(payload or {})
-        self.pending: dict[int, set[int]] = {}  # cluster -> child ports left
-        self.payload_bits = payload_bits
-
-    def init(self, view):
-        super().init(view)
-        for r in self.roles:
-            self.pending[r.cluster_id] = set(r.child_ports)
-        if all(
-            r.cluster_id in self.values and not self.pending[r.cluster_id]
-            for r in self.roles
-        ):
-            self.halted = True
-
-    def step(self, round_no, inbox):
-        for msg in inbox.values():
-            cid, value = msg.payload
-            self.values.setdefault(cid, value)
-        out = {}
-        busy: set[int] = set()
-        for r in self.roles:  # ascending cluster id
-            if r.cluster_id not in self.values:
-                continue
-            for port in sorted(self.pending[r.cluster_id]):
-                if port in busy:
-                    continue
-                out[port] = Message(
-                    (r.cluster_id, self.values[r.cluster_id]),
-                    TAG_BITS + self.payload_bits,
-                )
-                busy.add(port)
-                self.pending[r.cluster_id].discard(port)
-        if not out and all(
-            r.cluster_id in self.values and not self.pending[r.cluster_id]
-            for r in self.roles
-        ):
-            self.halted = True
-        return out
-
-    def output(self):
-        return {
-            r.cluster_id: self.values[r.cluster_id]
-            for r in self.roles
-            if r.is_member and r.cluster_id in self.values
-        }
-
-
-def cluster_broadcast(
-    g: Graph,
-    clusters,
-    payloads: dict[int, Any],
-    cfg: SimConfig,
-    payload_bits: Optional[int] = None,
-) -> tuple[list[dict[int, Any]], RoundStats]:
-    """Deliver each cluster center's payload to all members over the cluster
-    trees, time-multiplexing shared edges by ascending cluster id."""
-    roles = tree_roles(g, clusters)
-    if payload_bits is None:
-        payload_bits = g.id_bits
-    centers = {c.center: c.id for c in clusters}
-    it = iter(range(g.n))
-
-    def factory():
-        i = next(it)
-        initial = (
-            {centers[i]: payloads[centers[i]]}
-            if i in centers and centers[i] in payloads
-            else None
-        )
-        return _Broadcast(roles[i], initial, payload_bits)
-
-    return run(
-        g, factory, cfg.widened(g, TAG_BITS + payload_bits), count_active_only=True
-    )
 
 
 class _Convergecast(NodeProgram):

@@ -1,0 +1,151 @@
+"""Centralized references that only the tests run: Floyd-Warshall
+distances, power graphs, log*, cycle-enumeration μ and the exact-arithmetic
+Ghaffari round.  They live outside the package so that the code they
+certify cannot reuse them.  This is a plain helper module, not a test
+module; the test modules import it by name.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+
+import numpy as np
+
+from netdecomp.covers import MstError, _require_weights, kruskal_oracle
+from netdecomp.graphs import Graph, GraphError, _bfs_idx
+from netdecomp.mis import IN_MIS, REMOVED, UNDECIDED
+
+
+# -- log* and hop distances ----------------------------------------------
+
+
+def log_star(x: float) -> int:
+    """Iterated base-2 logarithm: number of log2 applications until <= 1."""
+    if x < 0:
+        raise ValueError("log_star undefined for negative values")
+    count = 0
+    v = float(x)
+    while v > 1.0:
+        v = math.log2(v)
+        count += 1
+    return count
+
+
+def all_pairs_distances(g: Graph) -> np.ndarray:
+    """Floyd-Warshall all-pairs hop distances (independent oracle, n small)."""
+    n = g.n
+    inf = np.iinfo(np.int32).max // 4
+    d = np.full((n, n), inf, dtype=np.int32)
+    np.fill_diagonal(d, 0)
+    for a, b in g.edge_indices():
+        d[a, b] = d[b, a] = 1
+    for k in range(n):
+        d = np.minimum(d, d[:, k : k + 1] + d[k : k + 1, :])
+    return d
+
+
+def power_graph(g: Graph, k: int) -> Graph:
+    """G^k: edge {u,v} iff 1 <= d_G(u,v) <= k.  Oracle/validator use only."""
+    if k < 1:
+        raise GraphError(f"power parameter must be >= 1, got {k}")
+    if k == 1:
+        return g
+    edges = []
+    for i in range(g.n):
+        reached: list[int] = []
+        _bfs_idx(g, [i], cap=k, reached=reached)
+        edges.extend((g.ids[i], g.ids[j]) for j in reached if i < j)
+    return Graph(g.ids, edges, id_bits=g.id_bits)
+
+
+# -- MST radius ----------------------------------------------------------
+
+
+def cycle_enumeration_mu(g: Graph, max_len: int = 12) -> int:
+    """Brute-force second oracle for μ on small graphs: enumerate all
+    simple cycles up to ``max_len`` through every non-MST edge (depth-first
+    over simple paths of strictly lighter edges)."""
+    _require_weights(g)
+    mst = kruskal_oracle(g)
+    rank = g.rank
+    mu = 0
+    for a, b in g.weights:
+        if (a, b) in mst:
+            continue
+        r = rank[(a, b)]
+        best = None
+        stack = [(a, {a}, 0)]
+        while stack:
+            u, visited, length = stack.pop()
+            if best is not None and length + 1 >= best:
+                continue
+            for v in g.neighbors[u]:
+                if rank[(min(u, v), max(u, v))] >= r or v in visited:
+                    continue
+                if v == b:
+                    cycle_len = length + 2  # path edges + the edge e itself
+                    if best is None or cycle_len < best:
+                        best = cycle_len
+                elif length + 1 < max_len - 1:
+                    stack.append((v, visited | {v}, length + 1))
+        if best is None:
+            raise MstError(f"no cycle of length <= {max_len} for edge ({a},{b})")
+        mu = max(mu, best)
+    return mu
+
+
+# -- Ghaffari's MIS round ------------------------------------------------
+
+
+def next_desire(p: Fraction, d: Fraction) -> Fraction:
+    """Desire-level update: halve under crowding, else double capped at 1/2."""
+    if d >= 2:
+        return p / 2
+    return min(2 * p, Fraction(1, 2))
+
+
+@dataclass
+class MisState:
+    """Reference (exact-arithmetic) per-node state."""
+
+    p: dict[int, Fraction]                  # node index -> desire level
+    status: dict[int, int]
+    round: int = 0
+
+    @classmethod
+    def fresh(cls, g: Graph) -> "MisState":
+        return cls(
+            p={v: Fraction(1, 2) for v in range(g.n)},
+            status={v: UNDECIDED for v in range(g.n)},
+        )
+
+
+def ghaffari_round(
+    g: Graph, state: MisState, mark_draws: dict[int, float]
+) -> MisState:
+    """One exact-arithmetic round (the reference code path): mark with
+    probability p_t, join if no marked neighbor, remove joined nodes'
+    neighbors, then update desire levels from the round-t effective
+    degrees."""
+    und = {v for v, s in state.status.items() if s == UNDECIDED}
+    marked = {v for v in und if Fraction(mark_draws[v]) < state.p[v]}
+    joined = {
+        v for v in marked
+        if not any(u in marked for u in g.neighbors[v] if u in und)
+    }
+    eff = {
+        v: sum((state.p[u] for u in g.neighbors[v] if u in und), Fraction(0))
+        for v in und
+    }
+    status = dict(state.status)
+    for v in joined:
+        status[v] = IN_MIS
+        for u in g.neighbors[v]:
+            if status[u] == UNDECIDED:
+                status[u] = REMOVED
+    p = dict(state.p)
+    for v in und:
+        p[v] = next_desire(state.p[v], eff[v])
+    return MisState(p=p, status=status, round=state.round + 1)

@@ -30,11 +30,11 @@ from netdecomp.decompose import decompose
 from netdecomp.graphs import (
     Graph,
     _bfs_idx,
-    all_pairs_distances,
     connected_components,
     generate_graph,
     voronoi_cells,
 )
+from references import all_pairs_distances
 
 
 def star(k):

@@ -6,7 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netdecomp.coloring import greedy_reduce, linial_color, linial_stages, next_prime
-from netdecomp.graphs import generate_graph, log_star
+from netdecomp.graphs import generate_graph
+from references import log_star
 
 
 class TestNextPrime:

@@ -17,7 +17,6 @@ from netdecomp.covers import (
     MstError,
     cover_from_decomposition,
     cover_mst,
-    cycle_enumeration_mu,
     kruskal_oracle,
     mst_radius,
     mst_radius_scipy,
@@ -31,6 +30,7 @@ from netdecomp.graphs import (
     random_weights,
     weight_key,
 )
+from references import cycle_enumeration_mu
 
 
 def path(n):

@@ -16,22 +16,19 @@ from netdecomp.graphs import (
     Graph,
     GraphError,
     _bfs_idx,
-    all_pairs_distances,
-    bfs_distances,
     connected_components,
     generate_graph,
     induced_edges,
     induced_subgraph,
     largest_component,
     load_graph,
-    log_star,
     paused_gc,
-    power_graph,
     quotient,
     random_weights,
     save_graph_json,
     voronoi_cells,
 )
+from references import all_pairs_distances, log_star, power_graph
 
 
 def path5():
@@ -75,7 +72,7 @@ class TestLoadGraph:
         p = tmp_path / "g.el"
         p.write_text("# weighted\n3 2\n0 1 1/2\n1 2 3/4\n")
         g = load_graph(str(p))
-        assert g.weight_of(0, 1) == Fraction(1, 2)
+        assert g.weights[(0, 1)] == Fraction(1, 2)
 
     def test_duplicate_weight_rejected(self, tmp_path):
         p = tmp_path / "g.el"
@@ -104,7 +101,7 @@ class TestLoadGraph:
         for a, b in g.edge_indices():
             e = [g.ids[a], g.ids[b]]
             if g.weights is not None:
-                e.append(str(g.weight_of(a, b)))
+                e.append(str(g.weights[(a, b)]))
             edges.append(e)
         want = io.StringIO()
         json.dump({"nodes": list(g.ids), "edges": edges, "id_bits": g.id_bits}, want)
@@ -199,29 +196,26 @@ class TestGenerateGraph:
 
 class TestDistances:
     def test_path_endpoint(self):
-        d = bfs_distances(path5(), 0)
-        assert d.get(4) == 4
+        assert _bfs_idx(path5(), [0])[4] == 4
 
     def test_clique_all_at_one(self):
         g = generate_graph("clique", {"n": 4}, seed=0)
-        d = bfs_distances(g, 0)
-        assert all(d.get(v) == 1 for v in (1, 2, 3))
+        assert _bfs_idx(g, [0])[1:] == [1, 1, 1]
 
     def test_grid_corner_to_corner(self):
         # Oracle: unit-weight Dijkstra, computed independently.
         g = generate_graph("grid", {"rows": 5, "cols": 5}, seed=0)
         expect = _dijkstra_unit(g, 0)
         assert expect[24] == 8
-        d = bfs_distances(g, 0)
-        assert all(d.get(g.ids[i]) == expect[i] for i in range(g.n))
+        assert _bfs_idx(g, [0]) == expect
 
     def test_cap(self):
-        d = bfs_distances(path5(), 0, cap=2)
-        assert d.get(2) == 2 and d.get(3) is None
+        d = _bfs_idx(path5(), [0], cap=2)
+        assert d[2] == 2 and d[3] == -1
 
     def test_unknown_source(self):
-        with pytest.raises(GraphError):
-            bfs_distances(path5(), 99)
+        with pytest.raises(GraphError, match="unknown node 99"):
+            path5().index_of(99)
 
 
 def _dijkstra_unit(g: Graph, src_idx: int) -> list:
@@ -282,10 +276,9 @@ class TestOracleAgreement:
         apd = all_pairs_distances(g)
         big = np.iinfo(np.int32).max // 8
         for i in range(g.n):
-            d = bfs_distances(g, g.ids[i])
+            d = _bfs_idx(g, [i])
             for j in range(g.n):
-                got = d.get(g.ids[j])
-                assert got == (int(apd[i, j]) if apd[i, j] < big else None)
+                assert d[j] == (int(apd[i, j]) if apd[i, j] < big else -1)
 
 
 class TestBfsKernel:
@@ -412,7 +405,7 @@ def _filtered_subgraph(g: Graph, indices) -> Graph:
     edges = [(a, b) for a, b in g.edge_indices() if a in keep and b in keep]
     weights = None
     if g.weights is not None:
-        weights = {(g.ids[a], g.ids[b]): g.weight_of(a, b) for a, b in edges}
+        weights = {(g.ids[a], g.ids[b]): g.weights[(a, b)] for a, b in edges}
     return Graph(
         [g.ids[i] for i in keep],
         [(g.ids[a], g.ids[b]) for a, b in edges],

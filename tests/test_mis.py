@@ -16,17 +16,15 @@ from netdecomp.mis import (
     REMOVED,
     UNDECIDED,
     MisError,
-    MisState,
     build_meta_graph,
     ghaffari_engine,
-    ghaffari_round,
     mis_full,
-    next_desire,
     ruling_set,
     run_ghaffari,
     shatter_check,
 )
 from netdecomp.simulate import Message, SimConfig, node_draws, node_rng, philox_draws
+from references import MisState, ghaffari_round, next_desire
 
 
 def path(n):

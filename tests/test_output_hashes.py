@@ -10,8 +10,8 @@ each ``decompose`` output and on a one-color recoloring of it, so that its
 failure lines and ``min_same_color_gap`` are pinned too.  The randomized
 digests were recorded before the per-node streams were computed for all
 nodes at once and before ``gnp`` drew its pairs row by row; they pin
-every draw.  The engine digests (floods, gossip, tree broadcast and
-convergecast, ``decompose(mode="sim")``, many-lane Ghaffari) were recorded
+every draw.  The engine digests (floods, gossip, tree convergecast,
+``decompose(mode="sim")``, many-lane Ghaffari) were recorded
 before the engine's send queues, round loop and lane messages were
 reworked; they pin holdings, statuses and every ledger, budget violations
 included.  The digest of a simulated decomposition that marks clusters
@@ -65,7 +65,6 @@ from netdecomp.mis import ghaffari_engine, mis_full, run_ghaffari
 from netdecomp.simulate import (
     SimConfig,
     bounded_flood,
-    cluster_broadcast,
     cluster_convergecast,
     min_gossip,
 )
@@ -524,8 +523,6 @@ ENGINE_EXPECTED = {
             "507d61e9c81d2e18308b60297aefe047c0ea1a23758d378e7117f2326a42c18b",
         "min_gossip":
             "ea39368723ec24b9abb1cd93953fa8591e4257f023db36f8b7aabb893cb8c671",
-        "cluster_broadcast":
-            "d8d64e1c38e0d9e4ae5b85813f6a150cede880cf02223d178ec8c0f8bdee27a1",
         "cluster_convergecast union":
             "ac569d6b556abe644351c28140fae1f45d40ddc873197187c96c18dbcf621cce",
         "cluster_convergecast count":
@@ -548,8 +545,6 @@ ENGINE_EXPECTED = {
             "cecaaa1cf31f2a41e839a20604ba4fb0a68232983e787f5bcbdb02dd6c831094",
         "min_gossip":
             "fc243224b88da8c34fdb780a5b6a74fd2f4b88254fcd4242feedb8a18c3a95c7",
-        "cluster_broadcast":
-            "bcd07c7e2a8f35ff7a23dadabc3773c8294cb16e824e37f6e4e35f5e0fc7ab8b",
         "cluster_convergecast union":
             "5746dadc376cdab5263bf36d19faa11fda386a588df4598f412ecba7a7b2e619",
         "cluster_convergecast count":
@@ -572,8 +567,6 @@ ENGINE_EXPECTED = {
             "eae74b11f8644c95155fb4bc6d04676aac4332eda484a1b0404c6d079c688878",
         "min_gossip":
             "dfbeec2bd02235df1435e9c3827a1a65d850f6386b3757a905b2b08b468bb4e2",
-        "cluster_broadcast":
-            "b4991aaea88fa8ece23fb52df264aa20cb18a826730e3cf31a18f84620cbfea2",
         "cluster_convergecast union":
             "ac1dcd8eb12bd6548e6e1fea043f8b5ae8bf6deead4a1361e83f092d1aa40504",
         "cluster_convergecast count":
@@ -596,8 +589,6 @@ ENGINE_EXPECTED = {
             "6e22b23b5392e743182fe5e907df7d9fc84cd84944bb4fdc6375a4b3efbfb76e",
         "min_gossip":
             "3706aaceb62b3f3d7be04b35f68836413aa2a826fbab36b008273cc1c029b5cf",
-        "cluster_broadcast":
-            "30468478817ba6d7cee5ffc16402aa226eaa8738308e5eac270c161a92c18eca",
         "cluster_convergecast union":
             "11e2c29f4d50bfe9d108cc1f840651b2b7032268d6acd715481da192facf90ab",
         "cluster_convergecast count":
@@ -639,12 +630,6 @@ def engine_outputs(name: str) -> dict[str, str]:
     values = {m: c.id for c in clusters for m in c.members if c.color % 2}
     best, stats = min_gossip(g, values, 3, cfg)
     out["min_gossip"] = _sha([best, stats.to_json()])
-    got, stats = cluster_broadcast(
-        g, clusters, {c.id: c.id * 7 % 101 for c in clusters}, cfg
-    )
-    out["cluster_broadcast"] = _sha([
-        [sorted(d.items()) for d in got], stats.to_json(),
-    ])
     for combine, values, cap in (
         ("union", {m: {c.id: [g.ids[m] % 13, g.ids[m]]}
                    for c in clusters for m in c.members}, 4),
@@ -796,7 +781,7 @@ def _shuffled_edges(g, seed):
     for a, b in g.edge_indices():
         e = [g.ids[a], g.ids[b]]
         if g.weights is not None:
-            e.append(str(g.weight_of(a, b)))
+            e.append(str(g.weights[(a, b)]))
         edges.append(e)
     out = [edges[i] for i in rng.permutation(len(edges)).tolist()]
     for e, flip in zip(out, rng.random(len(out)) < 0.5):

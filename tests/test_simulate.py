@@ -1,5 +1,5 @@
 """Engine tests: handshake fixtures, budget accounting, determinism,
-locality, flooding vs its central oracle, tree broadcast/convergecast."""
+locality, flooding vs its central oracle, tree convergecast."""
 
 import gc
 import hashlib
@@ -25,7 +25,6 @@ from netdecomp.simulate import (
     _Flood,
     bounded_flood,
     bounded_flood_oracle,
-    cluster_broadcast,
     cluster_convergecast,
     min_gossip,
     node_draws,
@@ -384,8 +383,6 @@ class TestGcGuard:
                 g, {m: c.id for m, c in members.items()}, 2, cfg),
             "bounded_flood": lambda: bounded_flood(
                 g, {v: (g.ids[v], f"p{v}") for v in range(g.n)}, 2, 3, cfg),
-            "cluster_broadcast": lambda: cluster_broadcast(
-                g, clusters, {c.id: c.id for c in clusters}, cfg),
             "cluster_convergecast union": lambda: cluster_convergecast(
                 g, clusters, {m: {c.id: [m]} for m, c in members.items()}, cfg),
             "cluster_convergecast count": lambda: cluster_convergecast(
@@ -546,31 +543,6 @@ def _path_cluster(g, cid, lo, hi, center):
 
 
 class TestClusterPrimitives:
-    def test_singleton_broadcast_zero_rounds(self):
-        g = generate_graph("path", {"n": 1}, 0)
-        c = Cluster(id=5, center=0, members=frozenset([0]))
-        out, stats = cluster_broadcast(g, [c], {5: "x"}, SimConfig())
-        assert stats.rounds == 0 and out[0] == {5: "x"}
-
-    def test_disjoint_trees_rounds_equal_depth(self):
-        g = generate_graph("path", {"n": 8}, 0)
-        c1 = _path_cluster(g, 0, 0, 3, center=0)   # depth 3
-        c2 = _path_cluster(g, 1, 5, 7, center=5)   # depth 2
-        out, stats = cluster_broadcast(g, [c1, c2], {0: "a", 1: "b"}, SimConfig())
-        assert stats.rounds == 3
-        assert out[3] == {0: "a"} and out[7] == {1: "b"}
-
-    def test_shared_edge_multiplexing(self):
-        # two clusters whose trees share edge (2,3): rounds <= 2 * max depth
-        g = generate_graph("path", {"n": 6}, 0)
-        t1 = frozenset([(1, 2), (2, 3)])
-        t2 = frozenset([(2, 3), (3, 4)])
-        c1 = Cluster(id=0, center=1, members=frozenset([1, 3]), tree_edges=t1)
-        c2 = Cluster(id=1, center=4, members=frozenset([2, 4]), tree_edges=t2)
-        out, stats = cluster_broadcast(g, [c1, c2], {0: "a", 1: "b"}, SimConfig())
-        assert out[3] == {0: "a"} and out[2] == {1: "b"}
-        assert stats.rounds <= 2 * 2
-
     def test_convergecast_count(self):
         g = Graph(range(5), [(0, i) for i in range(1, 5)])
         c = Cluster(
@@ -599,6 +571,27 @@ class TestClusterPrimitives:
             g, [c], values, SimConfig(), combine="union", item_cap=3
         )
         assert agg == {0: [5, 7, 9]}
+
+    @pytest.mark.parametrize("center2,union_2,rounds,messages", [
+        (4, [20, 40], 6, 10),     # the trees cross edge (2,3) in opposite directions
+        (2, [20, 35, 40], 6, 11),  # both send 3 -> 2; cluster 0 goes first
+    ])
+    def test_convergecast_shared_edge(self, center2, union_2, rounds, messages):
+        g = generate_graph("path", {"n": 6}, 0)
+        c1 = Cluster(id=0, center=1, members=frozenset([1, 2, 3]),
+                     tree_edges=frozenset([(1, 2), (2, 3)]))
+        c2 = Cluster(id=1, center=center2, members=frozenset([2, 3, 4]),
+                     tree_edges=frozenset([(2, 3), (3, 4)]))
+        values = {1: {0: [10]}, 2: {1: [20]}, 3: {0: [30, 31]}, 4: {1: [40]}}
+        if center2 == 2:
+            values[3][1] = [35]
+        agg, stats = cluster_convergecast(g, [c1, c2], values, SimConfig())
+        assert agg == {0: [10, 30, 31], 1: union_2}
+        assert (stats.rounds, stats.total_messages) == (rounds, messages)
+        assert stats.budget_violations == []
+        ones = {v: {c.id: [1] for c in (c1, c2) if v in c.members} for v in range(6)}
+        agg, _ = cluster_convergecast(g, [c1, c2], ones, SimConfig(), combine="count")
+        assert agg == {0: 3, 1: 3}
 
     def test_singleton_convergecast(self):
         g = generate_graph("path", {"n": 1}, 0)

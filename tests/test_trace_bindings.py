@@ -77,3 +77,41 @@ def test_no_dead_imports():
         for name in _unused_imports(path.read_text()) - traced.get(path.stem, set())
     }
     assert not dead, f"unused imports: {sorted(dead)}"
+
+
+# module-level code in src/ that nothing in src/ or perfbench/ runs, and why
+# it stays
+UNREFERENCED_ALLOWED = {
+    "clustering.validate_ruling_set": "public validator of the ruling-set definition",
+    "carving.gap_probability_check": "Monte-Carlo check of the exponential-gap lemma",
+}
+
+
+def _references(source: str) -> set[str]:
+    """Every name and attribute the code of ``source`` reads or writes."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(ast.parse(source))
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_src_holds_no_test_only_code():
+    # a function or class of src/ must be run by src/ or perfbench/, be
+    # wrapped by the tracer, or be allowed above; references that only the
+    # tests need belong in tests/references.py
+    src = Path(graphs.__file__).resolve().parent
+    perfbench = LAYERS_PY.parent
+    referenced = set()
+    for path in [*src.glob("*.py"), *perfbench.glob("*.py")]:
+        referenced |= _references(path.read_text())
+    referenced |= {name for _layer, name, _consumers, _leaf in _wrapped()}
+    unreferenced = {
+        f"{path.stem}.{node.name}"
+        for path in src.glob("*.py")
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name not in referenced
+    }
+    assert unreferenced == set(UNREFERENCED_ALLOWED), sorted(
+        unreferenced ^ set(UNREFERENCED_ALLOWED))
