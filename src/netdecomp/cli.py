@@ -72,11 +72,13 @@ def parse_seeds(spec: str) -> list[int]:
     """'0,1,2' or '0-9' (inclusive), mixed with commas."""
     out = []
     for part in spec.split(","):
-        if "-" in part[1:]:
-            cut = part.index("-", 1)
-            out.extend(range(int(part[:cut]), int(part[cut + 1:]) + 1))
-        else:
-            out.append(int(part))
+        cut = part.find("-", 1)  # a leading "-" is a sign
+        try:
+            out.extend(range(int(part[:cut]), int(part[cut + 1:]) + 1)
+                       if cut > 0 else [int(part)])
+        except ValueError:
+            raise ConfigError(
+                f"--seeds must list integers or ranges a-b, got {part!r}") from None
     return out
 
 

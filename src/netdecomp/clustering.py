@@ -132,7 +132,7 @@ def _check_tree(g: Graph, cluster: Cluster, rep: Report, strong: bool) -> Option
     return dist
 
 
-# lanes per block of the weak-diameter kernel: 16 words of 64 lanes
+# lanes per block of the lane kernel: 16 words of 64 lanes
 _LANES = 1024
 # frontier words that a pull of a CSR tail gathers at once (2 MB)
 _PULL_WORDS = 1 << 18
@@ -148,51 +148,69 @@ def weak_diameter(g: Graph, members: Iterable[int]) -> int:
     if len(mem) <= 1:
         return 0
     mem = np.fromiter(mem, dtype=np.int64, count=len(mem))
-    return _lane_rounds(g, mem, np.array([0, len(mem)]))
+    return _lane_rounds(g._rows, mem, np.array([0, len(mem)]), mem)
 
 
-def _lane_rounds(g: Graph, flat: np.ndarray, bounds: np.ndarray) -> int:
-    """The largest weak diameter of the member sets ``flat[bounds[i] :
-    bounds[i + 1]]`` (none empty); -1 if some set is not connected in G.
+def _lane_rounds(rows: tuple[np.ndarray, np.ndarray], flat: np.ndarray,
+                 bounds: np.ndarray, waits: np.ndarray,
+                 floor: Optional[np.ndarray] = None) -> int:
+    """Rounds until every row ``waits[q]`` has seen every lane of its set;
+    -1 if a frontier empties first.  Lane p starts at row ``flat[p]``, set i
+    is the lanes ``bounds[i] : bounds[i + 1]`` (none empty), ``waits`` is
+    parallel to ``flat``, and ``rows`` = (indptr, dst) is a symmetric CSR
+    graph.  With ``waits`` = ``flat`` this is the largest weak diameter of
+    the sets, -1 if one is not connected.  ``floor``, parallel to dst, is
+    the first lane that may cross each edge (``covers._mu_lanes``).
 
     One bit-parallel multi-source BFS (Then et al., PVLDB 2014) in packed
-    uint64 lanes shared by all sets: position p of ``flat`` is lane p, and
-    lanes go in blocks of ``_LANES`` = 1,024 in set order, so a block holds
-    many small sets and a big set spans several blocks.  Lane i of a block
-    owns bit i % 64 of word i // 64.  ``unseen`` and ``frontier`` are (n, W)
-    uint64 arrays, W = ceil(block / 64), over the nodes in ``_PullPlan``
-    order; bit i of ``unseen[v]`` is cleared once lane i's member is within
-    r hops of v.  A round pulls the frontier over G's edges and keeps the
-    bits still unseen.  Each member row of a set with a lane in the block
-    needs the lanes of its own set there; a block ends at the first r at
-    which every row holds them, and the answer is the maximum over blocks;
-    -1 if a frontier empties first.  Memory is four (n, W) arrays, the
-    rows' (rows, W) masks and a piece of at most ``_PULL_WORDS`` words; a
-    round costs O((n + m) x W) word operations."""
-    plan = _PullPlan(g)
-    flat = plan.rank[flat]
+    uint64 lanes, in blocks of ``_LANES`` = 1,024: a block holds many small
+    sets and a big set spans several.  Lane i of a block owns bit i % 64 of
+    word i // 64 of the (n, W) arrays ``unseen`` and ``frontier``, over the
+    rows in ``_PullPlan`` order.  A round pulls the frontier over the edges
+    and keeps the bits still unseen.  In the block [lo, hi) an edge with
+    floor <= lo is in the plan, one with lo < floor < hi is ORed in after
+    the pull under the mask of the lanes from its floor on, and one with
+    floor >= hi is left out; without floors the plan is built once.  A
+    block ends at the first round at which every wait row of a set with
+    lanes in it holds them, and the answer is the maximum over blocks.
+    Memory is four (n, W) arrays, the wait rows' masks and a piece of at
+    most ``_PULL_WORDS`` words; a round costs O((n + m) x W) word
+    operations."""
+    indptr, dst = rows
+    n = len(indptr) - 1
+    if floor is None:
+        plan = _PullPlan(n, indptr, dst)
+    else:
+        src = np.repeat(np.arange(n), np.diff(indptr))
     sizes = np.diff(bounds)
     best = 0
     for lo in range(0, len(flat), _LANES):
         hi = min(lo + _LANES, len(flat))
         lanes = np.arange(hi - lo)
         words = (hi - lo + 63) // 64
-        # sets s0..s1-1 have lanes here; a member row needs its set's lanes
+        word_lo = 64 * np.arange(words)
+        if floor is not None:
+            keep = floor <= lo
+            plan = _PullPlan(n, np.concatenate(([0], np.cumsum(keep)))[indptr],
+                             dst[keep])
+            late = np.flatnonzero(~keep & (floor < hi))
+            late_src, late_dst = plan.rank[src[late]], plan.rank[dst[late]]
+            late_mask = ~_PREFIX[np.clip(floor[late, None] - lo - word_lo, 0, 64)]
+        # sets s0..s1-1 have lanes here; a wait row needs its set's lanes
         s0 = int(np.searchsorted(bounds, lo, side="right")) - 1
         s1 = int(np.searchsorted(bounds, hi, side="left"))
-        word_lo = 64 * np.arange(words)
         begin = np.clip(bounds[s0:s1, None] - lo - word_lo, 0, 64)
         end = np.clip(bounds[s0 + 1 : s1 + 1, None] - lo - word_lo, 0, 64)
         need = np.repeat(_PREFIX[end] ^ _PREFIX[begin], sizes[s0:s1], axis=0)
-        wait = flat[bounds[s0] : bounds[s1]]
-        frontier = np.zeros((g.n, words), dtype=np.uint64)
-        # bitwise_or.at: overlapping sets may give one node two lanes
-        np.bitwise_or.at(frontier, (flat[lo:hi], lanes >> 6),
+        wait = plan.rank[waits[bounds[s0] : bounds[s1]]]
+        frontier = np.zeros((n, words), dtype=np.uint64)
+        # bitwise_or.at: overlapping sets may give one row two lanes
+        np.bitwise_or.at(frontier, (plan.rank[flat[lo:hi]], lanes >> 6),
                          np.uint64(1) << (lanes & 63).astype(np.uint64))
         unseen = ~frontier
         pulled = np.empty_like(frontier)
-        # overlapping sets may give more member rows than nodes
-        scratch = np.empty((max(g.n, len(wait)), words), dtype=np.uint64)
+        # overlapping sets may give more wait rows than nodes
+        scratch = np.empty((max(n, len(wait)), words), dtype=np.uint64)
         r = 0
         while True:
             missing = np.take(unseen, wait, axis=0, out=scratch[: len(wait)], mode="clip")
@@ -202,7 +220,9 @@ def _lane_rounds(g: Graph, flat: np.ndarray, bounds: np.ndarray) -> int:
             if not frontier.any():
                 return -1  # disconnected in G: treated as invalid upstream
             r += 1
-            plan.pull(frontier, pulled, scratch[: g.n])
+            plan.pull(frontier, pulled, scratch[:n])
+            if floor is not None:
+                np.bitwise_or.at(pulled, late_src, frontier[late_dst] & late_mask)
             pulled &= unseen
             unseen ^= pulled
             frontier, pulled = pulled, frontier
@@ -211,7 +231,8 @@ def _lane_rounds(g: Graph, flat: np.ndarray, bounds: np.ndarray) -> int:
 
 
 class _PullPlan:
-    """G's adjacency laid out for pulling packed lanes.
+    """The CSR rows (indptr, dst) over n nodes laid out for pulling packed
+    lanes.
 
     Nodes are renumbered by decreasing degree (node v becomes ``rank[v]``).
     Column j holds the j-th neighbour of each of the first c_j nodes, the
@@ -221,14 +242,13 @@ class _PullPlan:
     ``bitwise_or.reduceat`` in pieces of at most ``_PULL_WORDS`` gathered
     words."""
 
-    def __init__(self, g: Graph):
-        indptr, dst = g._rows
+    def __init__(self, n: int, indptr: np.ndarray, dst: np.ndarray):
         deg = np.diff(indptr)
         order = np.argsort(-deg, kind="stable")
-        self.rank = np.empty(g.n, dtype=np.int64)
-        self.rank[order] = np.arange(g.n)
+        self.rank = np.empty(n, dtype=np.int64)
+        self.rank[order] = np.arange(n)
         # c_j for j = 0 .. max degree - 1
-        counts = g.n - np.cumsum(np.bincount(deg, minlength=1))[:-1]
+        counts = n - np.cumsum(np.bincount(deg, minlength=1))[:-1]
         cols = int(np.count_nonzero(counts >= 64))
         first = indptr[order]
         self.columns = [(c, self.rank[dst[first[:c] + j]])
@@ -304,7 +324,7 @@ def validate_decomposition(
     clusters that one component of G holds (the others are 0 or -1, below
     the floor of 0)."""
     rep, flat, bounds = _certify(g, dec, strong, check_trees)
-    rep.stats["max_weak_diameter"] = _lane_rounds(g, flat, bounds)
+    rep.stats["max_weak_diameter"] = _lane_rounds(g._rows, flat, bounds, flat)
     return rep
 
 

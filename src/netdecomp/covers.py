@@ -12,11 +12,14 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .clustering import (
     Cluster,
     Decomposition,
     NeighborhoodCover,
     _check_decomposition,
+    _lane_rounds,
     validate_decomposition,  # noqa: F401  stays bound for the benchmark's tracer
 )
 from .graphs import (
@@ -160,95 +163,55 @@ def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
 
 def mst_radius(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
     """μ(G, ω): over non-MST edges e={u,v}, the length of the shortest
-    cycle through e in which e is heaviest, maximized.  None if some edge
-    exceeds ``cycle_cap``.  Trees have μ = 0 by convention.  Computed by
+    cycle through e in which e is heaviest, maximized.  None if that exceeds
+    ``cycle_cap``.  Trees have μ = 0 by convention.  Computed by
     ``_mu_lanes`` over the edges in cached ``g.rank`` order."""
     _require_weights(g)
-    return _mu_lanes(g.n, g.rank, cycle_cap)
+    return _mu_lanes(g, g.rank, cycle_cap)
 
 
 def mst_radius_scipy(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
     """μ as ``mst_radius`` computes it, over an edge order sorted here by
     ``Fraction`` weight (``weight_key``) instead of read from ``g.rank``; a
-    wrong rank makes the two disagree.  The name is kept for its callers;
-    the tests compare both with one scipy BFS per edge and with cycle
+    wrong rank makes the two disagree.  Both run the lane kernel
+    ``clustering._lane_rounds``.  The name is kept for its callers; the
+    tests compare both with one scipy BFS per edge and with cycle
     enumeration."""
     _require_weights(g)
     w = g.weights
-    return _mu_lanes(g.n, sorted(w, key=lambda e: weight_key(w[e])), cycle_cap)
-
-
-# lanes per pass of ``_mu_lanes``: one 4,096-bit int per reached node
-_LANE_BLOCK = 4096
+    return _mu_lanes(g, sorted(w, key=lambda e: weight_key(w[e])), cycle_cap)
 
 
 def _mu_lanes(
-    n: int, edges: Iterable[tuple[int, int]], cycle_cap: int
+    g: Graph, edges: Iterable[tuple[int, int]], cycle_cap: int
 ) -> Optional[int]:
-    """μ over ``edges``, which come in increasing-weight order, as one
-    bit-parallel multi-source BFS (Then et al., PVLDB 2014).
+    """μ over G's ``edges``, which come in increasing-weight order.
 
     The sweep in that order finds the non-MST edges: those whose endpoints
     a union-find has already joined.  Lane l is the l-th of them,
-    (a_l, b_l); its bit starts at a_l.  Each edge keeps c, the number of
-    non-MST edges no heavier than itself, and crossing it clears the low c
-    bits, so a lane walks only edges lighter than its own.  A lane ends
-    when its bit first reaches b_l, and μ is 1 + the round in which the
-    last lane ends.  Lanes go in blocks of ``_LANE_BLOCK``, so memory is
-    O(n x 512 bytes)."""
-    dsu = _DSU(n)
-    joins = 0
-    lanes: list[tuple[int, int]] = []
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for a, b in edges:
-        if dsu.union(a, b):
-            joins += 1
-        else:
-            lanes.append((a, b))
-        adj[a].append((b, len(lanes)))
-        adj[b].append((a, len(lanes)))
-    if joins < n - 1:
+    (a_l, b_l).  Each edge's lane floor is c, the number of non-MST edges
+    no heavier than itself, so lane l crosses only edges lighter than its
+    own.  ``_lane_rounds`` starts lane l at a_l and waits for it at b_l:
+    its rounds are the longest such lighter path, and μ is one more."""
+    pairs = list(edges)
+    dsu = _DSU(g.n)
+    cycle = np.array([not dsu.union(a, b) for a, b in pairs], dtype=bool)
+    if len(pairs) - cycle.sum() < g.n - 1:
         raise GraphError("mst_radius needs a connected graph")
-    mu = 0
-    for lo in range(0, len(lanes), _LANE_BLOCK):
-        block = lanes[lo : lo + _LANE_BLOCK]
-        # each edge with the shift it has in this block, if any lane of the
-        # block may use it
-        block_adj = [
-            [(v, max(0, c - lo)) for v, c in nb if c - lo < len(block)]
-            for nb in adj
-        ]
-        seen: dict[int, int] = {}
-        target: dict[int, int] = {}
-        for i, (a, b) in enumerate(block):
-            seen[a] = seen.get(a, 0) | 1 << i
-            target[b] = target.get(b, 0) | 1 << i
-        open_ = (1 << len(block)) - 1
-        frontier = dict(seen)
-        r = 0
-        while open_:
-            if not frontier or r + 2 > cycle_cap:
-                return None  # a lane's cycle is longer than the cap
-            r += 1
-            incoming: dict[int, int] = {}
-            for u, bits in frontier.items():
-                bits &= open_
-                if not bits:
-                    continue
-                for v, shift in block_adj[u]:
-                    t = bits >> shift << shift if shift else bits
-                    if t:
-                        incoming[v] = incoming.get(v, 0) | t
-            frontier = {}
-            for v, bits in incoming.items():
-                s = seen.get(v, 0)
-                fresh = bits & ~s
-                if fresh:
-                    frontier[v] = fresh
-                    seen[v] = s | bits
-                    open_ &= ~(fresh & target.get(v, 0))
-        mu = max(mu, r + 1)
-    return mu
+    if not cycle.any():
+        return 0
+    a, b = np.array(pairs, dtype=np.int64).T
+    c = np.cumsum(cycle)
+    # each edge's floor at both of its CSR entries, found by the entry keys
+    # row * n + column, which increase along the rows
+    indptr, dst = g._rows
+    keys = np.repeat(np.arange(g.n) * g.n, np.diff(indptr)) + dst
+    floor = np.empty(len(dst), dtype=np.int64)
+    floor[np.searchsorted(keys, a * g.n + b)] = c
+    floor[np.searchsorted(keys, b * g.n + a)] = c
+    bounds = np.arange(c[-1] + 1)  # one set per lane
+    mu = _lane_rounds(g._rows, a[cycle], bounds, b[cycle], floor) + 1
+    return mu if mu <= cycle_cap else None
 
 
 # -- cover-based MST -----------------------------------------------------

@@ -441,7 +441,11 @@ def generate_graph(model: str, params: dict, seed: int) -> Graph:
         return Graph(range(n), edges)
     if model == "gnp":
         n = _positive(params, model, "n")
-        p = float(_required(params, model, "p"))
+        raw = _required(params, model, "p")
+        try:
+            p = float(raw)
+        except ValueError:  # a word from parse_gen
+            raise GraphError(f"parameter p must be a number, got {raw!r}") from None
         if not 0.0 <= p <= 1.0:
             raise GraphError(f"gnp needs p in [0,1], got {p}")
         # pairs i < j in row-major order, one row of draws at a time, so

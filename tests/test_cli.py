@@ -362,6 +362,17 @@ class TestInputErrors:
         status, err = self.run(capsys, argv)
         assert status == 2 and err.startswith("error: parameter n must be an integer")
 
+    @pytest.mark.parametrize("seeds,part", [("x", "x"), ("1-x", "1-x"), ("0,x-2", "x-2")])
+    def test_non_integer_seed(self, capsys, seeds, part):
+        argv = ["--gen", "path:n=5", "--algo", "netdecomp", "--seeds", seeds]
+        assert self.run(capsys, argv) == (
+            2, f"error: --seeds must list integers or ranges a-b, got {part!r}\n")
+
+    def test_non_numeric_gnp_p(self, capsys):
+        argv = ["--gen", "gnp:n=5,p=x", "--algo", "netdecomp"]
+        assert self.run(capsys, argv) == (
+            2, "error: parameter p must be a number, got 'x'\n")
+
     @pytest.mark.parametrize("graph,what", [
         ({"nodes": [0, 1], "edges": [[0, math.inf]]},
          "wrong type (cannot convert float infinity to integer)"),

@@ -32,6 +32,7 @@ from netdecomp.graphs import (
     _bfs_idx,
     connected_components,
     generate_graph,
+    symmetric_csr,
     voronoi_cells,
 )
 from references import all_pairs_distances
@@ -464,28 +465,34 @@ class TestSharedLaneBlocks:
 
 
 class TestPullPlan:
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
         n=st.integers(1, 200),
         mean_degree=st.floats(0.0, 8.0),
         hub=st.floats(0.0, 1.0),
         words=st.integers(1, 3),
         piece=st.sampled_from([1, 5, 1 << 18]),
+        keep=st.just(1.0) | st.floats(0.0, 1.0),
         seed=st.integers(0, 10_000),
     )
-    def test_pull_ors_every_neighbour(self, n, mean_degree, hub, words, piece, seed):
+    def test_pull_ors_every_neighbour(self, n, mean_degree, hub, words, piece, keep, seed):
         # gnp plus a hub joined to a share of the nodes: high-degree rows in
         # the CSR tail, and isolated nodes with nothing to pull
         g = generate_graph("gnp", {"n": n, "p": min(1.0, mean_degree / n)}, seed)
         rng = np.random.default_rng(seed)
         spokes = [(n, v) for v in range(n) if rng.random() < hub]
         g = Graph(range(n + 1), g.edges_by_id() + spokes)
-        plan = _PullPlan(g)
+        # with keep < 1 the plan holds a share of the edges, as mst_radius's
+        # plans hold those every lane of a block may cross: the pull must OR
+        # that share's neighbours and no others
+        pairs = np.array(g.edge_indices(), dtype=np.int64).reshape(-1, 2)
+        kept = pairs[rng.random(len(pairs)) < keep]
+        plan = _PullPlan(g.n, *symmetric_csr(kept[:, 0], kept[:, 1], g.n)[:2])
         frontier = rng.integers(0, 1 << 62, size=(g.n, words)).astype(np.uint64)
         want = np.zeros_like(frontier)
-        for v in range(g.n):
-            for u in g.neighbors[v]:
-                want[plan.rank[v]] |= frontier[plan.rank[u]]
+        for a, b in kept.tolist():
+            want[plan.rank[a]] |= frontier[plan.rank[b]]
+            want[plan.rank[b]] |= frontier[plan.rank[a]]
         out, scratch = np.full_like(frontier, 7), np.empty_like(frontier)
         with patch.object(clustering, "_PULL_WORDS", piece):
             plan.pull(frontier, out, scratch)

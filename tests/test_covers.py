@@ -322,12 +322,14 @@ class TestBitParallelMuOracle:
         assert mst_radius(g) == mst_radius_scipy(g) == scipy_mu(g) == 0
         assert mst_radius_scipy(g, cycle_cap=1) == 0
 
-    @pytest.mark.parametrize("block", [1, 7, 64])
+    @pytest.mark.parametrize("block", [1, 7, 64, 65, 128])
     def test_lane_blocks_change_no_answer(self, block):
+        # blocks of 65 and 128 lanes put masked floors on both sides of a
+        # word edge
         for seed in range(3):
             g = _weighted_gnp(50, 0.15, seed)   # about 140 non-MST edges
             mu = scipy_mu(g)
-            with patch.object(covers, "_LANE_BLOCK", block):
+            with patch.object(clustering, "_LANES", block):
                 for mu_of in (mst_radius, mst_radius_scipy):
                     assert mu_of(g) == mu
                     assert mu_of(g, mu) == mu

@@ -7,9 +7,12 @@ import of ``src/netdecomp`` in use."""
 import ast
 import importlib
 import importlib.util
+from contextlib import ExitStack
+from fractions import Fraction
 from pathlib import Path
+from unittest.mock import Mock, patch
 
-from netdecomp import graphs
+from netdecomp import clustering, covers, graphs
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -115,3 +118,29 @@ def test_src_holds_no_test_only_code():
     }
     assert unreferenced == set(UNREFERENCED_ALLOWED), sorted(
         unreferenced ^ set(UNREFERENCED_ALLOWED))
+
+
+def test_one_lane_kernel_serves_mu_and_weak_diameters():
+    # mu and the weak diameters run on clustering._lane_rounds; with it
+    # wrapped in every module that binds it, each entry point must call it,
+    # so a second lane BFS cannot come back unnoticed
+    kernel = clustering._lane_rounds
+    spy = Mock(wraps=kernel)
+    src = Path(graphs.__file__).resolve().parent
+    modules = [importlib.import_module(f"netdecomp.{path.stem}")
+               for path in src.glob("*.py")]
+    cycle = [(0, 1), (1, 2), (2, 3), (0, 3)]
+    g = graphs.Graph(range(4), cycle, {e: Fraction(i + 1) for i, e in enumerate(cycle)})
+    dec = clustering.Decomposition(k=1, clusters=[clustering.Cluster(
+        id=0, center=0, members=frozenset(range(4)), tree_edges=frozenset(cycle[:3]))])
+    with ExitStack() as stack:
+        for mod in modules:
+            if getattr(mod, "_lane_rounds", None) is kernel:
+                stack.enter_context(patch.object(mod, "_lane_rounds", spy))
+        for entry, want in ((lambda: covers.mst_radius(g), 4),
+                            (lambda: covers.mst_radius_scipy(g), 4),
+                            (lambda: clustering.validate_decomposition(g, dec)
+                             .stats["max_weak_diameter"], 2)):
+            spy.reset_mock()
+            assert entry() == want
+            assert spy.called
