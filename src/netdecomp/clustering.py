@@ -8,12 +8,13 @@ independent all-pairs backend is used in tests to cross-check verdicts.
 
 from __future__ import annotations
 
-from collections import Counter
 from itertools import chain
+from operator import attrgetter
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .graphs import Graph, _bfs_idx, _json_int, _malformed_json
 
@@ -132,6 +133,136 @@ def _check_tree(g: Graph, cluster: Cluster, rep: Report, strong: bool) -> Option
     return dist
 
 
+def _member_arrays(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray]:
+    """The number of members of each cluster, and all members concatenated
+    in cluster order."""
+    members = list(map(attrgetter("members"), clusters))
+    sizes = np.fromiter(map(len, members), dtype=np.int64, count=len(members))
+    flat = np.fromiter(chain.from_iterable(members), dtype=np.int64,
+                       count=int(sizes.sum()))
+    return sizes, flat
+
+
+def _tree_edge_arrays(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray]:
+    """All tree edges as one (T, 2) array in cluster order, and the number
+    of tree edges of each cluster."""
+    trees = list(map(attrgetter("tree_edges"), clusters))
+    counts = np.fromiter(map(len, trees), dtype=np.int64, count=len(trees))
+    total = int(counts.sum())
+    ends = np.fromiter(chain.from_iterable(chain.from_iterable(trees)),
+                       dtype=np.int64, count=2 * total)
+    return ends.reshape(total, 2), counts
+
+
+def _trees_ok(
+    g: Graph, clusters: list[Cluster], sizes: np.ndarray, flat: np.ndarray,
+    ends: np.ndarray, counts: np.ndarray, strong: bool, depth: bool = False,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    """Per cluster, True where ``_check_tree`` accepts its tree; and with
+    ``depth``, the depth of each accepted tree (its most hops from the
+    center; 0 elsewhere).  ``sizes`` and ``flat`` are
+    ``_member_arrays(clusters)``, ``ends`` and ``counts``
+    ``_tree_edge_arrays(clusters)``.  A cluster marked False is left to
+    ``_check_tree``, which writes why it fails; so is every cluster with an
+    index outside 0..n-1.
+
+    All clusters are checked at once, on keys cluster * n + node.  A tree's
+    nodes are its edges' ends and its center.  As ``_check_tree`` does, it
+    is accepted when its center is a member, every edge is a G-edge
+    (``searchsorted`` on the sorted CSR keys), every member is a node, in
+    strong mode every node is a member, it has one edge fewer than nodes,
+    and its nodes are connected: one scipy labelling of the trees'
+    (cluster, node) graph, or with ``depth`` one search from all centers.
+    The last two make it a tree; an edge listed in both directions would
+    close a cycle of two.  A cluster without tree edges is thus accepted
+    when its center is its only member."""
+    from scipy.sparse.csgraph import connected_components, dijkstra  # see _certify
+
+    n, k = g.n, len(clusters)
+    centers = np.fromiter(map(attrgetter("center"), clusters), dtype=np.int64,
+                          count=k)
+    of_member = np.repeat(np.arange(k), sizes)
+    of_edge = np.repeat(np.arange(k), counts)
+    ok = np.zeros(k, dtype=bool)
+    ok[of_member[flat == centers[of_member]]] = True
+    ok &= (centers >= 0) & (centers < n)
+    ok[of_member[(flat < 0) | (flat >= n)]] = False
+    ok[of_edge[((ends < 0) | (ends >= n)).any(axis=1)]] = False
+    # keys only of clusters whose indices all lie in range
+    inside = np.flatnonzero(ok)
+    mem, edg = ok[of_member], ok[of_edge]
+    of_edge, a, b = of_edge[edg], ends[edg, 0], ends[edg, 1]
+    if not len(a):  # a tree without edges is its center alone
+        ok &= sizes == 1
+        return ok, np.zeros(k, dtype=np.int64) if depth else None
+
+    indptr, dst = g._rows
+    # the sorted CSR keys, then n * n, above every key: a search for a key
+    # always lands on an entry
+    rows = np.append(np.repeat(np.arange(n), np.diff(indptr)) * n + dst, n * n)
+    key = np.minimum(a, b) * n + np.maximum(a, b)
+    order = np.argsort(key)  # sorted needles search fast
+    key = key[order]
+    ok[of_edge[order[rows[np.searchsorted(rows, key)] != key]]] = False
+
+    # the distinct node keys, and where each end and center lies among them
+    node_keys = np.concatenate((of_edge * n + a, of_edge * n + b,
+                                inside * n + centers[inside]))
+    order = np.argsort(node_keys)
+    fresh = np.ones(len(order), dtype=bool)
+    np.not_equal(node_keys[order[1:]], node_keys[order[:-1]], out=fresh[1:])
+    nodes = node_keys[order[fresh]]
+    at = np.empty_like(order)
+    at[order] = np.cumsum(fresh) - 1
+    of_node = nodes // n
+    tree_size = np.bincount(of_node, minlength=k)
+    ok &= counts == tree_size - 1
+    # member keys and node keys are each distinct: a key found twice is both
+    both = np.sort(np.concatenate((of_member[mem] * n + flat[mem], nodes)))
+    common = np.bincount(both[1:][both[1:] == both[:-1]] // n, minlength=k)
+    ok &= common == sizes
+    if strong:
+        ok &= common == tree_size
+
+    t = len(a)
+    trees = sparse.csr_matrix((np.ones(t), (at[:t], at[t : 2 * t])),
+                              shape=(len(nodes), len(nodes)))
+    roots = at[2 * t :]
+    if not depth:
+        _, label = connected_components(trees, directed=False)
+        root_label = np.zeros(k, dtype=label.dtype)
+        root_label[inside] = label[roots]
+        ok[of_node[label != root_label[of_node]]] = False
+        return ok, None
+    dist = dijkstra(trees, directed=False, unweighted=True, min_only=True,
+                    indices=roots)
+    reached = np.isfinite(dist)
+    ok[of_node[~reached]] = False
+    dist[~reached] = 0
+    most = np.zeros(k, dtype=np.int64)
+    most[inside] = np.maximum.reduceat(dist, np.searchsorted(of_node, inside))
+    return ok, most
+
+
+def _edge_overlap(ends: np.ndarray, cls: np.ndarray, classes: int) -> tuple[np.ndarray, int]:
+    """Per color class, the number of edges that more than one of its trees
+    use, and the most trees of any colors that use one edge.  ``ends`` are
+    the tree edges (``_tree_edge_arrays``) and ``cls`` the class of each; a
+    tree that lists an edge in both directions counts as two."""
+    lo, hi = ends.min(axis=1), ends.max(axis=1)
+    order = np.lexsort((cls, hi, lo))
+    lo, hi, cls = lo[order], hi[order], cls[order]
+    new_edge = np.ones(len(lo), dtype=bool)
+    new_edge[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    new_use = new_edge.copy()
+    new_use[1:] |= cls[1:] != cls[:-1]
+    firsts = np.flatnonzero(new_edge)
+    most = int(np.diff(np.append(firsts, len(lo))).max(initial=0))
+    firsts = np.flatnonzero(new_use)
+    uses = np.diff(np.append(firsts, len(lo)))
+    return np.bincount(cls[firsts[uses > 1]], minlength=classes), most
+
+
 # lanes per block of the lane kernel: 16 words of 64 lanes
 _LANES = 1024
 # frontier words that a pull of a CSR tail gathers at once (2 MB)
@@ -169,8 +300,10 @@ def _lane_rounds(rows: tuple[np.ndarray, np.ndarray], flat: np.ndarray,
     rows in ``_PullPlan`` order.  A round pulls the frontier over the edges
     and keeps the bits still unseen.  In the block [lo, hi) an edge with
     floor <= lo is in the plan, one with lo < floor < hi is ORed in after
-    the pull under the mask of the lanes from its floor on, and one with
-    floor >= hi is left out; without floors the plan is built once.  A
+    the pull under the mask of the lanes from its floor on (these edges are
+    sorted by row once per block, so that a round ORs them in with one
+    gather and one ``bitwise_or.reduceat``), and one with floor >= hi is
+    left out; without floors the plan is built once.  A
     block ends at the first round at which every wait row of a set with
     lanes in it holds them, and the answer is the maximum over blocks.
     Memory is four (n, W) arrays, the wait rows' masks and a piece of at
@@ -193,9 +326,15 @@ def _lane_rounds(rows: tuple[np.ndarray, np.ndarray], flat: np.ndarray,
             keep = floor <= lo
             plan = _PullPlan(n, np.concatenate(([0], np.cumsum(keep)))[indptr],
                              dst[keep])
+            # the late edges grouped by the row they are ORed into
             late = np.flatnonzero(~keep & (floor < hi))
-            late_src, late_dst = plan.rank[src[late]], plan.rank[dst[late]]
+            late_src = plan.rank[src[late]]
+            by_row = np.argsort(late_src)
+            late, late_src = late[by_row], late_src[by_row]
+            late_dst = plan.rank[dst[late]]
             late_mask = ~_PREFIX[np.clip(floor[late, None] - lo - word_lo, 0, 64)]
+            late_first = np.flatnonzero(np.diff(late_src, prepend=-1))
+            late_rows = late_src[late_first]
         # sets s0..s1-1 have lanes here; a wait row needs its set's lanes
         s0 = int(np.searchsorted(bounds, lo, side="right")) - 1
         s1 = int(np.searchsorted(bounds, hi, side="left"))
@@ -221,8 +360,10 @@ def _lane_rounds(rows: tuple[np.ndarray, np.ndarray], flat: np.ndarray,
                 return -1  # disconnected in G: treated as invalid upstream
             r += 1
             plan.pull(frontier, pulled, scratch[:n])
-            if floor is not None:
-                np.bitwise_or.at(pulled, late_src, frontier[late_dst] & late_mask)
+            if floor is not None and len(late):
+                late_bits = np.take(frontier, late_dst, axis=0)
+                late_bits &= late_mask
+                pulled[late_rows] |= np.bitwise_or.reduceat(late_bits, late_first, axis=0)
             pulled &= unseen
             unseen ^= pulled
             frontier, pulled = pulled, frontier
@@ -345,7 +486,9 @@ def _certify(
     input).  One member array serves every check.  Members are connected
     in G exactly when one component holds them all.  A color class with
     more than one cluster is checked by ``_separated``; only a class that
-    fails it goes through ``_gap_failures``, which writes its lines."""
+    fails it goes through ``_gap_failures``, which writes its lines, and only
+    a cluster whose tree ``_trees_ok`` does not accept goes through
+    ``_check_tree``."""
     # imported on first use: scipy.sparse.csgraph loads scipy.sparse.linalg
     # (about 11 MB and 0.1 s), which a run that checks no decomposition
     # should not pay for
@@ -353,11 +496,8 @@ def _certify(
 
     rep = Report(valid=True)
     clusters = dec.clusters
-    sizes = np.fromiter((len(c.members) for c in clusters), dtype=np.int64,
-                        count=len(clusters))
+    sizes, flat = _member_arrays(clusters)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
-    flat = np.fromiter(chain.from_iterable(c.members for c in clusters),
-                       dtype=np.int64, count=int(bounds[-1]))
     covered = len(np.unique(flat))
     if covered < len(flat):
         owner: dict[int, int] = {}
@@ -368,9 +508,11 @@ def _certify(
                 owner[v] = c.id
     if covered != g.n:
         rep.fail(f"partition covers {covered} of {g.n} nodes")
+    ends, counts = _tree_edge_arrays(clusters)
     if check_trees:
-        for c in clusters:
-            _check_tree(g, c, rep, strong=strong)
+        ok, _ = _trees_ok(g, clusters, sizes, flat, ends, counts, strong)
+        for i in np.flatnonzero(~ok).tolist():
+            _check_tree(g, clusters[i], rep, strong=strong)
 
     whole = sizes >= 2
     if whole.any():
@@ -394,7 +536,7 @@ def _certify(
     cls_bounds = np.searchsorted(entry_cls[order], np.arange(len(classes) + 1))
     by_class, pos = flat[order], np.repeat(np.arange(len(clusters)), sizes)[order]
     min_gap = None
-    total_usage: Counter[tuple[int, int]] = Counter()
+    over, overlap = _edge_overlap(ends, np.repeat(cls, counts), len(classes))
     for i, (color, group) in enumerate(classes.items()):
         if len(group) > 1:
             lo, hi = cls_bounds[i], cls_bounds[i + 1]
@@ -403,20 +545,13 @@ def _certify(
                 gap = _gap_failures(g, color, group, dec.k, rep)
                 if gap is not None:
                     min_gap = gap if min_gap is None else min(min_gap, gap)
-        usage: dict[tuple[int, int], int] = {}
-        for c in group:
-            for a, b in c.tree_edges:
-                e = (min(a, b), max(a, b))
-                usage[e] = usage.get(e, 0) + 1
-        over = {e: n for e, n in usage.items() if n > 1}
-        if over:
-            rep.fail(f"color {color}: {len(over)} G-edges used by multiple trees")
-        total_usage.update(usage)
+        if over[i]:
+            rep.fail(f"color {color}: {over[i]} G-edges used by multiple trees")
 
     rep.stats = {
         "colors": dec.colors_used,
         "min_same_color_gap": min_gap,
-        "max_edge_overlap": max(total_usage.values(), default=0),
+        "max_edge_overlap": overlap,
     }
     keep = np.repeat(whole, sizes)
     return rep, flat[keep], np.concatenate(([0], np.cumsum(sizes[whole])))
@@ -455,13 +590,18 @@ def _gap_failures(
 
 def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
     """Definition-clause verdicts for a sparse neighborhood cover: strong
-    spanning trees, k-ball containment, and per-node sparsity.  Containment
-    takes one bounded BFS per cluster (``_ball_interior``), not one per
-    node."""
+    spanning trees, k-ball containment, and per-node sparsity.  The trees
+    are checked on arrays (``_trees_ok``), and containment takes one bounded
+    BFS per cluster (``_ball_interior``), not one per node."""
     rep = Report(valid=True)
-    max_depth = 0
-    for c in cover.clusters:
-        dist = _check_tree(g, c, rep, strong=True)
+    clusters = cover.clusters
+    sizes, flat = _member_arrays(clusters)
+    ends, counts = _tree_edge_arrays(clusters)
+    ok, depth = _trees_ok(g, clusters, sizes, flat, ends, counts, strong=True,
+                          depth=True)
+    max_depth = int(depth[ok].max(initial=0))
+    for i in np.flatnonzero(~ok).tolist():
+        dist = _check_tree(g, clusters[i], rep, strong=True)
         if dist is not None:
             max_depth = max(max_depth, max(dist.values(), default=0))
 
@@ -501,8 +641,31 @@ def _ball_interior(g: Graph, members: frozenset[int], k: int) -> frozenset[int]:
 
 
 def validate_mis(g: Graph, s: Iterable[int]) -> tuple[bool, Optional[str]]:
-    """True iff ``s`` (node indices) is independent and dominating."""
+    """True iff ``s`` (node indices) is independent and dominating.
+
+    Decided on the CSR rows: one gather of the in-set flags over the
+    neighbour entries and a prefix sum give every node's number of
+    neighbours in the set; the set is an MIS when no node of it has one and
+    every other node has one.  The loop of ``_mis_failure`` runs only to
+    say why a set fails, or for a set that holds anything but node
+    indices."""
     sset = set(s)
+    idx = np.array(list(sset))
+    if idx.dtype.kind in "iu" and ((idx >= 0) & (idx < g.n)).all():
+        indptr, dst = g._rows
+        member = np.zeros(g.n, dtype=bool)
+        member[idx] = True
+        hits = np.concatenate(([0], np.cumsum(member[dst])))
+        dominated = hits[indptr[1:]] > hits[indptr[:-1]]
+        if not (member & dominated).any() and (member | dominated).all():
+            return True, None
+    return _mis_failure(g, sset)
+
+
+def _mis_failure(g: Graph, sset: set) -> tuple[bool, Optional[str]]:
+    """``validate_mis``'s verdict by a loop over the nodes: the first
+    adjacent pair of ``sset`` in its iteration order, else the first node
+    that it does not dominate."""
     for v in sset:
         for u in g.neighbors[v]:
             if u in sset:

@@ -104,7 +104,7 @@ class Graph:
 
     @property
     def max_degree(self) -> int:
-        return max((len(a) for a in self.neighbors), default=0)
+        return int(np.diff(self._rows[0]).max(initial=0))
 
     def index_of(self, node_id: int) -> int:
         try:
@@ -386,7 +386,11 @@ def _load_json(path: str) -> Graph:
             id_bits = data.get("id_bits")
             if id_bits is not None:
                 _json_int(id_bits, f"graph JSON {path}: id_bits")
-            return Graph(data["nodes"], edges, weights or None, id_bits=id_bits)
+            g = Graph(data["nodes"], edges, weights or None, id_bits=id_bits)
+        # freed while the collector is off: its first pass after the block
+        # would otherwise scan every parsed edge list
+        del data, edges, weights
+    return g
 
 
 def save_graph_json(g: Graph, path: str) -> None:

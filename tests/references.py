@@ -1,6 +1,7 @@
 """Centralized references that only the tests run: Floyd-Warshall
-distances, power graphs, log*, cycle-enumeration μ and the exact-arithmetic
-Ghaffari round.  They live outside the package so that the code they
+distances, power graphs, log*, cycle-enumeration μ, the exact-arithmetic
+Ghaffari round, and the loops that validated MIS sets and counted tree-edge
+overlaps before those checks moved to arrays.  They live outside the package so that the code they
 certify cannot reuse them.  This is a plain helper module, not a test
 module; the test modules import it by name.
 """
@@ -149,3 +150,35 @@ def ghaffari_round(
     for v in und:
         p[v] = next_desire(state.p[v], eff[v])
     return MisState(p=p, status=status, round=state.round + 1)
+
+
+# -- validator loops -----------------------------------------------------
+
+
+def validate_mis_by_loop(g: Graph, s) -> tuple[bool, str | None]:
+    """``validate_mis`` by loops: the first adjacent pair of ``set(s)`` in
+    its iteration order, else the first node it does not dominate."""
+    sset = set(s)
+    for v in sset:
+        for u in g.neighbors[v]:
+            if u in sset:
+                return False, f"adjacent pair ({v},{u}) both in set"
+    for v in range(g.n):
+        if v not in sset and not any(u in sset for u in g.neighbors[v]):
+            return False, f"node {v} undominated"
+    return True, None
+
+
+def edge_overlap_by_loop(
+    ends: np.ndarray, cls: np.ndarray, classes: int
+) -> tuple[np.ndarray, int]:
+    """``clustering._edge_overlap`` by one dict of edge uses per color
+    class and one over all classes."""
+    usage: list[dict] = [{} for _ in range(classes)]
+    total: dict = {}
+    for (a, b), c in zip(ends.tolist(), cls.tolist()):
+        e = (min(a, b), max(a, b))
+        usage[c][e] = usage[c].get(e, 0) + 1
+        total[e] = total.get(e, 0) + 1
+    over = [sum(1 for uses in u.values() if uses > 1) for u in usage]
+    return np.array(over, dtype=np.int64), max(total.values(), default=0)

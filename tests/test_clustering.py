@@ -1,5 +1,6 @@
 """Validator tests: decomposition separation, cover clauses, MIS, ruling sets."""
 
+import dataclasses
 import functools
 from unittest.mock import patch
 
@@ -35,7 +36,7 @@ from netdecomp.graphs import (
     symmetric_csr,
     voronoi_cells,
 )
-from references import all_pairs_distances
+from references import all_pairs_distances, edge_overlap_by_loop, validate_mis_by_loop
 
 
 def star(k):
@@ -599,6 +600,231 @@ class TestValidateCover:
             assert rep.stats["uncovered_balls"] == _uncovered_by_balls(g, rest, 2)
 
 
+def _bfs_forest(g, roots, rng, palette):
+    """Clusters of the multi-source BFS forest from ``roots`` (node
+    indices), each tree with its edges in random directions, and a
+    singleton for every node no root reaches; colors drawn from
+    ``palette``."""
+    parent: dict = {}
+    if roots:
+        _bfs_idx(g, roots, parent=parent)
+    root_of = {r: r for r in roots}
+    trees: dict = {r: ([r], set()) for r in roots}
+    for v in parent:  # discovery order: a parent before its children
+        if parent[v] != v:
+            root_of[v] = root_of[parent[v]]
+            trees[root_of[v]][0].append(v)
+            e = (parent[v], v)
+            trees[root_of[v]][1].add(e if rng.random() < 0.5 else e[::-1])
+    out = [(r, frozenset(mem), frozenset(edges)) for r, (mem, edges) in trees.items()]
+    out += [(v, frozenset([v]), frozenset()) for v in range(g.n) if v not in parent]
+    return [Cluster(id=i, center=c, members=m, tree_edges=t,
+                    color=int(rng.integers(palette)))
+            for i, (c, m, t) in enumerate(out)]
+
+
+TREE_FAULTS = ("none", "non-G edge", "non-G edge to a new node", "reversed duplicate",
+               "chord", "inner edge swapped for a chord in one part",
+               "edge swapped for a non-G edge", "tree grown to a non-member center",
+               "cut edge", "leaf edge removed", "edge to a non-member",
+               "center not a member", "edge shared in a color", "endpoint n",
+               "endpoint -1", "first endpoint -1", "member -1", "members without edges")
+
+
+def _inject(g, clusters, fault, rng):
+    """``clusters`` with ``fault`` put into one drawn cluster that has tree
+    edges (unchanged when no cluster can take it)."""
+    grown = [i for i, c in enumerate(clusters) if c.tree_edges]
+    if fault == "none" or not grown:
+        return clusters
+    i = grown[int(rng.integers(len(grown)))]
+    c = clusters[i]
+    nodes = sorted(c.tree_nodes())
+    edges = sorted(c.tree_edges)
+    pick = lambda xs: xs[int(rng.integers(len(xs)))] if xs else None  # noqa: E731
+    tree = {tuple(sorted(e)) for e in edges}
+    deg: dict = {}
+    for e in edges:
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+    v = pick(nodes)
+    add = drop = None
+    fields: dict = {}
+    if fault == "non-G edge":
+        add = pick([(a, b) for a in nodes for b in range(g.n)
+                    if a != b and b not in g.neighbors[a]])
+    elif fault == "non-G edge to a new node":
+        add = pick([(a, b) for a in nodes for b in range(g.n)
+                    if b not in deg and b != a and b not in g.neighbors[a]])
+    elif fault == "inner edge swapped for a chord in one part":
+        # as many edges as before, but a cycle and two parts
+        drop = pick([e for e in edges if min(deg[x] for x in e) >= 2])
+        if drop is not None:
+            part = _side(c.tree_edges - {drop}, drop[0])
+            add = pick([(a, b) for a in sorted(part) for b in g.neighbors[a]
+                        if a < b and b in part and (a, b) not in tree])
+    elif fault == "tree grown to a non-member center":
+        add = pick([(a, b) for a in nodes for b in g.neighbors[a] if b not in c.members])
+        if add is not None:
+            fields["center"] = add[1]
+    elif fault == "edge swapped for a non-G edge":
+        drop = pick(edges)
+        add = pick([(a, b) for a in nodes for b in nodes
+                    if a < b and b not in g.neighbors[a]])
+    elif fault == "reversed duplicate":
+        add = pick(edges)[::-1]
+    elif fault == "chord":
+        add = pick([(a, b) for a in nodes for b in g.neighbors[a]
+                    if a < b and b in deg and (a, b) not in tree])
+    elif fault == "cut edge":
+        drop = pick(edges)
+    elif fault == "leaf edge removed":
+        drop = pick([e for e in edges if any(deg[x] == 1 and x != c.center for x in e)])
+    elif fault == "edge to a non-member":
+        add = pick([(a, b) for a in nodes for b in g.neighbors[a] if b not in c.members])
+    elif fault == "center not a member":
+        fields["center"] = pick([u for u in range(g.n) if u not in c.members])
+    elif fault == "edge shared in a color":
+        other = pick([j for j in grown if j != i])
+        if other is not None:
+            add = pick(sorted(clusters[other].tree_edges))
+            fields["color"] = clusters[other].color
+    elif fault == "endpoint n":
+        add = (v, g.n)
+    elif fault == "endpoint -1":
+        add = (v, -1)
+    elif fault == "first endpoint -1":
+        add = (-1, v)
+    elif fault == "member -1":
+        fields["members"] = c.members | {-1}
+    elif fault == "members without edges":
+        fields["tree_edges"] = frozenset()
+    if add is not None or drop is not None:
+        fields["tree_edges"] = (c.tree_edges | {add}) - {drop, None}
+    if fields.get("center", 0) is None:
+        return clusters
+    out = list(clusters)
+    out[i] = dataclasses.replace(c, **fields)
+    return out
+
+
+def _side(edges, v):
+    """The nodes that ``edges`` connect to ``v``."""
+    seen, todo = {v}, [v]
+    while todo:
+        u = todo.pop()
+        for a, b in edges:
+            for x, y in ((a, b), (b, a)):
+                if x == u and y not in seen:
+                    seen.add(y)
+                    todo.append(y)
+    return seen
+
+
+def _outcome(validator, *args, **kw):
+    """A validator's (valid, failures, stats), or the name of the error it
+    raised."""
+    try:
+        rep = validator(*args, **kw)
+    except (IndexError, ValueError) as exc:
+        return type(exc).__name__
+    return rep.valid, rep.failures, rep.stats
+
+
+def _by_loops(validator, *args, **kw):
+    """``_outcome`` with every tree through ``_check_tree`` and the edge
+    overlap counted by the dict loop."""
+    def nothing_ok(g, clusters, *rest, depth=False, **kw):
+        return (np.zeros(len(clusters), dtype=bool),
+                np.zeros(len(clusters), dtype=np.int64) if depth else None)
+
+    with patch.object(clustering, "_trees_ok", nothing_ok), \
+            patch.object(clustering, "_edge_overlap", edge_overlap_by_loop):
+        return _outcome(validator, *args, **kw)
+
+
+class TestArrayTreeChecks:
+    """The array tree checks (``_trees_ok``, ``_edge_overlap``) against
+    the per-cluster loop: BFS forests of random graphs with at most one
+    injected fault give identical reports or the same error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        mean_degree=st.floats(0.5, 6.0),
+        roots=st.integers(0, 8),
+        palette=st.integers(1, 4),
+        fault=st.sampled_from(TREE_FAULTS),
+        strong=st.booleans(),
+        k=st.integers(1, 3),
+        seed=st.integers(0, 10_000),
+    )
+    def test_reports_match_the_loop(self, n, mean_degree, roots, palette, fault,
+                                    strong, k, seed):
+        g = generate_graph("gnp", {"n": n, "p": min(1.0, mean_degree / n)}, seed)
+        rng = np.random.default_rng(seed)
+        starts = sorted(rng.choice(n, size=min(roots, n), replace=False).tolist())
+        clusters = _inject(g, _bfs_forest(g, starts, rng, palette), fault, rng)
+        dec = Decomposition(k=k, clusters=clusters)
+        assert (_outcome(validate_decomposition, g, dec, strong=strong)
+                == _by_loops(validate_decomposition, g, dec, strong=strong))
+        cover = NeighborhoodCover(k=k, clusters=clusters)
+        assert _outcome(validate_cover, g, cover) == _by_loops(validate_cover, g, cover)
+
+    # trees that only the connectivity or the center test rejects: a
+    # triangle beside a detached edge (as many edges as a tree), a tree
+    # whose center is a non-member on it, and two members without tree
+    # edges in a decomposition without any
+    @pytest.mark.parametrize("edges, clusters", [
+        ([(0, 1), (1, 2), (2, 3), (3, 4), (0, 2)],
+         [Cluster(0, 0, frozenset(range(5)),
+                  frozenset([(0, 1), (1, 2), (2, 0), (3, 4)]), 0)]),
+        ([(0, 1), (1, 2)],
+         [Cluster(0, 1, frozenset([0, 2]), frozenset([(0, 1), (1, 2)]), 0),
+          Cluster(1, 1, frozenset([1]), frozenset(), 1)]),
+        ([(0, 1)], [Cluster(0, 0, frozenset([0, 1]), frozenset(), 0)]),
+    ])
+    def test_faults_an_edge_count_misses(self, edges, clusters):
+        g = Graph(range(1 + max(max(e) for e in edges)), edges)
+        for strong in (False, True):
+            dec = Decomposition(k=1, clusters=clusters)
+            got = _outcome(validate_decomposition, g, dec, strong=strong)
+            assert not got[0]
+            assert got == _by_loops(validate_decomposition, g, dec, strong=strong)
+        cover = NeighborhoodCover(k=1, clusters=clusters)
+        assert _outcome(validate_cover, g, cover) == _by_loops(validate_cover, g, cover)
+
+    def test_valid_forest_takes_no_loop(self):
+        g = generate_graph("gnp", {"n": 300, "p": 0.01}, 4)
+        clusters = _bfs_forest(g, list(range(0, 300, 7)), np.random.default_rng(4), 300)
+        with patch.object(clustering, "_check_tree") as loop:
+            rep = validate_decomposition(g, Decomposition(k=1, clusters=clusters),
+                                         strong=True)
+            cover = validate_cover(g, NeighborhoodCover(k=1, clusters=clusters))
+        assert loop.call_count == 0
+        assert rep.stats["max_edge_overlap"] == 1
+        assert cover.stats["tree_depth"] == max(
+            _depth_in(c) for c in clusters
+        )
+
+
+def _depth_in(c):
+    """Most hops from the center along the tree of ``c``."""
+    adj: dict = {}
+    for a, b in c.tree_edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    dist = {c.center: 0}
+    todo = [c.center]
+    while todo:
+        u = todo.pop()
+        for v in adj.get(u, ()):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                todo.append(v)
+    return max(dist.values())
+
+
 class TestValidateMis:
     def test_triangle(self):
         g = generate_graph("clique", {"n": 3}, 0)
@@ -620,6 +846,37 @@ class TestValidateMis:
             if not any(u in s for u in g.neighbors[v]):
                 s.add(v)
         assert validate_mis(g, s)[0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 40),
+        mean_degree=st.floats(0.0, 6.0),
+        seed=st.integers(0, 10_000),
+        drop=st.integers(0, 3),
+        extra=st.lists(st.one_of(st.integers(-3, 45), st.sampled_from([True, 1.0, 2.5])),
+                       max_size=3),
+        as_list=st.booleans(),
+    )
+    def test_matches_the_loop(self, n, mean_degree, seed, drop, extra, as_list):
+        # a greedy MIS with up to ``drop`` members removed and ``extra``
+        # entries added: in-range nodes, indices out of range, bools, floats
+        g = generate_graph("gnp", {"n": max(n, 1), "p": min(1.0, mean_degree / max(n, 1))},
+                           seed) if n else Graph([], [])
+        rng = np.random.default_rng(seed)
+        s: set = set()
+        for v in rng.permutation(g.n).tolist():
+            if not any(u in s for u in g.neighbors[v]):
+                s.add(v)
+        for v in sorted(s)[:drop]:
+            s.discard(v)
+        s = list(s) + extra if as_list else s | set(extra)
+        try:
+            want = validate_mis_by_loop(g, s)
+        except (IndexError, TypeError) as exc:
+            with pytest.raises(type(exc)):
+                validate_mis(g, s)
+        else:
+            assert validate_mis(g, s) == want
 
 
 class TestValidateRulingSet:

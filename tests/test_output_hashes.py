@@ -21,7 +21,9 @@ recorded before graph construction and the JSON loader became bulk numpy
 operations; they pin ids, neighbor lists, weights and ``id_bits``.  The
 validator digests on clusters of up to 2,000 members were recorded before
 weak diameters moved to packed uint64 lanes, connectivity to a component
-labelling and cover containment to one BFS per cluster.
+labelling and cover containment to one BFS per cluster.  The
+``validate_mis`` verdicts and the reports on invalid trees were recorded
+before ``validate_mis`` and the tree checks decided on arrays.
 
 To print the digests of the code under test:
 
@@ -45,6 +47,7 @@ from netdecomp.clustering import (
     decomposition_to_json,
     validate_cover,
     validate_decomposition,
+    validate_mis,
 )
 from netdecomp.carving import MetaGraph, ball_grow_refine, carve_decompose
 from netdecomp.covers import (
@@ -688,8 +691,10 @@ def test_decompose_sim_with_marks_matches_pinned_digest():
 # their one-color recolorings; the whole graph as one cluster on a BFS tree
 # (1,957 and 2,000 members); a decomposition of ``gnp`` with its small
 # components kept whose largest cluster absorbs a cluster of another
-# component; and the k=1 cover of the ``gnp`` decomposition, whole and
-# with its largest cluster dropped.
+# component; the k=1 cover of the ``gnp`` decomposition, whole, with its
+# largest cluster dropped and with that cluster's tree cut; one fault of
+# each kind in the trees of the ``gnp`` decomposition (``_tree_faults``);
+# and ``validate_mis`` on a ``mis_full`` output and on four invalid sets.
 VALIDATOR_INPUTS = {
     "tree n=2000 k=3": (("tree", {"n": 2000}, 3), 3),
     "gnp n=2000 k=2": (
@@ -718,6 +723,34 @@ VALIDATOR_EXPECTED = {
             "88df819712f898ed8e1db50dc3e01bf2a0f9c21470fd541f32eca78de0c3235b",
         "validate_cover dropped cluster":
             "e268c72377d86fc25d9363a10fc1c683f3d58d2deb24a3fb93c01dd3de186fd0",
+        "validate_cover tree not connected":
+            "14a863449d35a66e9cce31eb0ef56e96ec0a96fce70b43da9491dbc9c4be18e8",
+        "validate non-G tree edge":
+            "d846dade47a36d7253b52feb3a323a71ac43dd3ec810218393d864fa7c8aef22",
+        "validate reversed duplicate tree edge":
+            "65bf797efc17c241a987b2dd2015a86db7b5f71c8464647c619e999160e41185",
+        "validate tree with a cycle":
+            "13bbf8d598447e1c50500a71aa6cd6eb5a6b791500a60f679b22323c267e061e",
+        "validate tree not connected":
+            "f908368b55baf3588470d63a688d628372f7e34b321bc2ee42ae33135bedfa1e",
+        "validate member off its tree":
+            "8eee21b42fc3ca35240379ded37c94fd81cfb2f453b8824e0bf6895b30e1050b",
+        "validate strong-mode leak":
+            "f779ee4252c81fa27d69f94092e06b022d2673c27dee1ce4c965282259f8792c",
+        "validate center outside its members":
+            "9d05189092938a81c02aac6838f86fe6da886dea4e689635712811321cd7c1a0",
+        "validate two trees share an edge":
+            "1a6de7281f0f30d35a07934c023a4be04d5d0ee6f62153c92166821170c93bfb",
+        "validate_mis mis_full":
+            "d94613877de59a3a0b3717d90975186f4eec3b2ea86e58be2ae86012529b845d",
+        "validate_mis adjacent pair":
+            "ef7bdcbb21d21574dc86f2398c21df9833c6bd6c238d078ee248b018fa1dd2fb",
+        "validate_mis undominated isolated node":
+            "2d88c7d5a0e5a845fd8b3e4e7393fa997bd862386af9ada95e6e057477a4de9d",
+        "validate_mis empty set":
+            "10d733d25ebac4f089f689b55f1de0461b3c30e3c9299640b3465a62121a44fc",
+        "validate_mis out-of-range index":
+            "3f0ccfd0e1cb5d11071def40b9a6097b90d60774a3575fce9cca2158e588d6b3",
     },
 }
 
@@ -765,7 +798,96 @@ def validator_outputs(name: str) -> dict[str, str]:
     largest = max(cover.clusters, key=lambda c: len(c.members))
     holed = NeighborhoodCover(1, [c for c in cover.clusters if c is not largest])
     out["validate_cover dropped cluster"] = _report(validate_cover(g, holed))
+    out["validate_cover tree not connected"] = _report(
+        validate_cover(g, _with_fault(cover, largest, _cut_inner_edge))
+    )
+    for fault, (faulty, strong) in _tree_faults(g, dec).items():
+        out[f"validate {fault}"] = _report(
+            validate_decomposition(g, faulty, strong=strong)
+        )
+    mis = mis_full(g, seed=3).mis
+    low = min(mis)
+    isolated = next(v for v in range(whole.n) if not whole.neighbors[v])
+    greedy: set = set()
+    for v in range(whole.n):
+        if not any(u in greedy for u in whole.neighbors[v]):
+            greedy.add(v)
+    out["validate_mis mis_full"] = _mis_verdict(g, mis)
+    out["validate_mis adjacent pair"] = _mis_verdict(g, mis | {g.neighbors[low][0]})
+    out["validate_mis undominated isolated node"] = _mis_verdict(
+        whole, greedy - {isolated}
+    )
+    out["validate_mis empty set"] = _mis_verdict(g, set())
+    out["validate_mis out-of-range index"] = _mis_verdict(g, mis | {g.n})
     return out
+
+
+def _mis_verdict(g, s) -> str:
+    try:
+        return _sha(list(validate_mis(g, s)))
+    except IndexError as exc:
+        return _sha({"raises": type(exc).__name__})
+
+
+def _with_fault(dec, cluster, fault):
+    """``dec`` with ``cluster`` replaced by ``fault(cluster)``."""
+    return dataclasses.replace(
+        dec, clusters=[fault(c) if c is cluster else c for c in dec.clusters]
+    )
+
+
+def _tree_degrees(c) -> dict:
+    deg: dict = {}
+    for e in c.tree_edges:
+        for v in e:
+            deg[v] = deg.get(v, 0) + 1
+    return deg
+
+
+def _cut_inner_edge(c):
+    """``c`` without its first tree edge whose ends both keep another edge:
+    the tree splits and keeps its nodes."""
+    deg = _tree_degrees(c)
+    e = min(e for e in c.tree_edges if min(deg[v] for v in e) >= 2)
+    return dataclasses.replace(c, tree_edges=c.tree_edges - {e})
+
+
+def _tree_faults(g, dec) -> dict:
+    """One invalid variant of ``dec`` per kind of tree fault, each with the
+    ``strong`` flag to validate it with.  Faults go into the largest
+    cluster; the shared edge goes from the first cluster with tree edges to
+    the second, recolored to the first one's color."""
+    big = max(dec.clusters, key=lambda c: (len(c.members), -c.id))
+    nodes = sorted(big.tree_nodes())
+    tree = {tuple(sorted(e)) for e in big.tree_edges}
+    far = next((a, b) for a in nodes for b in nodes
+               if a < b and b not in g.neighbors[a])
+    chord = next((a, b) for a in nodes for b in g.neighbors[a]
+                 if a < b and b in big.tree_nodes() and (a, b) not in tree)
+    first = min(big.tree_edges)
+    deg = _tree_degrees(big)
+    leaf = min(e for e in big.tree_edges
+               if any(deg[v] == 1 and v != big.center for v in e))
+    outside = min(v for v in range(g.n) if v not in big.members)
+    a, b = [c for c in dec.clusters if c.tree_edges][:2]
+    shared = dataclasses.replace(
+        b, color=a.color, tree_edges=b.tree_edges | {min(a.tree_edges)}
+    )
+
+    def edit(**fields):
+        return _with_fault(dec, big, lambda c: dataclasses.replace(c, **fields))
+
+    return {
+        "non-G tree edge": (edit(tree_edges=big.tree_edges | {far}), False),
+        "reversed duplicate tree edge":
+            (edit(tree_edges=big.tree_edges | {first[::-1]}), False),
+        "tree with a cycle": (edit(tree_edges=big.tree_edges | {chord}), False),
+        "tree not connected": (_with_fault(dec, big, _cut_inner_edge), False),
+        "member off its tree": (edit(tree_edges=big.tree_edges - {leaf}), False),
+        "strong-mode leak": (dec, True),
+        "center outside its members": (edit(center=outside), False),
+        "two trees share an edge": (_with_fault(dec, b, lambda c: shared), False),
+    }
 
 
 @pytest.mark.parametrize("name", sorted(VALIDATOR_INPUTS))
