@@ -108,34 +108,6 @@ def sample_exp(beta: float, stream) -> float:
     return -math.log(u) / beta
 
 
-def gap_probability_check(
-    ds, beta: float, trials: int, seed: int = 0
-) -> float:
-    """Monte-Carlo estimate of Pr[top two of delta_j - d_j are within 1]
-    with delta_j ~ EXP(beta) i.i.d. and d_j the given distances."""
-    if trials < 1:
-        raise CarveError("trials must be positive")
-    ds = list(ds)
-    if len(ds) <= 1:
-        return 0.0
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
-    d = np.asarray(ds, dtype=float)
-    hits = 0
-    chunk = 20_000
-    done = 0
-    while done < trials:
-        t = min(chunk, trials - done)
-        delta = rng.exponential(1.0 / beta, size=(t, len(ds)))
-        vals = delta - d
-        part = np.partition(vals, len(ds) - 2, axis=1)
-        top2 = part[:, -2:]
-        hits += int(((top2[:, 1] - top2[:, 0]) <= 1.0).sum())
-        done += t
-    return hits / trials
-
-
 @dataclass
 class CarveStepResult:
     clusters: dict[int, set[int]]       # center meta index -> member indices

@@ -16,7 +16,14 @@ from typing import Iterable, Optional
 import numpy as np
 from scipy import sparse
 
-from .graphs import Graph, _bfs_idx, _json_int, _malformed_json
+from .graphs import (
+    Graph,
+    _bfs_idx,
+    _json_int,
+    _malformed_json,
+    component_labels,
+    row_entries,
+)
 
 
 @dataclass
@@ -176,7 +183,7 @@ def _trees_ok(
     The last two make it a tree; an edge listed in both directions would
     close a cycle of two.  A cluster without tree edges is thus accepted
     when its center is its only member."""
-    from scipy.sparse.csgraph import connected_components, dijkstra  # see _certify
+    from scipy.sparse.csgraph import connected_components, dijkstra  # see component_labels
 
     n, k = g.n, len(clusters)
     centers = np.fromiter(map(attrgetter("center"), clusters), dtype=np.int64,
@@ -434,7 +441,7 @@ def _separated(g: Graph, members: np.ndarray, labels: np.ndarray, k: int) -> boo
     own nearest member, so the label changes across some edge (x_t, x_t+1),
     and d(x_t) <= t, d(x_t+1) <= D - t - 1: the edge meets the test.  The
     cost is one search and one pass over the CSR edges."""
-    from scipy.sparse.csgraph import dijkstra  # see _certify
+    from scipy.sparse.csgraph import dijkstra  # see component_labels
 
     owner = np.full(g.n, -1, dtype=np.int64)
     owner[members] = labels
@@ -489,11 +496,6 @@ def _certify(
     fails it goes through ``_gap_failures``, which writes its lines, and only
     a cluster whose tree ``_trees_ok`` does not accept goes through
     ``_check_tree``."""
-    # imported on first use: scipy.sparse.csgraph loads scipy.sparse.linalg
-    # (about 11 MB and 0.1 s), which a run that checks no decomposition
-    # should not pay for
-    from scipy.sparse.csgraph import connected_components
-
     rep = Report(valid=True)
     clusters = dec.clusters
     sizes, flat = _member_arrays(clusters)
@@ -516,8 +518,7 @@ def _certify(
 
     whole = sizes >= 2
     if whole.any():
-        # strong components of the symmetric CSR: no transposed copy
-        _, comp = connected_components(g.adjacency_csr(), connection="strong")
+        _, comp = component_labels(g)
         at = comp[flat]
         nonempty = np.flatnonzero(sizes)
         cut = bounds[nonempty]
@@ -592,7 +593,9 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
     """Definition-clause verdicts for a sparse neighborhood cover: strong
     spanning trees, k-ball containment, and per-node sparsity.  The trees
     are checked on arrays (``_trees_ok``), and containment takes one bounded
-    BFS per cluster (``_ball_interior``), not one per node."""
+    BFS per cluster that has members next to non-members, and none for
+    k = 1 (``_ball_interiors``).  A member outside 0..n-1 raises
+    IndexError."""
     rep = Report(valid=True)
     clusters = cover.clusters
     sizes, flat = _member_arrays(clusters)
@@ -605,17 +608,11 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
         if dist is not None:
             max_depth = max(max_depth, max(dist.values(), default=0))
 
-    load = [0] * g.n
-    for c in cover.clusters:
-        for v in c.members:
-            load[v] += 1
-    sparsity = max(load, default=0)
-
-    inside = [False] * g.n
-    for c in cover.clusters:
-        for v in _ball_interior(g, c.members, cover.k):
-            inside[v] = True
-    uncovered = [v for v in range(g.n) if not inside[v]]
+    if ((flat < 0) | (flat >= g.n)).any():
+        raise IndexError("cover member outside 0..n-1")
+    sparsity = int(np.bincount(flat, minlength=g.n).max(initial=0))
+    uncovered = np.flatnonzero(
+        ~_ball_interiors(g, clusters, sizes, flat, cover.k)).tolist()
     if uncovered:
         rep.fail(f"{len(uncovered)} nodes have an uncovered {cover.k}-ball")
     rep.stats = {
@@ -627,17 +624,47 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
     return rep
 
 
-def _ball_interior(g: Graph, members: frozenset[int], k: int) -> frozenset[int]:
-    """The members whose k-ball lies in ``members``: those more than k hops
-    from every non-member.  A shortest path to the nearest non-member leaves
-    ``members`` only at its last step, so one BFS inside ``members``, seeded
-    at distance 1 at the members with a non-member neighbour and stopped at
-    k, reaches exactly the members whose ball does not lie in it."""
-    reached: list[int] = []
-    if k >= 1:
-        edge = [v for v in members if any(u not in members for u in g.neighbors[v])]
-        _bfs_idx(g, edge, cap=k - 1, within=members, reached=reached)
-    return members.difference(reached)
+def _ball_interiors(
+    g: Graph, clusters: list[Cluster], sizes: np.ndarray, flat: np.ndarray, k: int
+) -> np.ndarray:
+    """Per node, whether its k-ball lies in the members of some cluster:
+    whether it is a member more than k hops from every non-member.
+    ``sizes`` and ``flat`` are ``_member_arrays(clusters)``, all in range.
+
+    The members with a non-member neighbour are found for all clusters at
+    once: the neighbours of every (cluster, member) pair are looked up among
+    the sorted keys cluster * n + member.  A shortest path to the nearest
+    non-member leaves the members only at its last step, so one BFS inside
+    a cluster, seeded at distance 1 at those members and stopped at k,
+    reaches exactly the members whose ball does not lie in it."""
+    n = g.n
+    inside = np.zeros(n, dtype=bool)
+    if k < 1 or not len(flat):
+        inside[flat] = True
+        return inside
+    of_member = np.repeat(np.arange(len(clusters)), sizes)
+    keys = np.sort(of_member * n + flat)
+    indptr, _ = g._rows
+    degree = indptr[flat + 1] - indptr[flat]
+    near = np.repeat(of_member, degree) * n + row_entries(g._rows, flat)
+    out = keys[np.minimum(np.searchsorted(keys, near), len(keys) - 1)] != near
+    seen = np.concatenate(([0], np.cumsum(out)))
+    ends = np.cumsum(degree)
+    edge = seen[ends] > seen[ends - degree]  # a member with a non-member neighbour
+    if k == 1:
+        inside[flat[~edge]] = True
+        return inside
+    bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    for i in np.unique(of_member[edge]).tolist():
+        members = clusters[i].members
+        seeds = flat[bounds[i] : bounds[i + 1]][edge[bounds[i] : bounds[i + 1]]]
+        reached: list[int] = []
+        _bfs_idx(g, seeds.tolist(), cap=k - 1, within=members, reached=reached)
+        inside[list(members.difference(reached))] = True
+    whole = np.ones(len(clusters), dtype=bool)  # clusters without such members
+    whole[of_member[edge]] = False
+    inside[flat[whole[of_member]]] = True
+    return inside
 
 
 def validate_mis(g: Graph, s: Iterable[int]) -> tuple[bool, Optional[str]]:

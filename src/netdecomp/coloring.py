@@ -13,8 +13,6 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Sequence
 
-import numpy as np
-
 
 def next_prime(x: int) -> int:
     """Smallest prime > x (trial division; fine at the scales used here)."""
@@ -122,17 +120,17 @@ def greedy_reduce(
     """First-fit coloring scanning ``order``; ≤ Δ+1 colors, and dependent
     only on the scan order and adjacency — not on identifier values.
 
-    ``neighbors[v]`` is a list or an index array (a CSR row): a node's
-    neighbor colors are read with one array index.
+    ``neighbors[v]`` is any sequence of node indices; lists are read
+    fastest.
     """
-    colors = np.full(len(neighbors), -1, dtype=np.int64)
+    colors = [-1] * len(neighbors)
     for v in order:
-        used = set(colors.take(neighbors[v]).tolist())
+        used = set(map(colors.__getitem__, neighbors[v]))
         c = 0
         while c in used:
             c += 1
         colors[v] = c
-    return colors.tolist()
+    return colors
 
 
 def _assert_proper(neighbors, colors) -> None:

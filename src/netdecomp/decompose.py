@@ -15,7 +15,8 @@ interchangeable communication backends build it:
   oracle the simulated run must match exactly.
 
 Each live cluster's communication tree (G-shortest paths from its center)
-and radius are built once, when the cluster forms.
+and radius are built once, when the cluster forms; a colored cluster keeps
+that tree in the output.
 
 Cluster-graph control-plane steps (marking counts, Linial coloring of H²,
 2-independent set selection, merge bookkeeping) are deterministic functions
@@ -31,14 +32,16 @@ but bit widths.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain
+from operator import attrgetter, itemgetter, or_
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-from .clustering import Cluster, Decomposition
+from .clustering import Cluster, Decomposition, _member_arrays, _tree_edge_arrays
 from .coloring import (  # linial_color stays bound for the benchmark's tracer
     greedy_reduce,
     linial_color,
@@ -49,8 +52,8 @@ from .graphs import (
     NetdecompError,
     _bfs_idx,
     path_union,
+    row_entries,
     symmetric_csr,
-    voronoi_cells,
 )
 from .simulate import (
     RoundStats,
@@ -69,7 +72,7 @@ class DecomposeError(NetdecompError):
 class LiveCluster:
     id: int
     center: int                 # node index
-    members: set[int]           # node indices
+    members: frozenset[int]     # node indices
     tree_edges: frozenset[tuple[int, int]]  # G-shortest paths center -> member
     radius: int                 # largest G-distance center -> member
 
@@ -115,17 +118,29 @@ def growth_parameters(n_clusters: int) -> tuple[int, int]:
 
 @dataclass
 class HView:
-    """What phase control decisions are made from: per-cluster perceived
-    in-neighbor ids (capped at 2d), exact high/low degree flags, marks, the
-    smallest marked cluster within k hops of each unmarked cluster, and the
-    undirected unmarked adjacency."""
+    """What phase control decisions are made from, as arrays indexed by
+    live-cluster position (the live clusters in ascending id order):
 
-    order: list[int]                        # cluster ids ascending
-    in_ids: dict[int, list[int]]            # cid -> perceived in-neighbor ids
-    high_degree: dict[int, bool]
-    marked: set[int]
-    marked_nb: dict[int, int]               # unmarked cid -> marked cid
-    adj: dict[int, set[int]]                # undirected view over unmarked
+    * ``in_ptr``, ``in_pos``: CSR rows of each cluster's perceived
+      in-neighbors, the positions of the 2d smallest foreign clusters within
+      k hops, ascending;
+    * ``high``: the exact high-degree flags (at least 2d foreign clusters
+      within k hops);
+    * ``marked``: the clusters that more than 4d² clusters perceive;
+    * ``marked_nb``: the smallest marked position within k hops of each
+      unmarked cluster, -1 where there is none and at marked clusters;
+    * ``closed``: CSR rows (indptr, indices) of the closed neighbourhoods
+      N[u] = A_u + I_u in H over the unmarked clusters, where A joins two
+      unmarked clusters when either perceives the other; a marked
+      cluster's row is empty.
+    """
+
+    in_ptr: np.ndarray
+    in_pos: np.ndarray
+    high: np.ndarray
+    marked: np.ndarray
+    marked_nb: np.ndarray
+    closed: tuple[np.ndarray, np.ndarray]
 
 
 def _cluster_reach(g: Graph, live: list[LiveCluster], k: int) -> sparse.csr_matrix:
@@ -133,11 +148,11 @@ def _cluster_reach(g: Graph, live: list[LiveCluster], k: int) -> sparse.csr_matr
     id order, with sorted rows: (c, x) is set iff a member of x lies
     within k hops of a member of c (so the diagonal is set).  Centralized
     equivalent of the bounded flood and the convergecast over it."""
-    live = sorted(live, key=lambda c: c.id)
-    rows = [r for r, c in enumerate(live) for _ in c.members]
-    cols = [m for c in live for m in c.members]
+    live = sorted(live, key=attrgetter("id"))
+    sizes, cols = _member_arrays(live)
     member = sparse.csr_matrix(
-        (np.ones(len(rows), dtype=bool), (rows, cols)),
+        (np.ones(len(cols), dtype=bool),
+         (np.repeat(np.arange(len(live)), sizes), cols)),
         shape=(len(live), g.n),
     )
     adj = g.adjacency_csr().astype(bool)
@@ -147,19 +162,59 @@ def _cluster_reach(g: Graph, live: list[LiveCluster], k: int) -> sparse.csr_matr
         if grown.nnz == ball.nnz:
             break  # a ball that stops growing never grows again
         frontier, ball = grown > ball, grown
+    del frontier, grown  # freed before the product, which peaks the memory
     # a CSC -> CSR conversion sorts the rows in linear time (a product's
     # rows come out unsorted)
     return (member @ ball.T).T.tocsr()
 
 
-def _holdings_sim(
-    g: Graph, live: list[LiveCluster], k: int, fanin: int, cfg: SimConfig,
+def _in_lists_sim(
+    g: Graph, live: list[LiveCluster], k: int, cap: int, cfg: SimConfig,
     stats: RoundStats,
-) -> list[list[int]]:
+) -> tuple[np.ndarray, np.ndarray]:
+    """The perceived in-neighbor rows as CSR (in_ptr, in_pos), through the
+    engine: each member holds the 2d+1 smallest ids within k hops, and the
+    union over a cluster tree keeps the 2d smallest foreign ones."""
     sources = {m: (c.id, None) for c in live for m in c.members}
-    res, st = bounded_flood(g, sources, hops=k, fanin=fanin, cfg=cfg)
+    held, st = bounded_flood(g, sources, hops=k, fanin=cap + 1, cfg=cfg)
     stats.merge(st)
-    return [sorted(o for o, _ in holding) for holding in res]
+    values = {
+        m: {c.id: sorted(o for o, _ in held[m] if o != c.id)}
+        for c in live
+        for m in c.members
+    }
+    agg, st = cluster_convergecast(
+        g, live, values, cfg, combine="union", item_cap=cap
+    )
+    stats.merge(st)
+    pos = {c.id: i for i, c in enumerate(live)}
+    rows = [agg.get(c.id, []) for c in live]
+    sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    in_pos = np.fromiter(map(pos.__getitem__, chain.from_iterable(rows)),
+                         dtype=np.int64, count=int(sizes.sum()))
+    return np.concatenate(([0], np.cumsum(sizes))), in_pos
+
+
+def _marked_nb_sim(
+    g: Graph, live: list[LiveCluster], k: int, marked: np.ndarray,
+    cfg: SimConfig, stats: RoundStats,
+) -> np.ndarray:
+    """``HView.marked_nb`` through the engine: a gossip of the marked ids
+    over k hops, then the least one any member heard of."""
+    values = {m: live[p].id for p in np.flatnonzero(marked).tolist()
+              for m in live[p].members}
+    per_node, st = min_gossip(g, values, hops=k, cfg=cfg)
+    stats.merge(st)
+    pos = {c.id: i for i, c in enumerate(live)}
+    none = len(live)
+    sizes, flat = _member_arrays(live)
+    heard = np.array(
+        [none if per_node[m] is None else pos[per_node[m]] for m in flat.tolist()],
+        dtype=np.int64,
+    )
+    nb = np.minimum.reduceat(heard, np.cumsum(sizes) - sizes)
+    nb[(nb == none) | marked] = -1
+    return nb
 
 
 def _build_hview(
@@ -171,69 +226,59 @@ def _build_hview(
     cfg: SimConfig,
     stats: RoundStats,
 ) -> HView:
+    """The H-view of ``live`` (ascending ids).  Only the in-neighbor rows
+    and the marked neighbors come from the backend; the rest is shared."""
     cap = 2 * d
-    order = sorted(c.id for c in live)
-    in_ids: dict[int, list[int]] = {}
-    high: dict[int, bool] = {}
+    n_live = len(live)
     if mode == "sim":
-        # each member holds the 2d+1 smallest ids within k hops; the union
-        # over a cluster tree keeps the 2d smallest foreign ones
-        holdings = _holdings_sim(g, live, k, cap + 1, cfg, stats)
-        values = {
-            m: {c.id: [o for o in holdings[m] if o != c.id]}
-            for c in live
-            for m in c.members
-        }
-        agg, st = cluster_convergecast(
-            g, live, values, cfg, combine="union", item_cap=cap
-        )
-        stats.merge(st)
-        for cid in order:
-            in_ids[cid] = list(agg.get(cid, []))
-            high[cid] = len(in_ids[cid]) >= cap
+        in_ptr, in_pos = _in_lists_sim(g, live, k, cap, cfg, stats)
+        high = np.diff(in_ptr) >= cap
     else:
+        # the first 2d foreign entries of each sorted reach row, read off
+        # its first 2d + 1 entries: an entry's rank among the foreign ones
+        # is its rank in the row, less one past the diagonal
         reach = _cluster_reach(g, live, k)
-        ptr = reach.indptr.tolist()
-        for r, cid in enumerate(order):
-            start, end = ptr[r], ptr[r + 1]
-            head = reach.indices[start : min(end, start + cap + 1)].tolist()
-            in_ids[cid] = [order[x] for x in head if x != r][:cap]
-            high[cid] = end - start - 1 >= cap
+        counts = np.diff(reach.indptr)
+        head = np.minimum(counts, cap + 1)
+        row_of = np.repeat(np.arange(n_live), head)
+        rank = np.arange(len(row_of)) - np.repeat(np.cumsum(head) - head, head)
+        entry = reach.indices[np.repeat(reach.indptr[:-1], head) + rank]
+        rank -= entry > row_of
+        keep = (entry != row_of) & (rank < cap)
+        in_pos = entry[keep]
+        in_ptr = np.concatenate(
+            ([0], np.cumsum(np.bincount(row_of[keep], minlength=n_live)))
+        )
+        high = counts - 1 >= cap
 
-    out_degree = Counter(o for ids in in_ids.values() for o in ids)
-    marked = {cid for cid in order if out_degree[cid] > 4 * d * d}
-
-    marked_nb: dict[int, int] = {}
-    if marked and mode == "sim":
-        values = {m: c.id for c in live if c.id in marked for m in c.members}
-        per_node, st = min_gossip(g, values, hops=k, cfg=cfg)
-        stats.merge(st)
-        for c in live:
-            hits = [per_node[m] for m in c.members if per_node[m] is not None]
-            if hits and c.id not in marked:
-                marked_nb[c.id] = min(hits)
-    elif marked:
+    marked = np.bincount(in_pos, minlength=n_live) > 4 * d * d
+    marked_nb = np.full(n_live, -1, dtype=np.int64)
+    if marked.any() and mode == "sim":
+        marked_nb = _marked_nb_sim(g, live, k, marked, cfg, stats)
+    elif marked.any():
         # first marked entry of each unmarked row (rows are sorted)
-        is_marked = np.array([cid in marked for cid in order])
-        row_of = np.repeat(np.arange(len(order)), np.diff(reach.indptr))
-        hit = is_marked[reach.indices] & ~is_marked[row_of]
-        rows, first = np.unique(row_of[hit], return_index=True)
-        for r, x in zip(rows.tolist(), reach.indices[hit][first].tolist()):
-            marked_nb[order[r]] = order[x]
+        hit = np.flatnonzero(marked[reach.indices])
+        rows = np.searchsorted(reach.indptr, hit, side="right") - 1
+        rows, first = np.unique(rows, return_index=True)
+        unmarked = ~marked[rows]
+        marked_nb[rows[unmarked]] = reach.indices[hit[first[unmarked]]]
 
-    adj: dict[int, set[int]] = {cid: set() for cid in order if cid not in marked}
-    for cid in adj:
-        for o in in_ids[cid]:
-            if o in adj:
-                adj[cid].add(o)
-                adj[o].add(cid)
-    return HView(order, in_ids, high, marked, marked_nb, adj)
+    src = np.repeat(np.arange(n_live), np.diff(in_ptr))
+    both = ~marked[src] & ~marked[in_pos]
+    diag = np.flatnonzero(~marked)
+    indptr, indices, _ = symmetric_csr(
+        np.concatenate((src[both], diag)), np.concatenate((in_pos[both], diag)),
+        n_live,
+    )
+    return HView(in_ptr, in_pos, high, marked, marked_nb, (indptr, indices))
 
 
 # -- cluster trees -------------------------------------------------------
 
 
-def _live_cluster(g: Graph, cid: int, center: int, members: set[int]) -> LiveCluster:
+def _live_cluster(
+    g: Graph, cid: int, center: int, members: frozenset[int]
+) -> LiveCluster:
     """A live cluster with its communication tree, the union of G-shortest
     paths center -> member, and its radius, the largest G-distance from
     the center to a member."""
@@ -250,149 +295,191 @@ def _live_cluster(g: Graph, cid: int, center: int, members: set[int]) -> LiveClu
     )
 
 
-def _color_class_trees(
-    g: Graph, group: list[tuple[int, int, frozenset[int]]]
-) -> dict[int, frozenset[tuple[int, int]]]:
-    """Edge-disjoint trees for same-color clusters via lexicographic
-    (distance, cluster id) Voronoi cells.
-
-    Each cell is connected, contains all of its cluster's members, and the
-    cells of distinct same-color clusters are vertex-disjoint — so the BFS
-    trees built inside them, pruned to the center -> member paths, never
-    share a G-edge.  A cluster whose only member is its center has the
-    empty tree and needs no search, and a class made only of such clusters
-    needs no cells either.  Every other class seeds its cells with all of its
-    clusters, so its trees do not depend on which of them are single nodes.
-    """
-    ranked = sorted(group)
-    trees: dict[int, frozenset[tuple[int, int]]] = {
-        cid: frozenset() for cid, _, members in ranked if len(members) == 1
-    }
-    if len(trees) == len(ranked):
-        return trees
-    owner = voronoi_cells(g, [members for _, _, members in ranked])
-    cells: list[set[int]] = [set() for _ in ranked]
-    for v, r in enumerate(owner):
-        if r >= 0:
-            cells[r].add(v)
-    for (cid, center, members), cell in zip(ranked, cells):
-        if cid in trees:
-            continue
-        parent: dict[int, int] = {}
-        dist = _bfs_idx(g, [center], targets=members, parent=parent, within=cell)
-        missing = [m for m in members if dist[m] < 0]
-        if missing:
-            raise DecomposeError(
-                f"voronoi cell of cluster at node {center} misses members {missing[:3]}"
-            )
-        trees[cid] = path_union(parent, members)
-    return trees
-
-
 # -- phase logic ---------------------------------------------------------
 
 
-def _merge_leaders(adj: dict[int, set[int]], cstar: list[int]) -> dict[int, int]:
-    """The C* cluster each cluster within 2 hops of C* in ``adj`` merges
-    into: its nearest one, ties to the smaller id (C* maps to itself).
+def _row_min(indptr: np.ndarray, values: np.ndarray, empty: int) -> np.ndarray:
+    """Per CSR row, the least of ``values`` (one per entry); ``empty`` for
+    a row without entries."""
+    out = np.full(len(indptr) - 1, empty, dtype=np.int64)
+    full = indptr[1:] > indptr[:-1]
+    if full.any():
+        out[full] = np.minimum.reduceat(values, indptr[:-1][full])
+    return out
 
-    One BFS from all of C* in ascending id order: the frontier stays
-    grouped by ascending leader, so the first to reach a cluster carries
-    the smallest of its nearest C* clusters."""
-    leader = {cid: cid for cid in cstar}
-    frontier = sorted(cstar)
+
+def _merge_leaders(
+    closed: tuple[np.ndarray, np.ndarray], cstar: np.ndarray
+) -> np.ndarray:
+    """Per position, the C* position it merges into: its nearest one within
+    2 hops over the ``closed`` rows, ties to the smaller position (C* maps
+    to itself); -1 farther away.
+
+    Two hops of a BFS from all of C*: a cluster first reached in a hop
+    takes the least leader among its neighbours reached before."""
+    indptr, indices = closed
+    none = len(indptr) - 1
+    leader = np.full(none, -1, dtype=np.int64)
+    leader[cstar] = cstar
     for _ in range(2):
-        nxt = []
-        for u in frontier:
-            for v in adj[u]:
-                if v not in leader:
-                    leader[v] = leader[u]
-                    nxt.append(v)
-        frontier = nxt
+        heard = leader[indices]
+        near = _row_min(indptr, np.where(heard < 0, none, heard), none)
+        fresh = (leader < 0) & (near < none)
+        leader[fresh] = near[fresh]
     return leader
 
 
 def _proximity_pairs(
-    g: Graph,
-    by_id: dict[int, LiveCluster],
-    residual: list[int],
-    k: int,
+    g: Graph, live: list[LiveCluster], residual: np.ndarray, k: int
 ) -> list[tuple[int, int]]:
-    """Position pairs of residual clusters at G-distance <= max(k, 2*radius
-    of either), which must get different colors so same-color cells stay
-    connected."""
-    res_index = {cid: i for i, cid in enumerate(residual)}
-    owner = {m: cid for cid in residual for m in by_id[cid].members}
-    radii = {cid: by_id[cid].radius for cid in residual}
+    """Index pairs into ``residual`` (live positions) of residual clusters
+    at G-distance <= max(k, 2*radius of either), which must get different
+    colors so that same-color trees share no G-edge; of the pairs within
+    k, only those a search meets are listed.
+
+    Residual clusters are low-degree, so their in-lists already pair every
+    two at distance <= k; a search is needed only from a cluster whose
+    2*radius exceeds k."""
+    clusters = [live[p] for p in residual.tolist()]
+    owner = [-1] * g.n  # node -> index into residual
+    for i, c in enumerate(clusters):
+        for m in c.members:
+            owner[m] = i
+    radii = [c.radius for c in clusters]
     pairs = []
-    for cid in residual:
-        cap = max(k, 2 * radii[cid])
+    for i, c in enumerate(clusters):
+        cap = 2 * radii[i]
+        if cap <= k:
+            continue
         reached: list[int] = []
-        dist = _bfs_idx(g, sorted(by_id[cid].members), cap=cap, reached=reached)
+        dist = _bfs_idx(g, sorted(c.members), cap=cap, reached=reached)
         gap: dict[int, int] = {}    # other residual cluster -> G-distance
         for v in reached:
-            ocid = owner.get(v)
-            if ocid is not None and ocid != cid and ocid not in gap:
-                gap[ocid] = dist[v]  # reached in distance order
-        for ocid, dd in gap.items():
-            thresh = max(k, 2 * radii[cid], 2 * radii[ocid])
-            if thresh > cap:
+            o = owner[v]
+            if o >= 0 and o != i and o not in gap:
+                gap[o] = dist[v]  # reached in distance order
+        for o, dd in gap.items():
+            if 2 * radii[o] > cap:
                 continue  # handled from the other side
-            if dd <= thresh:
-                pairs.append((res_index[cid], res_index[ocid]))
+            if dd <= cap:
+                pairs.append((i, o))
     return pairs
 
 
-def _select_cstar(hv: HView) -> list[int]:
-    """Maximal 2-independent set of high-degree unmarked clusters, scanning
-    the first-fit coloring of H² in ascending id order class by class (ids
-    ascending within a class): each high-degree cluster that no earlier
-    choice blocks joins C* and blocks its H² row.
+def _select_cstar(hv: HView) -> np.ndarray:
+    """Maximal 2-independent set of high-degree unmarked clusters, as
+    ascending positions: the clusters are scanned by the first-fit coloring
+    of H² in ascending position order, class by class (positions ascending
+    within a class), and each high-degree cluster that no earlier choice
+    blocks joins C* and blocks its H² row.
 
     H² is the boolean (A + I)² (the pattern of A + A²) of the unmarked
-    clusters.  The coloring only fixes the scan order (its round cost is
-    part of the modeled ledger).  Class c of that first-fit coloring is the
-    lexicographically first maximal independent set of H² among the
-    clusters in no class below c, so the classes are built one at a time
-    over boolean masks, and the scan stops as soon as every high-degree
-    cluster is chosen or blocked, at once if there is none.  The H² row of
-    a scanned cluster is the union of the closed H rows N[u] = A_u + I_u
-    of its closed neighbourhood, and only the closed rows it reads are
-    built, so H² is never materialized.
+    clusters: two clusters are H²-adjacent iff their closed H rows meet.
+    The coloring only fixes the scan order (its round cost is part of the
+    modeled ledger), and H² is never materialized.  The members of a class
+    are H²-independent, so none blocks another, and every high-degree
+    member of class 0 joins.  Class 0 is the lexicographically first
+    maximal independent set of H² (``_first_class``); it blocks every other
+    cluster when all of them are high-degree.  The high-degree clusters it
+    leaves open are ordered by the classes above it (``_later_classes``)
+    and scanned one by one, each blocked when its closed row meets that of
+    an earlier choice.
     """
-    unmarked = [cid for cid in hv.order if cid not in hv.marked]
-    # high-degree clusters neither scanned nor blocked
-    open_ = np.array([hv.high_degree[cid] for cid in unmarked], dtype=bool)
+    open_ = hv.high & ~hv.marked
     if not open_.any():
-        return []
-    idx = {cid: i for i, cid in enumerate(unmarked)}
-    rows: list[Optional[np.ndarray]] = [None] * len(unmarked)
+        return np.empty(0, dtype=np.int64)
+    indptr, indices = hv.closed
+    first = _first_class(hv.closed, ~hv.marked)
+    cstar = first[open_[first]]
+    near = np.zeros(len(open_), dtype=bool)  # in the closed row of a choice
+    near[row_entries(hv.closed, cstar)] = True
+    # the high-degree clusters that class 0 leaves open; a choice's own
+    # closed row meets ``near``
+    rest = np.flatnonzero(open_)
+    sizes = indptr[rest + 1] - indptr[rest]
+    rest = rest[~np.logical_or.reduceat(near[row_entries(hv.closed, rest)],
+                                        np.cumsum(sizes) - sizes)]
+    if not len(rest):
+        return np.sort(cstar)
+    later = ~hv.marked[: rest[-1] + 1]
+    later[first[first <= rest[-1]]] = False
+    color = _later_classes(hv.closed, np.flatnonzero(later))
+    blocked = bytearray(near.tobytes())
+    chosen = cstar.tolist()
+    for u in sorted(rest.tolist(), key=color.__getitem__):  # stable: ids ascend
+        row = indices[indptr[u] : indptr[u + 1]].tolist()
+        if not any(map(blocked.__getitem__, row)):
+            chosen.append(u)
+            for w in row:
+                blocked[w] = 1
+    return np.array(sorted(chosen), dtype=np.int64)
 
-    def closed(i: int) -> np.ndarray:
-        row = rows[i]
-        if row is None:
-            row = rows[i] = np.array(
-                [idx[u] for u in hv.adj[unmarked[i]]] + [i], dtype=np.int64
-            )
-        return row
 
-    cstar: list[int] = []
-    unscanned = np.ones(len(unmarked), dtype=bool)
-    while open_.any():
-        # the next class: unscanned clusters H²-adjacent to none of its members
-        cand = unscanned.copy()
-        v = int(cand.argmax())
-        while cand[v]:
-            h2_row = np.concatenate([closed(u) for u in closed(v).tolist()])
-            cand[h2_row] = False
-            unscanned[v] = False
-            if open_[v]:
-                cstar.append(unmarked[v])
-                open_[h2_row] = False
-                if not open_.any():
-                    break
-            v += int(cand[v:].argmax())
-    return sorted(cstar)
+def _first_class(
+    closed: tuple[np.ndarray, np.ndarray], unscanned: np.ndarray
+) -> np.ndarray:
+    """The lexicographically first maximal independent set of H² among the
+    ``unscanned`` positions, ascending.
+
+    A scan in ascending order that takes each cluster still a candidate and
+    drops its H² row from the candidates, so it visits only the members.
+    The H² rows of the next candidates are gathered in one indexing step,
+    as many as fit in the size of ``closed``; a candidate that an earlier
+    one of the batch drops is skipped."""
+    indptr, indices = closed
+    sizes = np.diff(indptr)
+    cum = np.concatenate(([0], np.cumsum(sizes[indices])))
+    h2_size = cum[indptr[1:]] - cum[indptr[:-1]]  # an H² row, with repeats
+    budget = max(len(indices), 1)
+    cand = unscanned.copy()
+    members: list[int] = []
+    v = int(cand.argmax())
+    while cand[v]:
+        batch = np.flatnonzero(cand[v : v + _SCAN_SPAN])[:_SCAN_BATCH] + v
+        fits = np.searchsorted(np.cumsum(h2_size[batch]), budget, "right")
+        batch = batch[: max(1, fits)]
+        h2 = row_entries(closed, row_entries(closed, batch))
+        bounds = np.concatenate(([0], np.cumsum(h2_size[batch]))).tolist()
+        for j, u in enumerate(batch.tolist()):
+            if cand[u]:
+                cand[h2[bounds[j] : bounds[j + 1]]] = False
+                members.append(u)
+        v = int(batch[-1])
+        v += int(cand[v:].argmax())
+    return np.array(members, dtype=np.int64)
+
+
+# ``_first_class`` gathers the H² rows of up to this many candidates at
+# once, the next ones within this many positions
+_SCAN_BATCH = 16
+_SCAN_SPAN = 4096
+
+
+def _later_classes(
+    closed: tuple[np.ndarray, np.ndarray], todo: np.ndarray
+) -> dict[int, int]:
+    """The first-fit coloring of H² among the ``todo`` positions in
+    ascending order, as position -> color.
+
+    One pass in ascending order: each cluster takes the least color that
+    no closed row through it holds yet, and adds it to those rows.  A
+    cluster's colors are kept as a bit mask, so a step costs the length
+    of one closed row, not of an H² row."""
+    indptr, indices = closed
+    last = int(todo[-1])
+    ptr = indptr[: last + 2].tolist()
+    # one int object per position, shared by every row that holds it
+    nb = np.arange(len(indptr) - 1, dtype=object)[indices[: ptr[-1]]].tolist()
+    held = [0] * (len(indptr) - 1)  # per cluster u, the colors in N[u]
+    color = {}
+    for v in todo.tolist():
+        row = nb[ptr[v] : ptr[v + 1]]
+        taken = reduce(or_, map(held.__getitem__, row))
+        bit = ~taken & (taken + 1)  # the least color not taken
+        color[v] = bit.bit_length() - 1
+        for u in row:
+            held[u] |= bit
+    return color
 
 
 def decompose(
@@ -410,6 +497,9 @@ def decompose(
 
     With ``init`` given (vertex-disjoint clusters covering V), nodes sharing
     an initial cluster always share an output cluster.
+
+    The live clusters are kept in ascending id order, and each phase's
+    bookkeeping is arrays indexed by their positions.
     """
     if k < 1:
         raise DecomposeError("k must be >= 1")
@@ -418,16 +508,24 @@ def decompose(
     cfg = cfg or SimConfig()
     if init is not None:
         _check_init(g, init)
-        live = [_live_cluster(g, c.id, c.center, set(c.members)) for c in init]
+        live = sorted(
+            (_live_cluster(g, c.id, c.center, frozenset(c.members)) for c in init),
+            key=attrgetter("id"),
+        )
     else:
-        live = [_live_cluster(g, g.ids[v], v, {v}) for v in range(g.n)]
+        live = [LiveCluster(cid, v, frozenset((v,)), frozenset(), 0)
+                for v, cid in enumerate(g.ids)]
     n_init = len(live)
     p_budget, d = growth_parameters(n_init)
     stats = RoundStats()
     phases: list[PhaseLog] = []
-    out_clusters: list[tuple[int, int, frozenset[int], int]] = []  # id,center,members,color
+    colored: list[tuple[LiveCluster, int]] = []  # residual clusters and colors
     color_base = 0
-    edge_usage: dict[tuple[int, int], int] = {}
+    # uses of each G-edge (a CSR entry a -> b, a < b) by the live trees,
+    # summed over the phases so far
+    indptr, dst = g._rows
+    edge_keys = np.repeat(np.arange(g.n), np.diff(indptr)) * g.n + dst
+    edge_usage = np.zeros(len(dst), dtype=np.int64)
 
     phase = 0
     while live:
@@ -438,79 +536,78 @@ def decompose(
                 f"{phase - 1} phases (d={d})"
             )
         rounds_before = stats.rounds
+        n_live = len(live)
         hv = _build_hview(g, live, k, d, mode, cfg, stats)
-        if len(hv.marked) * (4 * d * d + 1) > 2 * d * len(live):
+        n_marked = int(hv.marked.sum())
+        if n_marked * (4 * d * d + 1) > 2 * d * n_live:
             raise DecomposeError(
                 f"marked-count bound violated in phase {phase}: "
-                f"{len(hv.marked)} of {len(live)}"
+                f"{n_marked} of {n_live}"
             )
         cstar = _select_cstar(hv)
 
         # -- merge assignment (all ties by ascending cluster id) --
-        by_id = {c.id: c for c in live}
-        group_of = {cid: cid for cid in hv.marked}  # old cid -> group leader
-        group_of.update(_merge_leaders(hv.adj, cstar))
+        group = _merge_leaders(hv.closed, cstar)  # position -> group leader
+        group[hv.marked] = np.flatnonzero(hv.marked)
         # case II: a C* group re-centers at its smallest marked neighbor
-        redirect = {
-            cid: hv.marked_nb[cid] for cid in cstar if cid in hv.marked_nb
-        }
-        for cid, leader in list(group_of.items()):
-            if leader in redirect:
-                group_of[cid] = redirect[leader]
+        redirect = np.full(n_live, -1, dtype=np.int64)
+        redirect[cstar] = hv.marked_nb[cstar]
+        moved = (group >= 0) & (redirect[group] >= 0)
+        group[moved] = redirect[group[moved]]
 
-        residual = [
-            cid for cid in hv.order
-            if cid not in group_of
-        ]
-        for cid in residual:
-            if hv.high_degree[cid]:
-                raise DecomposeError(
-                    f"high-degree cluster {cid} left unassigned in phase {phase}"
-                )
+        residual = np.flatnonzero(group < 0)
+        if hv.high[residual].any():
+            raise DecomposeError(
+                f"high-degree cluster {live[residual[hv.high[residual]][0]].id} "
+                f"left unassigned in phase {phase}"
+            )
 
         # -- residual coloring --
         # Low-degree clusters perceive every neighbor, so the symmetrized
         # in-lists give the exact <=k adjacency.  On top of that, clusters
         # too close relative to their radii (d <= 2*max radius) must also
-        # differ in color so each one's Voronoi cell (tree territory)
-        # contains its center paths.
-        res_index = {cid: i for i, cid in enumerate(residual)}
-        pairs = [
-            (i, res_index[o])
-            for cid, i in res_index.items()
-            for o in hv.in_ids[cid]
-            if o in res_index
-        ]
+        # differ in color so that same-color trees share no G-edge (see
+        # the output below).
         modeled = 0
-        if residual:
-            if any(by_id[cid].radius > 0 for cid in residual):
-                pairs += _proximity_pairs(g, by_id, residual, k)
-            a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
-            indptr, indices, _ = symmetric_csr(a, b, len(residual))
-            sym_nb = np.split(indices, indptr[1:-1])
+        if len(residual):
+            res_index = np.full(n_live, -1, dtype=np.int64)
+            res_index[residual] = np.arange(len(residual))
+            a = res_index[np.repeat(np.arange(n_live), np.diff(hv.in_ptr))]
+            b = res_index[hv.in_pos]
+            both = (a >= 0) & (b >= 0)
+            a, b = a[both], b[both]
+            if any(2 * live[p].radius > k for p in residual.tolist()):
+                near = np.array(
+                    _proximity_pairs(g, live, residual, k), dtype=np.int64
+                ).reshape(-1, 2)
+                a, b = np.concatenate((a, near[:, 0])), np.concatenate((b, near[:, 1]))
+            res_ptr, res_nb, _ = symmetric_csr(a, b, len(residual))
+            ptr, nb = res_ptr.tolist(), res_nb.tolist()
             # Linial's round count; the coloring itself is not needed
             iters = sum(1 for _ in linial_stages(
-                max(residual) + 1, int(np.diff(indptr).max())
+                live[residual[-1]].id + 1, int(np.diff(res_ptr).max())
             ))
-            palette = greedy_reduce(sym_nb, range(len(residual)))
+            palette = greedy_reduce(
+                [nb[s:e] for s, e in zip(ptr, ptr[1:])], range(len(residual))
+            )
             modeled += (iters + 1) * max(1, k * d**3)
-            for i, cid in enumerate(residual):
-                c = by_id[cid]
-                out_clusters.append(
-                    (cid, c.center, frozenset(c.members), color_base + palette[i])
-                )
+            colored.extend(
+                (live[p], color_base + color)
+                for p, color in zip(residual.tolist(), palette)
+            )
             color_base += max(palette) + 1
 
-        # -- form new live clusters --
-        groups: dict[int, list[int]] = {}
-        for cid, leader in group_of.items():
-            groups.setdefault(leader, []).append(cid)
+        # -- form new live clusters, one per group, in ascending leader order --
+        grouped = np.flatnonzero(group >= 0)
+        grouped = grouped[np.argsort(group[grouped], kind="stable")]
+        leaders, starts = np.unique(group[grouped], return_index=True)
+        ends = np.append(starts[1:], len(grouped))
         live = [
-            by_id[leader] if group == [leader] else _live_cluster(
-                g, leader, by_id[leader].center,
-                set().union(*(by_id[cid].members for cid in group)),
+            live[leader] if end - start == 1 else _live_cluster(
+                g, live[leader].id, live[leader].center,
+                frozenset().union(*(live[p].members for p in grouped[start:end].tolist())),
             )
-            for leader, group in sorted(groups.items())
+            for leader, start, end in zip(leaders.tolist(), starts.tolist(), ends.tolist())
         ]
 
         # -- invariants --
@@ -519,11 +616,14 @@ def decompose(
                 f"invariant A violated in phase {phase}: "
                 f"{len(live)} > {n_init}/{d}^{phase}"
             )
-        max_r = max((-(-c.radius // k) for c in live), default=0)  # in G^k hops
-        for c in live:
-            for e in c.tree_edges:
-                edge_usage[e] = edge_usage.get(e, 0) + 1
-        max_overlap = max(edge_usage.values(), default=0)
+        radius = max((c.radius for c in live), default=0)
+        max_r = -(-radius // k)  # in G^k hops
+        tree_ends, _ = _tree_edge_arrays(live)
+        edge_usage += np.bincount(
+            np.searchsorted(edge_keys, tree_ends[:, 0] * g.n + tree_ends[:, 1]),
+            minlength=len(edge_keys),
+        )
+        max_overlap = int(edge_usage.max(initial=0))
         if max_overlap > phase * 13 * d**3:
             raise DecomposeError(
                 f"invariant C violated in phase {phase}: overlap {max_overlap}"
@@ -535,7 +635,7 @@ def decompose(
                 cluster_count=len(live),
                 max_radius_gk=max_r,
                 max_overlap=max_overlap,
-                marked=len(hv.marked),
+                marked=n_marked,
                 cstar=len(cstar),
                 residual_colored=len(residual),
                 rounds=stats.rounds - rounds_before,
@@ -543,20 +643,19 @@ def decompose(
             )
         )
 
-    # -- build per-color edge-disjoint trees and assemble output --
-    by_color: dict[int, list[tuple[int, int, frozenset[int]]]] = {}
-    for cid, center, members, color in out_clusters:
-        by_color.setdefault(color, []).append((cid, center, members))
-    clusters: list[Cluster] = []
-    for color in sorted(by_color):
-        trees = _color_class_trees(g, by_color[color])
-        for cid, center, members in by_color[color]:
-            clusters.append(
-                Cluster(
-                    id=cid, center=center, members=members,
-                    tree_edges=trees[cid], color=color,
-                )
-            )
+    # -- assemble output, ordered by color --
+    # A cluster keeps the tree it was built with: same-color clusters are
+    # more than 2*radius apart (the residual coloring pairs every two
+    # closer ones), so each one's radius ball, where its tree lies, is
+    # strictly nearer to it than to the others.  Same-color trees thus lie
+    # in disjoint Voronoi cells and share no G-edge, and the search that
+    # built a tree visits only nodes of its ball, so confining it to the
+    # cell would change nothing.
+    clusters = [
+        Cluster(id=c.id, center=c.center, members=c.members,
+                tree_edges=c.tree_edges, color=color)
+        for c, color in sorted(colored, key=itemgetter(1))
+    ]
     dec = Decomposition(k=k, clusters=clusters)
     return DecompResult(
         decomposition=dec,

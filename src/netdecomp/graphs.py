@@ -206,6 +206,19 @@ def symmetric_csr(
     return indptr, indices, repeated
 
 
+def row_entries(
+    rows: tuple[np.ndarray, np.ndarray], which: np.ndarray
+) -> np.ndarray:
+    """The entries of the CSR rows (indptr, indices) numbered ``which``,
+    concatenated in that order: one gather of the concatenated index
+    ranges."""
+    indptr, indices = rows
+    starts, ends = indptr[which], indptr[which + 1]
+    sizes = ends - starts
+    offsets = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)
+    return indices[offsets + np.arange(int(sizes.sum()))]
+
+
 # ``_index_pairs`` maps ids below this multiple of n through a lookup array
 _DENSE_IDS = 4
 
@@ -598,29 +611,26 @@ def path_union(
     return frozenset(edges)
 
 
-def connected_components(g: Graph) -> list[list[int]]:
-    """Connected components as lists of indices."""
-    seen = [False] * g.n
-    comps = []
-    for s in range(g.n):
-        if seen[s]:
-            continue
-        comp = [s]
-        seen[s] = True
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v in g.neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    comp.append(v)
-                    stack.append(v)
-        comps.append(comp)
-    return comps
+def component_labels(g: Graph) -> tuple[int, np.ndarray]:
+    """The number of connected components of G and each node's label, by
+    one scipy labelling of the strong components of the symmetric CSR (no
+    transposed copy)."""
+    # imported on first use: scipy.sparse.csgraph loads scipy.sparse.linalg
+    # (about 11 MB and 0.1 s), which a run that labels nothing should not
+    # pay for
+    from scipy.sparse.csgraph import connected_components
+
+    return connected_components(g.adjacency_csr(), connection="strong")
 
 
 def largest_component(g: Graph) -> Graph:
-    return induced_subgraph(g, max(connected_components(g), key=len))
+    """G induced on its largest connected component; of equal ones, on the
+    one holding the smallest index."""
+    _, label = component_labels(g)
+    size = np.bincount(label)
+    _, first = np.unique(label, return_index=True)  # each one's smallest index
+    best = np.lexsort((first, -size))[0]
+    return induced_subgraph(g, np.flatnonzero(label == best).tolist())
 
 
 def induced_edges(g: Graph, nodes: Iterable[int]) -> list[tuple[int, int]]:

@@ -22,7 +22,7 @@ from .graphs import (
     Graph,
     NetdecompError,
     _bfs_idx,
-    connected_components,
+    component_labels,
     induced_subgraph,
     quotient,
     voronoi_cells,
@@ -280,12 +280,14 @@ def shatter_check(g: Graph, B: set[int], delta: Optional[int] = None) -> Shatter
     if not B:
         return ShatterReport([], 0, bound, 0.0, 0)
     sub = induced_subgraph(g, sorted(B))
-    comps = connected_components(sub)
+    count, label = component_labels(sub)
+    order = np.argsort(label, kind="stable")
+    comps = np.split(order, np.cumsum(np.bincount(label, minlength=count))[:-1])
     sizes = sorted((len(c) for c in comps), reverse=True)
     witness_best = 0
     for comp in comps:
         chosen: list[int] = []
-        for v in sorted(comp, key=lambda i: sub.ids[i]):
+        for v in sorted(comp.tolist(), key=lambda i: sub.ids[i]):
             dist = _bfs_idx(sub, [v], cap=4)
             if not any(dist[u] >= 0 for u in chosen):
                 chosen.append(v)

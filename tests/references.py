@@ -1,9 +1,11 @@
 """Centralized references that only the tests run: Floyd-Warshall
 distances, power graphs, log*, cycle-enumeration μ, the exact-arithmetic
-Ghaffari round, and the loops that validated MIS sets and counted tree-edge
-overlaps before those checks moved to arrays.  They live outside the package so that the code they
-certify cannot reuse them.  This is a plain helper module, not a test
-module; the test modules import it by name.
+Ghaffari round, a stack-loop component labelling, a Monte-Carlo check of
+the carving gap lemma, and the loops that validated MIS sets, counted
+tree-edge overlaps and found cover ball interiors before those checks moved
+to arrays.  They live outside the package so that the code they certify
+cannot reuse them.  This is a plain helper module, not a test module; the
+test modules import it by name.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from netdecomp.carving import CarveError
 from netdecomp.covers import MstError, _require_weights, kruskal_oracle
 from netdecomp.graphs import Graph, GraphError, _bfs_idx
 from netdecomp.mis import IN_MIS, REMOVED, UNDECIDED
@@ -59,6 +62,56 @@ def power_graph(g: Graph, k: int) -> Graph:
         _bfs_idx(g, [i], cap=k, reached=reached)
         edges.extend((g.ids[i], g.ids[j]) for j in reached if i < j)
     return Graph(g.ids, edges, id_bits=g.id_bits)
+
+
+# -- components and carving gaps -----------------------------------------
+
+
+def connected_components(g: Graph) -> list[list[int]]:
+    """Connected components as lists of indices."""
+    seen = [False] * g.n
+    comps = []
+    for s in range(g.n):
+        if seen[s]:
+            continue
+        comp = [s]
+        seen[s] = True
+        stack = [s]
+        while stack:
+            u = stack.pop()
+            for v in g.neighbors[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
+                    stack.append(v)
+        comps.append(comp)
+    return comps
+
+
+def gap_probability_check(
+    ds, beta: float, trials: int, seed: int = 0
+) -> float:
+    """Monte-Carlo estimate of Pr[top two of delta_j - d_j are within 1]
+    with delta_j ~ EXP(beta) i.i.d. and d_j the given distances."""
+    if trials < 1:
+        raise CarveError("trials must be positive")
+    ds = list(ds)
+    if len(ds) <= 1:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    d = np.asarray(ds, dtype=float)
+    hits = 0
+    chunk = 20_000
+    done = 0
+    while done < trials:
+        t = min(chunk, trials - done)
+        delta = rng.exponential(1.0 / beta, size=(t, len(ds)))
+        vals = delta - d
+        part = np.partition(vals, len(ds) - 2, axis=1)
+        top2 = part[:, -2:]
+        hits += int(((top2[:, 1] - top2[:, 0]) <= 1.0).sum())
+        done += t
+    return hits / trials
 
 
 # -- MST radius ----------------------------------------------------------
@@ -182,3 +235,14 @@ def edge_overlap_by_loop(
         total[e] = total.get(e, 0) + 1
     over = [sum(1 for uses in u.values() if uses > 1) for u in usage]
     return np.array(over, dtype=np.int64), max(total.values(), default=0)
+
+
+def ball_interior_by_loop(g: Graph, members, k: int) -> frozenset[int]:
+    """The members of one cluster whose k-ball lies in it, by one BFS
+    inside the members seeded at those with a non-member neighbour (the
+    per-cluster loop ``validate_cover`` ran before it moved to arrays)."""
+    reached: list[int] = []
+    if k >= 1:
+        edge = [v for v in members if any(u not in members for u in g.neighbors[v])]
+        _bfs_idx(g, edge, cap=k - 1, within=members, reached=reached)
+    return frozenset(members).difference(reached)

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from netdecomp.carving import MetaGraph, carve_params, carve_step, gap_probability_check
+from netdecomp.carving import MetaGraph, carve_params, carve_step
 from netdecomp.clustering import validate_cover, validate_decomposition, validate_mis, weak_diameter
 from netdecomp.covers import (
     cover_from_decomposition,
@@ -27,6 +27,7 @@ from netdecomp.decompose import decompose
 from netdecomp.graphs import Graph, generate_graph, random_weights
 from netdecomp.mis import ghaffari_engine, mis_full, run_ghaffari, shatter_check
 from netdecomp.simulate import SimConfig
+from references import gap_probability_check
 
 
 def verdict(num: int, name: str, ok: bool, detail: str) -> None:

@@ -12,12 +12,12 @@ from netdecomp.carving import (
     carve_decompose,
     carve_params,
     carve_step,
-    gap_probability_check,
     sample_exp,
 )
 from netdecomp.clustering import validate_decomposition
 from netdecomp.decompose import decompose
 from netdecomp.graphs import Graph, generate_graph
+from references import gap_probability_check
 
 
 class _Const:

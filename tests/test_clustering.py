@@ -31,12 +31,17 @@ from netdecomp.decompose import decompose
 from netdecomp.graphs import (
     Graph,
     _bfs_idx,
-    connected_components,
     generate_graph,
     symmetric_csr,
     voronoi_cells,
 )
-from references import all_pairs_distances, edge_overlap_by_loop, validate_mis_by_loop
+from references import (
+    all_pairs_distances,
+    ball_interior_by_loop,
+    connected_components,
+    edge_overlap_by_loop,
+    validate_mis_by_loop,
+)
 
 
 def star(k):
@@ -590,6 +595,38 @@ class TestValidateCover:
         assert rep.stats["uncovered_balls"] == want
         line = f"{len(want)} nodes have an uncovered {k}-ball"
         assert rep.failures.count(line) == (1 if want else 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 60),
+        mean_degree=st.floats(0.5, 6.0),
+        k=st.integers(0, 3),
+        clusters=st.integers(0, 8),
+        seed=st.integers(0, 10_000),
+    )
+    def test_interiors_and_sparsity_match_the_loops(
+        self, n, mean_degree, k, clusters, seed
+    ):
+        # random member sets, connected or not
+        g = generate_graph("gnp", {"n": n, "p": min(1.0, mean_degree / n)}, seed)
+        rng = np.random.default_rng(seed)
+        cs = [Cluster(id=i, center=0, members=frozenset(
+            rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
+            for i in range(clusters)]
+        sizes, flat = clustering._member_arrays(cs)
+        inside = clustering._ball_interiors(g, cs, sizes, flat, k)
+        want = set().union(*(ball_interior_by_loop(g, c.members, k) for c in cs))
+        assert set(np.flatnonzero(inside).tolist()) == want
+        rep = validate_cover(g, NeighborhoodCover(k=k, clusters=cs))
+        load = [sum(v in c.members for c in cs) for v in range(n)]
+        assert rep.stats["sparsity"] == max(load, default=0)
+
+    @pytest.mark.parametrize("member", [-1, 5])
+    def test_member_out_of_range_raises(self, member):
+        g, cs = self._p5_two_clusters()
+        cs[0] = dataclasses.replace(cs[0], members=cs[0].members | {member})
+        with pytest.raises(IndexError):
+            validate_cover(g, NeighborhoodCover(k=1, clusters=cs))
 
     def test_dropped_cluster_of_a_cover(self):
         g = generate_graph("gnp", {"n": 300, "p": 0.01, "largest_component": 1}, 2)

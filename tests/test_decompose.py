@@ -2,6 +2,7 @@
 
 import tracemalloc
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from netdecomp.decompose import (
     growth_parameters,
     _build_hview,
     _cluster_reach,
-    _color_class_trees,
+    _later_classes,
+    _live_cluster,
     _merge_leaders,
+    _proximity_pairs,
     _select_cstar,
     HView,
     LiveCluster,
@@ -29,6 +32,7 @@ from netdecomp.graphs import (
     _bfs_idx,
     generate_graph,
     path_union,
+    symmetric_csr,
     voronoi_cells,
 )
 from netdecomp.simulate import RoundStats, SimConfig, bounded_flood_oracle
@@ -39,6 +43,37 @@ def _colors_ok(g, res, k):
     rep = validate_decomposition(g, res.decomposition)
     assert rep.valid, rep.failures
     return rep
+
+
+def _dict_view(hv, order):
+    """The H-view ``hv`` with cluster ids for positions (``order`` lists the
+    ids ascending) and dicts and sets for arrays, as the references read it:
+    ``adj`` is the open unmarked adjacency, without the diagonal."""
+    indptr, indices = hv.closed
+    rows = lambda ptr, entries, r: entries[ptr[r] : ptr[r + 1]].tolist()
+    return SimpleNamespace(
+        order=list(order),
+        in_ids={cid: [order[x] for x in rows(hv.in_ptr, hv.in_pos, r)]
+                for r, cid in enumerate(order)},
+        high_degree={cid: bool(hv.high[r]) for r, cid in enumerate(order)},
+        marked={order[r] for r in np.flatnonzero(hv.marked).tolist()},
+        marked_nb={order[r]: order[x]
+                   for r, x in enumerate(hv.marked_nb.tolist()) if x >= 0},
+        adj={cid: {order[x] for x in rows(indptr, indices, r) if x != r}
+             for r, cid in enumerate(order) if not hv.marked[r]},
+    )
+
+
+def _closed_rows(order, adj, marked):
+    """CSR rows (indptr, indices) over the positions of ``order`` of the
+    closed neighbourhoods in ``adj`` (by id) of the unmarked clusters."""
+    pos = {cid: i for i, cid in enumerate(order)}
+    unmarked = [cid for cid in order if cid not in marked]
+    a = [pos[c] for c in unmarked for _ in adj[c]] + [pos[c] for c in unmarked]
+    b = [pos[u] for c in unmarked for u in adj[c]] + [pos[c] for c in unmarked]
+    indptr, indices, _ = symmetric_csr(
+        np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), len(order))
+    return indptr, indices
 
 
 class TestGrowthParameters:
@@ -100,6 +135,7 @@ class TestHView:
     def test_adjacent_within_k_mutual_edges(self):
         g = generate_graph("path", {"n": 2}, 0)
         hv = _build_hview(g, self._singles(g), 1, 2, "fast", SimConfig(), RoundStats())
+        hv = _dict_view(hv, g.ids)
         assert hv.in_ids[0] == [1] and hv.in_ids[1] == [0]
 
     def test_beyond_k_no_edge(self):
@@ -109,12 +145,14 @@ class TestHView:
             [LiveCluster(0, 0, {0}, frozenset(), 0), LiveCluster(2, 2, {2}, frozenset(), 0)],
             1, 2, "fast", SimConfig(), RoundStats(),
         )
+        hv = _dict_view(hv, [0, 2])
         assert hv.in_ids[0] == [] and hv.in_ids[2] == []
 
     def test_clique_in_lists_capped_at_2d_smallest(self):
         d = 2
         g = generate_graph("clique", {"n": 3 * d * 2}, 0)
         hv = _build_hview(g, self._singles(g), 1, d, "fast", SimConfig(), RoundStats())
+        hv = _dict_view(hv, g.ids)
         # every cluster perceives exactly the 2d smallest foreign ids
         for cid in hv.order:
             expect = [i for i in range(2 * d + 1) if i != cid][: 2 * d]
@@ -234,7 +272,9 @@ class TestClusterReach:
 class TestFastHViewEqualsHoldingsUnion:
     @staticmethod
     def _check(g, live, k, d):
-        hv = _build_hview(g, live, k, d, "fast", SimConfig(), RoundStats())
+        hv = _build_hview(g, sorted(live, key=lambda c: c.id), k, d, "fast",
+                          SimConfig(), RoundStats())
+        hv = _dict_view(hv, sorted(c.id for c in live))
         in_ids, high, marked, marked_nb = _hview_by_holdings(g, live, k, d)
         assert hv.in_ids == in_ids
         assert hv.high_degree == high
@@ -267,6 +307,30 @@ class TestFastHViewEqualsHoldingsUnion:
         assert set(hv.marked_nb.values()) == {0}
 
 
+def _leaders_by_bfs(adj, cstar):
+    """Reference merge leaders: per cluster, the nearest C* cluster within
+    two hops of ``adj`` (dict by id) by a BFS from the cluster, ties to the
+    smaller id."""
+    want = {}
+    for c in adj:
+        dist = {c: 0}
+        frontier = [c]
+        for hop in (1, 2):
+            frontier = [v for u in frontier for v in adj[u] if v not in dist]
+            dist.update((v, hop) for v in frontier)
+        near = [(dist[t], t) for t in cstar if t in dist]
+        if near:
+            want[c] = min(near)[1]
+    return want
+
+
+def _leaders_by_id(order, closed, cstar):
+    """``_merge_leaders`` over positions, read back as a dict by id."""
+    pos = {cid: i for i, cid in enumerate(order)}
+    leader = _merge_leaders(closed, np.array([pos[c] for c in cstar], dtype=np.int64))
+    return {order[p]: order[x] for p, x in enumerate(leader.tolist()) if x >= 0}
+
+
 class TestMergeLeaders:
     @settings(max_examples=200, deadline=None)
     @given(data=st.data())
@@ -280,17 +344,9 @@ class TestMergeLeaders:
                     adj[a].add(b)
                     adj[b].add(a)
         cstar = sorted(data.draw(st.sets(st.sampled_from(ids))) if ids else [])
-        want = {}
-        for c in ids:
-            dist = {c: 0}
-            frontier = [c]
-            for hop in (1, 2):
-                frontier = [v for u in frontier for v in adj[u] if v not in dist]
-                dist.update((v, hop) for v in frontier)
-            near = [(dist[t], t) for t in cstar if t in dist]
-            if near:
-                want[c] = min(near)[1]
-        assert _merge_leaders(adj, cstar) == want
+        order = sorted(ids)
+        closed = _closed_rows(order, adj, set())
+        assert _leaders_by_id(order, closed, cstar) == _leaders_by_bfs(adj, cstar)
 
 
 def _cstar_by_h2_coloring(hv):
@@ -326,8 +382,21 @@ def _cstar_by_h2_coloring(hv):
 
 
 def _hview(order, adj, high, marked):
-    """An H-view holding only what C* selection reads."""
-    return HView(order, {}, high, marked, {}, adj)
+    """An H-view holding only what C* selection reads, from dicts by id over
+    ``order`` (ascending ids); and the same view as the reference reads it."""
+    n = len(order)
+    hv = HView(
+        np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64),
+        np.array([high[cid] for cid in order], dtype=bool).reshape(n),
+        np.array([cid in marked for cid in order], dtype=bool).reshape(n),
+        np.full(n, -1, dtype=np.int64), _closed_rows(order, adj, marked),
+    )
+    view = SimpleNamespace(order=order, adj=adj, high_degree=high, marked=marked)
+    return hv, view
+
+
+def _cstar_ids(hv, order):
+    return [order[p] for p in _select_cstar(hv).tolist()]
 
 
 class TestSelectCstar:
@@ -352,8 +421,8 @@ class TestSelectCstar:
                     adj[a].add(b)
                     adj[b].add(a)
         high = {cid: bool(rnd.random() < high_share) for cid in ids}
-        hv = _hview(ids, adj, high, marked)
-        assert _select_cstar(hv) == _cstar_by_h2_coloring(hv)
+        hv, view = _hview(ids, adj, high, marked)
+        assert _cstar_ids(hv, ids) == _cstar_by_h2_coloring(view)
 
     def test_dense_view_allocates_less_than_its_h2(self):
         # H is a star: every cluster lists the hub, so H² is complete while
@@ -364,11 +433,11 @@ class TestSelectCstar:
         adj = {cid: {0} for cid in order}
         adj[0] = set(range(1, m))
         high = {cid: cid == m - 1 for cid in order}
-        hv = _hview(order, adj, high, set())
+        hv, _ = _hview(order, adj, high, set())
         h2_entries = m * m
         tracemalloc.start()
         try:
-            cstar = _select_cstar(hv)
+            cstar = _select_cstar(hv).tolist()
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -376,6 +445,132 @@ class TestSelectCstar:
         # far below one byte per H² entry; a materialized H² takes five
         # (an int32 index and a bool) per entry
         assert peak < h2_entries // 4, peak
+
+
+class TestArrayControlPlane:
+    """The H-view, C* and the merge leaders on arrays against the dict
+    references, on the views of random clusterings of random graphs."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        model=st.sampled_from([
+            ("gnp", {"n": 24, "p": 0.15}),
+            ("gnp", {"n": 40, "p": 0.06}),
+            ("grid", {"rows": 5, "cols": 6}),
+            ("tree", {"n": 30}),
+        ]),
+        k=st.integers(1, 3),
+        d=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    def test_equals_the_references(self, seed, model, k, d, data):
+        g = generate_graph(model[0], model[1], seed)
+        live = sorted(_random_live(data, g.n), key=lambda c: c.id)
+        order = [c.id for c in live]
+        hv = _build_hview(g, live, k, d, "fast", SimConfig(), RoundStats())
+        view = _dict_view(hv, order)
+        in_ids, high, marked, marked_nb = _hview_by_holdings(g, live, k, d)
+        assert (view.in_ids, view.high_degree, view.marked, view.marked_nb) == (
+            in_ids, high, marked, marked_nb)
+        # an unmarked pair is adjacent iff either perceives the other
+        assert view.adj == {
+            c: {o for o in order if o not in marked and (o in in_ids[c] or c in in_ids[o])}
+            for c in order if c not in marked
+        }
+        cstar = _cstar_ids(hv, order)
+        assert cstar == _cstar_by_h2_coloring(view)
+        assert _leaders_by_id(order, hv.closed, cstar) == _leaders_by_bfs(view.adj, cstar)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), density=st.sampled_from([0.05, 0.2, 0.6]))
+    def test_later_classes_color_h2_first_fit(self, data, density):
+        """``_later_classes`` against ``greedy_reduce`` over a materialized
+        H² restricted to the positions it colors."""
+        m = data.draw(st.integers(1, 40))
+        rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        order = list(range(m))
+        adj = {c: set() for c in order}
+        for a in order:
+            for b in order[a + 1 :]:
+                if rnd.random() < density:
+                    adj[a].add(b)
+                    adj[b].add(a)
+        todo = np.flatnonzero(rnd.random(m) < 0.7)
+        if not len(todo):
+            return
+        indptr, indices = _closed_rows(order, adj, set())
+        closed = sparse.csr_matrix(
+            (np.ones(len(indices), dtype=bool), indices, indptr), shape=(m, m))
+        h2 = (closed @ closed)[todo][:, todo]
+        want = greedy_reduce(np.split(h2.indices, h2.indptr[1:-1]), range(len(todo)))
+        got = _later_classes((indptr, indices), todo)
+        assert [got[v] for v in todo.tolist()] == want
+
+    @pytest.mark.parametrize("spec,k,d", [
+        (("gnp", {"n": 40, "p": 0.12}, 1), 1, 1),
+        (("gnp", {"n": 60, "p": 0.06}, 2), 2, 2),
+        (("grid", {"rows": 6, "cols": 7}, 0), 2, 1),
+        (("tree", {"n": 50}, 3), 3, 2),
+    ])
+    def test_sim_view_equals_fast_view(self, spec, k, d):
+        """The engine's H-view arrays equal the sparse product's, on
+        singletons and on the clusters of a decomposition."""
+        g = generate_graph(*spec)
+        clusterings = [
+            [LiveCluster(cid, v, frozenset((v,)), frozenset(), 0)
+             for v, cid in enumerate(g.ids)],
+            sorted((_live_cluster(g, c.id, c.center, c.members)
+                    for c in decompose(g, 1).decomposition.clusters),
+                   key=lambda c: c.id),
+        ]
+        marked = 0
+        for live in clusterings:
+            views = [_build_hview(g, live, k, d, mode, SimConfig(), RoundStats())
+                     for mode in ("fast", "sim")]
+            for field in ("in_ptr", "in_pos", "high", "marked", "marked_nb"):
+                assert np.array_equal(getattr(views[0], field), getattr(views[1], field))
+            for a, b in zip(views[0].closed, views[1].closed):
+                assert np.array_equal(a, b)
+            marked += int(views[0].marked.sum())
+        assert marked or spec[0] == "tree"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        model=st.sampled_from([
+            ("gnp", {"n": 30, "p": 0.1}),
+            ("grid", {"rows": 5, "cols": 6}),
+            ("tree", {"n": 30}),
+        ]),
+        k=st.integers(1, 3),
+        data=st.data(),
+    )
+    def test_proximity_pairs_with_the_in_lists_pair_every_close_cluster(
+        self, seed, model, k, data
+    ):
+        """Residual clusters (here: every cluster, with drawn radii) must
+        differ in color iff they lie within max(k, 2r, 2r') of each other;
+        the in-lists give the pairs within k (the clusters being
+        low-degree), ``_proximity_pairs`` the rest."""
+        g = generate_graph(model[0], model[1], seed)
+        live = sorted(_random_live(data, g.n), key=lambda c: c.id)
+        live = [LiveCluster(c.id, c.center, c.members, frozenset(),
+                            data.draw(st.integers(0, 3), label="radius"))
+                for c in live]
+        apd = all_pairs_distances(g)
+        gap = lambda a, b: apd[np.ix_(sorted(a.members), sorted(b.members))].min()
+        want = {
+            (i, j) for i, a in enumerate(live) for j, b in enumerate(live)
+            if i != j and gap(a, b) <= max(k, 2 * a.radius, 2 * b.radius)
+        }
+        got = {(i, j) for i, a in enumerate(live) for j, b in enumerate(live)
+               if i != j and gap(a, b) <= k}
+        residual = np.arange(len(live))
+        for i, j in _proximity_pairs(g, live, residual, k):
+            got |= {(i, j), (j, i)}
+        assert got == want
 
 
 def _trees_in_all_cells(g, group):
@@ -398,37 +593,40 @@ class TestColorClassTrees:
     @given(
         seed=st.integers(0, 10_000),
         model=st.sampled_from([
-            ("gnp", {"n": 60, "p": 0.06}),
+            ("gnp", {"n": 60, "p": 0.06, "largest_component": 1}),
             ("grid", {"rows": 7, "cols": 9}),
             ("tree", {"n": 80}),
         ]),
         k=st.integers(1, 3),
+        with_init=st.booleans(),
     )
-    def test_single_node_trees_empty_and_others_unchanged(self, seed, model, k):
+    def test_single_node_trees_empty_and_others_unchanged(self, seed, model, k, with_init):
+        """Every cluster keeps the tree it was built with; it must be the
+        tree a BFS inside its Voronoi cell among the clusters of its color
+        gives, and empty for a single node."""
         g = generate_graph(model[0], model[1], seed)
-        dec = decompose(g, k).decomposition
+        init = decompose(g, 1).decomposition.clusters if with_init else None
         by_color = {}
-        for c in dec.clusters:
-            by_color.setdefault(c.color, []).append((c.id, c.center, c.members))
+        for c in decompose(g, k, init=init).decomposition.clusters:
+            by_color.setdefault(c.color, []).append(c)
         for group in by_color.values():
-            trees = _color_class_trees(g, group)
-            assert trees == _trees_in_all_cells(g, group)
-            for cid, _, members in group:
-                if len(members) == 1:
-                    assert trees[cid] == frozenset()
+            want = _trees_in_all_cells(g, [(c.id, c.center, c.members) for c in group])
+            assert {c.id: c.tree_edges for c in group} == want
+            for c in group:
+                if len(c.members) == 1:
+                    assert c.tree_edges == frozenset()
 
     def test_class_of_single_nodes_searches_nothing(self):
         g = generate_graph("path", {"n": 9}, 0)
-        group = [(v, v, frozenset({v})) for v in (0, 4, 8)]
 
         def refuse(*_args, **_kwargs):
             raise AssertionError("no search expected")
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(decompose_module, "voronoi_cells", refuse)
             mp.setattr(decompose_module, "_bfs_idx", refuse)
-            trees = _color_class_trees(g, group)
-        assert trees == {0: frozenset(), 4: frozenset(), 8: frozenset()}
+            clusters = decompose(g, 1).decomposition.clusters
+        assert sorted((min(c.members), c.members, c.tree_edges) for c in clusters) == [
+            (v, frozenset({v}), frozenset()) for v in range(9)]
 
 
 # (model, params, seed) and k.  A convergecast that counts ids shared by

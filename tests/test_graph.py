@@ -16,7 +16,6 @@ from netdecomp.graphs import (
     Graph,
     GraphError,
     _bfs_idx,
-    connected_components,
     generate_graph,
     induced_edges,
     induced_subgraph,
@@ -28,7 +27,7 @@ from netdecomp.graphs import (
     save_graph_json,
     voronoi_cells,
 )
-from references import all_pairs_distances, log_star, power_graph
+from references import all_pairs_distances, connected_components, log_star, power_graph
 
 
 def path5():
@@ -445,6 +444,17 @@ class TestSubgraphAndQuotient:
             ]
         best = max(connected_components(g), key=len)
         assert largest_component(g) == _filtered_subgraph(g, best)
+
+    def test_largest_component_ties_to_the_smallest_index(self):
+        # two triangles and an edge: the triangle holding index 0 wins,
+        # whatever the ids and however the labelling numbers them
+        edges = [(3, 4), (4, 5), (3, 5), (0, 6), (1, 2), (2, 7), (1, 7)]
+        for ids in (list(range(8)), [9, 2, 7, 1, 3, 8, 0, 5]):
+            g = Graph(ids, [(ids[a], ids[b]) for a, b in edges])
+            best = max(connected_components(g), key=len)
+            assert largest_component(g) == _filtered_subgraph(g, best)
+            assert len(best) == 3 and min(best) == min(
+                v for c in connected_components(g) if len(c) == 3 for v in c)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10_000), n=st.integers(1, 25), data=st.data())

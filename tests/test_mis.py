@@ -24,7 +24,7 @@ from netdecomp.mis import (
     shatter_check,
 )
 from netdecomp.simulate import Message, SimConfig, node_draws, node_rng, philox_draws
-from references import MisState, ghaffari_round, next_desire
+from references import MisState, connected_components, ghaffari_round, next_desire
 
 
 def path(n):
@@ -324,6 +324,17 @@ class TestShatterCheck:
         assert sorted(r.component_sizes) == [1, 2, 3]
         assert r.max_component == 3
         assert r.p1_witness <= r.max_component
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           share=st.floats(0.0, 1.0))
+    def test_component_sizes_match_the_loop(self, seed, n, share):
+        g = generate_graph("gnp", {"n": n, "p": min(1.0, 3.0 / n)}, seed)
+        rng = np.random.default_rng(seed)
+        B = {v for v in range(n) if rng.random() < share}
+        r = shatter_check(g, B)
+        comps = connected_components(induced_subgraph(g, sorted(B))) if B else []
+        assert r.component_sizes == sorted(map(len, comps), reverse=True)
 
     def test_bound_value_formula(self):
         g = generate_graph("gnp", {"n": 100, "p": 0.1}, seed=0)

@@ -59,7 +59,6 @@ from netdecomp.covers import (
 from netdecomp.decompose import decompose
 from netdecomp.graphs import (
     _bfs_idx,
-    connected_components,
     generate_graph,
     load_graph,
     random_weights,
@@ -71,6 +70,7 @@ from netdecomp.simulate import (
     cluster_convergecast,
     min_gossip,
 )
+from references import connected_components
 
 INPUTS = {
     "path n=12": ("path", {"n": 12}, 0),

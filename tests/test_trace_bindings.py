@@ -86,7 +86,6 @@ def test_no_dead_imports():
 # it stays
 UNREFERENCED_ALLOWED = {
     "clustering.validate_ruling_set": "public validator of the ruling-set definition",
-    "carving.gap_probability_check": "Monte-Carlo check of the exponential-gap lemma",
 }
 
 
