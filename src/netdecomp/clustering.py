@@ -594,8 +594,8 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
     spanning trees, k-ball containment, and per-node sparsity.  The trees
     are checked on arrays (``_trees_ok``), and containment takes one bounded
     BFS per cluster that has members next to non-members, and none for
-    k = 1 (``_ball_interiors``).  A member outside 0..n-1 raises
-    IndexError."""
+    k = 1 (``_ball_interiors``).  Members outside 0..n-1 get a failure
+    line, and sparsity and containment are judged without them."""
     rep = Report(valid=True)
     clusters = cover.clusters
     sizes, flat = _member_arrays(clusters)
@@ -608,11 +608,14 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
         if dist is not None:
             max_depth = max(max_depth, max(dist.values(), default=0))
 
-    if ((flat < 0) | (flat >= g.n)).any():
-        raise IndexError("cover member outside 0..n-1")
+    bad = (flat < 0) | (flat >= g.n)
+    if bad.any():
+        rep.fail(f"{int(bad.sum())} cover members outside 0..n-1")
+        sizes = np.bincount(np.repeat(np.arange(len(clusters)), sizes)[~bad],
+                            minlength=len(clusters))
+        flat = flat[~bad]
     sparsity = int(np.bincount(flat, minlength=g.n).max(initial=0))
-    uncovered = np.flatnonzero(
-        ~_ball_interiors(g, clusters, sizes, flat, cover.k)).tolist()
+    uncovered = np.flatnonzero(~_ball_interiors(g, sizes, flat, cover.k)).tolist()
     if uncovered:
         rep.fail(f"{len(uncovered)} nodes have an uncovered {cover.k}-ball")
     rep.stats = {
@@ -625,11 +628,11 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
 
 
 def _ball_interiors(
-    g: Graph, clusters: list[Cluster], sizes: np.ndarray, flat: np.ndarray, k: int
+    g: Graph, sizes: np.ndarray, flat: np.ndarray, k: int
 ) -> np.ndarray:
     """Per node, whether its k-ball lies in the members of some cluster:
-    whether it is a member more than k hops from every non-member.
-    ``sizes`` and ``flat`` are ``_member_arrays(clusters)``, all in range.
+    whether it is a member more than k hops from every non-member.  The
+    clusters' members are ``flat``, ``sizes`` of them each, all in range.
 
     The members with a non-member neighbour are found for all clusters at
     once: the neighbours of every (cluster, member) pair are looked up among
@@ -642,7 +645,7 @@ def _ball_interiors(
     if k < 1 or not len(flat):
         inside[flat] = True
         return inside
-    of_member = np.repeat(np.arange(len(clusters)), sizes)
+    of_member = np.repeat(np.arange(len(sizes)), sizes)
     keys = np.sort(of_member * n + flat)
     indptr, _ = g._rows
     degree = indptr[flat + 1] - indptr[flat]
@@ -656,12 +659,12 @@ def _ball_interiors(
         return inside
     bounds = np.concatenate(([0], np.cumsum(sizes))).tolist()
     for i in np.unique(of_member[edge]).tolist():
-        members = clusters[i].members
-        seeds = flat[bounds[i] : bounds[i + 1]][edge[bounds[i] : bounds[i + 1]]]
+        members = flat[bounds[i] : bounds[i + 1]]
         reached: list[int] = []
-        _bfs_idx(g, seeds.tolist(), cap=k - 1, within=members, reached=reached)
-        inside[list(members.difference(reached))] = True
-    whole = np.ones(len(clusters), dtype=bool)  # clusters without such members
+        _bfs_idx(g, members[edge[bounds[i] : bounds[i + 1]]].tolist(), cap=k - 1,
+                 within=set(members.tolist()), reached=reached)
+        inside[np.setdiff1d(members, reached)] = True
+    whole = np.ones(len(sizes), dtype=bool)  # clusters without such members
     whole[of_member[edge]] = False
     inside[flat[whole[of_member]]] = True
     return inside

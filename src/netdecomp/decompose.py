@@ -144,11 +144,10 @@ class HView:
 
 
 def _cluster_reach(g: Graph, live: list[LiveCluster], k: int) -> sparse.csr_matrix:
-    """Boolean live-cluster x live-cluster matrix, both axes in ascending
-    id order, with sorted rows: (c, x) is set iff a member of x lies
-    within k hops of a member of c (so the diagonal is set).  Centralized
+    """Boolean live-cluster x live-cluster matrix over ``live`` (ascending
+    ids), with sorted rows: (c, x) is set iff a member of x lies within k
+    hops of a member of c (so the diagonal is set).  Centralized
     equivalent of the bounded flood and the convergecast over it."""
-    live = sorted(live, key=attrgetter("id"))
     sizes, cols = _member_arrays(live)
     member = sparse.csr_matrix(
         (np.ones(len(cols), dtype=bool),
@@ -422,37 +421,16 @@ def _first_class(
     ``unscanned`` positions, ascending.
 
     A scan in ascending order that takes each cluster still a candidate and
-    drops its H² row from the candidates, so it visits only the members.
-    The H² rows of the next candidates are gathered in one indexing step,
-    as many as fit in the size of ``closed``; a candidate that an earlier
-    one of the batch drops is skipped."""
-    indptr, indices = closed
-    sizes = np.diff(indptr)
-    cum = np.concatenate(([0], np.cumsum(sizes[indices])))
-    h2_size = cum[indptr[1:]] - cum[indptr[:-1]]  # an H² row, with repeats
-    budget = max(len(indices), 1)
+    drops its H² row, the closed rows of its closed row gathered in one
+    step, from the candidates; so it visits only the members."""
     cand = unscanned.copy()
     members: list[int] = []
     v = int(cand.argmax())
     while cand[v]:
-        batch = np.flatnonzero(cand[v : v + _SCAN_SPAN])[:_SCAN_BATCH] + v
-        fits = np.searchsorted(np.cumsum(h2_size[batch]), budget, "right")
-        batch = batch[: max(1, fits)]
-        h2 = row_entries(closed, row_entries(closed, batch))
-        bounds = np.concatenate(([0], np.cumsum(h2_size[batch]))).tolist()
-        for j, u in enumerate(batch.tolist()):
-            if cand[u]:
-                cand[h2[bounds[j] : bounds[j + 1]]] = False
-                members.append(u)
-        v = int(batch[-1])
+        members.append(v)
+        cand[row_entries(closed, row_entries(closed, np.array([v])))] = False
         v += int(cand[v:].argmax())
     return np.array(members, dtype=np.int64)
-
-
-# ``_first_class`` gathers the H² rows of up to this many candidates at
-# once, the next ones within this many positions
-_SCAN_BATCH = 16
-_SCAN_SPAN = 4096
 
 
 def _later_classes(

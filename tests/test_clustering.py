@@ -614,7 +614,7 @@ class TestValidateCover:
             rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist()))
             for i in range(clusters)]
         sizes, flat = clustering._member_arrays(cs)
-        inside = clustering._ball_interiors(g, cs, sizes, flat, k)
+        inside = clustering._ball_interiors(g, sizes, flat, k)
         want = set().union(*(ball_interior_by_loop(g, c.members, k) for c in cs))
         assert set(np.flatnonzero(inside).tolist()) == want
         rep = validate_cover(g, NeighborhoodCover(k=k, clusters=cs))
@@ -622,11 +622,15 @@ class TestValidateCover:
         assert rep.stats["sparsity"] == max(load, default=0)
 
     @pytest.mark.parametrize("member", [-1, 5])
-    def test_member_out_of_range_raises(self, member):
+    def test_member_out_of_range_fails(self, member):
         g, cs = self._p5_two_clusters()
+        want = validate_cover(g, NeighborhoodCover(k=1, clusters=cs)).stats
         cs[0] = dataclasses.replace(cs[0], members=cs[0].members | {member})
-        with pytest.raises(IndexError):
-            validate_cover(g, NeighborhoodCover(k=1, clusters=cs))
+        rep = validate_cover(g, NeighborhoodCover(k=1, clusters=cs))
+        assert not rep.valid
+        assert "1 cover members outside 0..n-1" in rep.failures
+        assert rep.stats["sparsity"] == want["sparsity"]
+        assert rep.stats["uncovered_balls"] == want["uncovered_balls"]
 
     def test_dropped_cluster_of_a_cover(self):
         g = generate_graph("gnp", {"n": 300, "p": 0.01, "largest_component": 1}, 2)

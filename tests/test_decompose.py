@@ -250,7 +250,7 @@ class TestClusterReach:
     )
     def test_equals_distances_and_stops_at_the_fixpoint(self, seed, n, p, data):
         g = generate_graph("gnp", {"n": n, "p": p}, seed)
-        live = _random_live(data, n)
+        live = sorted(_random_live(data, n), key=lambda c: c.id)
         k = data.draw(st.integers(1, 3 * n), label="k")
 
         counter = _CountingAdjacency(g.adjacency_csr())
@@ -593,6 +593,7 @@ class TestColorClassTrees:
     @given(
         seed=st.integers(0, 10_000),
         model=st.sampled_from([
+            ("gnp", {"n": 60, "p": 0.06}),
             ("gnp", {"n": 60, "p": 0.06, "largest_component": 1}),
             ("grid", {"rows": 7, "cols": 9}),
             ("tree", {"n": 80}),
