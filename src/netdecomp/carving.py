@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .clustering import Cluster, Decomposition
-from .graphs import Graph, NetdecompError, _bfs_idx, path_union, quotient
+from .graphs import Graph, NetdecompError, _bfs_idx, bfs_tree
 from .simulate import (  # node_rng stays bound for the benchmark's tracer
     node_draws,
     node_rng,
@@ -44,37 +44,12 @@ class MetaGraph:
     def n(self) -> int:
         return self.graph.n
 
-    def back_map(self) -> dict[int, int]:
-        """Underlying vertex index -> meta index."""
-        out: dict[int, int] = {}
-        for mi, mem in enumerate(self.members):
-            for v in mem:
-                out[v] = mi
-        return out
-
     @classmethod
     def from_graph(cls, g: Graph) -> "MetaGraph":
         """Each vertex becomes its own meta-node."""
         return cls(
             graph=g,
             members=[frozenset({v}) for v in range(g.n)],
-            underlying_n=g.n,
-        )
-
-    @classmethod
-    def from_decomposition(cls, g: Graph, dec: Decomposition) -> "MetaGraph":
-        clusters = sorted(dec.clusters, key=lambda c: c.id)
-        owner: dict[int, int] = {}
-        for mi, c in enumerate(clusters):
-            for v in c.members:
-                if v in owner:
-                    raise CarveError("meta-nodes must be vertex-disjoint")
-                owner[v] = mi
-        if len(owner) != g.n:
-            raise CarveError("meta-nodes must cover the underlying graph")
-        return cls(
-            graph=quotient(g, owner, [c.id for c in clusters]),
-            members=[frozenset(c.members) for c in clusters],
             underlying_n=g.n,
         )
 
@@ -174,10 +149,6 @@ def carve_step(
     return CarveStepResult(clusters, deactivated, reached, max_fp, failed)
 
 
-def default_runs_per_step(underlying_n: int) -> int:
-    return max(32, math.ceil(math.log2(max(2, underlying_n))))
-
-
 @dataclass
 class CarveDiagnostics:
     phase: int
@@ -193,28 +164,27 @@ class CarveDiagnostics:
         return self.__dict__.copy()
 
 
+# batches of parallel carve runs a cluster tries before the carve fails
+RETRIES = 8
+
+
 def carve_decompose(
-    h: MetaGraph,
-    intermediate: Decomposition,
-    runs_per_step: Optional[int] = None,
-    seed: int = 0,
-    retry_cap: int = 8,
+    h: MetaGraph, intermediate: Decomposition, seed: int = 0
 ) -> tuple[Decomposition, list[CarveDiagnostics], int]:
     """Ball-carving decomposition of H driven by an intermediate
     decomposition of a power of H (same-color clusters far apart).
 
     Phases carve from one intermediate color class at a time; each
-    intermediate cluster adopts the first of ``runs_per_step`` parallel
-    carve runs that succeeded for it (success: its shifts stayed <= cap_d
-    and at least a 2^(-s) fraction of the meta-nodes it reached got
-    clustered), retrying with fresh streams if all runs fail.  One output
-    color per phase.  Returns (decomposition of H, per-adopted-run
-    diagnostics, phases used).
+    intermediate cluster adopts the first of max(32, ceil(log2 n)) parallel
+    carve runs (n the underlying graph's size) that succeeded for it
+    (success: its shifts stayed <= cap_d and at least a 2^(-s) fraction of
+    the meta-nodes it reached got clustered), retrying with fresh streams
+    up to ``RETRIES`` times if all runs fail.  One output color per phase.
+    Returns (decomposition of H, per-adopted-run diagnostics, phases used).
     """
     g = h.graph
     n = g.n
-    if runs_per_step is None:
-        runs_per_step = default_runs_per_step(h.underlying_n)
+    runs_per_step = max(32, math.ceil(math.log2(max(2, h.underlying_n))))
     if n == 1:
         dec = Decomposition(
             k=1,
@@ -248,9 +218,9 @@ def carve_decompose(
             srcs = sorted(sources)
             src_ids = [g.ids[v] for v in srcs]
             adopted = None
-            for attempt in range(retry_cap):
+            for attempt in range(RETRIES):
                 for run in range(runs_per_step):
-                    run_tag = ((phase * len(colors) + ci) * retry_cap
+                    run_tag = ((phase * len(colors) + ci) * RETRIES
                                + attempt) * runs_per_step + run + salt
                     # sample_exp's -ln(1 - U)/beta, with every source's
                     # U drawn at once
@@ -284,7 +254,7 @@ def carve_decompose(
                     break
             if adopted is None:
                 raise CarveError(
-                    f"all {retry_cap}x{runs_per_step} carve runs failed for "
+                    f"all {RETRIES}x{runs_per_step} carve runs failed for "
                     f"intermediate cluster {c.id} in phase {phase}"
                 )
             for center, mem in sorted(adopted.clusters.items()):
@@ -297,26 +267,18 @@ def carve_decompose(
                     for w in g.neighbors[u]:
                         active.discard(w)
             active -= adopted.deactivated
-        salt += len(colors) * retry_cap * runs_per_step * (phase + 1)
+        salt += len(colors) * RETRIES * runs_per_step * (phase + 1)
     dec = Decomposition(k=1, clusters=out)
     return dec, diags, phase
 
 
 def _strong_cluster(h: MetaGraph, center: int, mem: set[int], color: int) -> Cluster:
     """BFS tree inside the cluster (strong diameter by construction)."""
-    parent: dict[int, int] = {}
-    _bfs_idx(h.graph, [center], parent=parent, within=mem)
-    if set(parent) != set(mem):
+    members, tree = bfs_tree(h.graph, center, mem)
+    if members != mem:
         raise CarveError("carved cluster is not connected")
-    return _tree_cluster(h.graph, center, parent, color)
-
-
-def _tree_cluster(g: Graph, center: int, parent: dict[int, int], color: int) -> Cluster:
-    """The cluster spanned by a BFS tree given as its parent map."""
-    return Cluster(
-        id=g.ids[center], center=center, members=frozenset(parent),
-        tree_edges=path_union(parent, parent), color=color,
-    )
+    return Cluster(id=h.graph.ids[center], center=center, members=members,
+                   tree_edges=tree, color=color)
 
 
 @dataclass
@@ -407,8 +369,8 @@ def _ball_components(h: MetaGraph, interior: set[int], color: int) -> list[Clust
     out = []
     while left:
         root = min(left)
-        parent: dict[int, int] = {}
-        _bfs_idx(h.graph, [root], parent=parent, within=left)
-        left -= parent.keys()
-        out.append(_tree_cluster(h.graph, root, parent, color))
+        members, tree = bfs_tree(h.graph, root, left)
+        left -= members
+        out.append(Cluster(id=h.graph.ids[root], center=root, members=members,
+                           tree_edges=tree, color=color))
     return out

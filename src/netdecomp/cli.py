@@ -33,6 +33,7 @@ from .graphs import (
     GraphError,
     NetdecompError,
     generate_graph,
+    graph_from_json,
     load_graph,
     random_weights,
 )
@@ -229,12 +230,7 @@ def run_fixture_suite() -> dict:
         if not entry.name.endswith(".json"):
             continue
         data = json.loads(entry.read_text())
-        gd = data["graph"]
-        g = Graph(
-            gd["nodes"],
-            [(int(e[0]), int(e[1])) for e in gd["edges"]],
-            id_bits=gd.get("id_bits"),
-        )
+        g = graph_from_json(data["graph"], f"fixture {entry.name}")
         dec = decomposition_from_json(g, data["decomposition"])
         rep = validate_decomposition(g, dec)
         runs.append(

@@ -22,6 +22,7 @@ from .graphs import (
     _json_int,
     _malformed_json,
     component_labels,
+    edge_entries,
     row_entries,
 )
 
@@ -103,7 +104,7 @@ def _check_tree(g: Graph, cluster: Cluster, rep: Report, strong: bool) -> Option
         return {cluster.center: 0}
     edges = set()
     for a, b in cluster.tree_edges:
-        if b not in g.neighbors[a]:
+        if not 0 <= a < g.n or b not in g.neighbors[a]:
             rep.fail(f"cluster {cid}: tree edge ({a},{b}) not a G-edge")
             return None
         edges.add((min(a, b), max(a, b)))
@@ -176,7 +177,7 @@ def _trees_ok(
     All clusters are checked at once, on keys cluster * n + node.  A tree's
     nodes are its edges' ends and its center.  As ``_check_tree`` does, it
     is accepted when its center is a member, every edge is a G-edge
-    (``searchsorted`` on the sorted CSR keys), every member is a node, in
+    (``edge_entries``), every member is a node, in
     strong mode every node is a member, it has one edge fewer than nodes,
     and its nodes are connected: one scipy labelling of the trees'
     (cluster, node) graph, or with ``depth`` one search from all centers.
@@ -203,14 +204,7 @@ def _trees_ok(
         ok &= sizes == 1
         return ok, np.zeros(k, dtype=np.int64) if depth else None
 
-    indptr, dst = g._rows
-    # the sorted CSR keys, then n * n, above every key: a search for a key
-    # always lands on an entry
-    rows = np.append(np.repeat(np.arange(n), np.diff(indptr)) * n + dst, n * n)
-    key = np.minimum(a, b) * n + np.maximum(a, b)
-    order = np.argsort(key)  # sorted needles search fast
-    key = key[order]
-    ok[of_edge[order[rows[np.searchsorted(rows, key)] != key]]] = False
+    ok[of_edge[edge_entries(g, a, b) < 0]] = False
 
     # the distinct node keys, and where each end and center lies among them
     node_keys = np.concatenate((of_edge * n + a, of_edge * n + b,
@@ -476,43 +470,44 @@ def validate_decomposition(
     return rep
 
 
-def _check_decomposition(
-    g: Graph, dec: Decomposition, strong: bool = False, check_trees: bool = True
-) -> Report:
+def _check_decomposition(g: Graph, dec: Decomposition) -> Report:
     """The verdicts of ``validate_decomposition`` and every stat but the weak
-    diameter."""
-    return _certify(g, dec, strong, check_trees)[0]
+    diameter, in weak mode with the tree checks."""
+    return _certify(g, dec, strong=False, check_trees=True)[0]
 
 
 def _certify(
     g: Graph, dec: Decomposition, strong: bool, check_trees: bool
 ) -> tuple[Report, np.ndarray, np.ndarray]:
-    """The report of ``_check_decomposition``, and the members of every
-    multi-member cluster that one component of G holds, concatenated in
-    cluster order, with the offsets where each starts (``_lane_rounds``'s
-    input).  One member array serves every check.  Members are connected
+    """The report of ``validate_decomposition`` without the weak diameter,
+    and the members of every multi-member cluster that one component of G
+    holds, concatenated in cluster order, with the offsets where each starts
+    (``_lane_rounds``'s input).  One member array serves every check.  Members are connected
     in G exactly when one component holds them all.  A color class with
     more than one cluster is checked by ``_separated``; only a class that
     fails it goes through ``_gap_failures``, which writes its lines, and only
     a cluster whose tree ``_trees_ok`` does not accept goes through
-    ``_check_tree``."""
+    ``_check_tree``.  Members outside 0..n-1 get one failure line, and
+    every other check is judged without them."""
     rep = Report(valid=True)
     clusters = dec.clusters
     sizes, flat = _member_arrays(clusters)
+    ends, counts = _tree_edge_arrays(clusters)
+    if check_trees:
+        ok, _ = _trees_ok(g, clusters, sizes, flat, ends, counts, strong)
+    sizes, flat = _members_in_range(g, sizes, flat, "cluster", rep)
     bounds = np.concatenate(([0], np.cumsum(sizes)))
     covered = len(np.unique(flat))
     if covered < len(flat):
         owner: dict[int, int] = {}
-        for c in clusters:
-            for v in c.members:
-                if v in owner:
-                    rep.fail(f"node {v} in clusters {owner[v]} and {c.id}")
-                owner[v] = c.id
+        of_member = np.repeat(np.arange(len(clusters)), sizes)
+        for v, i in zip(flat.tolist(), of_member.tolist()):
+            if v in owner:
+                rep.fail(f"node {v} in clusters {owner[v]} and {clusters[i].id}")
+            owner[v] = clusters[i].id
     if covered != g.n:
         rep.fail(f"partition covers {covered} of {g.n} nodes")
-    ends, counts = _tree_edge_arrays(clusters)
     if check_trees:
-        ok, _ = _trees_ok(g, clusters, sizes, flat, ends, counts, strong)
         for i in np.flatnonzero(~ok).tolist():
             _check_tree(g, clusters[i], rep, strong=strong)
 
@@ -558,22 +553,36 @@ def _certify(
     return rep, flat[keep], np.concatenate(([0], np.cumsum(sizes[whole])))
 
 
+def _members_in_range(
+    g: Graph, sizes: np.ndarray, flat: np.ndarray, what: str, rep: Report
+) -> tuple[np.ndarray, np.ndarray]:
+    """``sizes`` and ``flat`` (``_member_arrays``) without the members
+    outside 0..n-1; if there are any, one failure line counts them."""
+    bad = (flat < 0) | (flat >= g.n)
+    if not bad.any():
+        return sizes, flat
+    rep.fail(f"{int(bad.sum())} {what} members outside 0..n-1")
+    of_member = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(of_member[~bad], minlength=len(sizes)), flat[~bad]
+
+
 def _gap_failures(
     g: Graph, color, group: list[Cluster], k: int, rep: Report
 ) -> Optional[int]:
     """One BFS per cluster of a color class: a failure line for every pair
     of its clusters within k hops, in cluster order; the smallest such gap,
-    or None."""
+    or None.  Members outside 0..n-1 are left out."""
     min_gap = None
+    members = [sorted(v for v in c.members if 0 <= v < g.n) for c in group]
     # positions in ``group`` of the clusters holding each node (more than
     # one when clusters overlap)
     holders: dict[int, list[int]] = {}
-    for j, c in enumerate(group):
-        for v in c.members:
+    for j, mem in enumerate(members):
+        for v in mem:
             holders.setdefault(v, []).append(j)
     for i, c in enumerate(group):
         reached: list[int] = []
-        dist = _bfs_idx(g, sorted(c.members), cap=k, reached=reached)
+        dist = _bfs_idx(g, members[i], cap=k, reached=reached)
         gaps: dict[int, int] = {}
         for v in reached:  # distance order: the first hit is the gap
             for j in holders.get(v, ()):
@@ -608,12 +617,7 @@ def validate_cover(g: Graph, cover: NeighborhoodCover) -> Report:
         if dist is not None:
             max_depth = max(max_depth, max(dist.values(), default=0))
 
-    bad = (flat < 0) | (flat >= g.n)
-    if bad.any():
-        rep.fail(f"{int(bad.sum())} cover members outside 0..n-1")
-        sizes = np.bincount(np.repeat(np.arange(len(clusters)), sizes)[~bad],
-                            minlength=len(clusters))
-        flat = flat[~bad]
+    sizes, flat = _members_in_range(g, sizes, flat, "cover", rep)
     sparsity = int(np.bincount(flat, minlength=g.n).max(initial=0))
     uncovered = np.flatnonzero(~_ball_interiors(g, sizes, flat, cover.k)).tolist()
     if uncovered:

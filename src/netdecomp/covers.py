@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Optional
 
 import numpy as np
+from scipy import sparse
 
 from .clustering import (
     Cluster,
@@ -27,8 +29,9 @@ from .graphs import (
     GraphError,
     NetdecompError,
     _bfs_idx,
+    bfs_tree,
+    edge_entries,
     induced_edges,
-    path_union,
     weight_key,
 )
 
@@ -89,36 +92,17 @@ def _strong_tree(
     g: Graph, center: int, members: frozenset[int]
 ) -> frozenset[tuple[int, int]]:
     """BFS spanning tree of G[members] rooted at the center."""
-    parent: dict[int, int] = {}
-    _bfs_idx(g, [center], parent=parent, within=members)
-    missing = members - parent.keys()
+    reached, tree = bfs_tree(g, center, members)
+    missing = members - reached
     if missing:
         raise CoverError(
             f"expanded cluster around {center} is not connected "
             f"({len(missing)} unreachable members)"
         )
-    return path_union(parent, parent)
+    return tree
 
 
 # -- MST oracles ---------------------------------------------------------
-
-
-class _DSU:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
 
 
 def _require_weights(g: Graph) -> None:
@@ -129,7 +113,7 @@ def _require_weights(g: Graph) -> None:
 def kruskal_oracle(g: Graph) -> frozenset[tuple[int, int]]:
     """The unique minimum spanning forest (distinct weights) by Kruskal."""
     _require_weights(g)
-    return _forest_of(g.n, g.rank)
+    return _forest_of(g.n, list(g.rank))
 
 
 def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
@@ -161,16 +145,16 @@ def prim_oracle(g: Graph) -> frozenset[tuple[int, int]]:
     return frozenset(tree)
 
 
-def mst_radius(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
+def mst_radius(g: Graph) -> int:
     """μ(G, ω): over non-MST edges e={u,v}, the length of the shortest
-    cycle through e in which e is heaviest, maximized.  None if that exceeds
-    ``cycle_cap``.  Trees have μ = 0 by convention.  Computed by
-    ``_mu_lanes`` over the edges in cached ``g.rank`` order."""
+    cycle through e in which e is heaviest, maximized.  Trees have μ = 0 by
+    convention.  Computed by ``_mu_lanes`` over the edges in cached
+    ``g.rank`` order."""
     _require_weights(g)
-    return _mu_lanes(g, g.rank, cycle_cap)
+    return _mu_lanes(g, list(g.rank))
 
 
-def mst_radius_scipy(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
+def mst_radius_scipy(g: Graph) -> int:
     """μ as ``mst_radius`` computes it, over an edge order sorted here by
     ``Fraction`` weight (``weight_key``) instead of read from ``g.rank``; a
     wrong rank makes the two disagree.  Both run the lane kernel
@@ -179,39 +163,33 @@ def mst_radius_scipy(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
     enumeration."""
     _require_weights(g)
     w = g.weights
-    return _mu_lanes(g, sorted(w, key=lambda e: weight_key(w[e])), cycle_cap)
+    return _mu_lanes(g, sorted(w, key=lambda e: weight_key(w[e])))
 
 
-def _mu_lanes(
-    g: Graph, edges: Iterable[tuple[int, int]], cycle_cap: int
-) -> Optional[int]:
-    """μ over G's ``edges``, which come in increasing-weight order.
+def _mu_lanes(g: Graph, edges: list[tuple[int, int]]) -> int:
+    """μ over G's ``edges``, pairs (a, b) with a < b in increasing-weight
+    order.
 
-    The sweep in that order finds the non-MST edges: those whose endpoints
-    a union-find has already joined.  Lane l is the l-th of them,
-    (a_l, b_l).  Each edge's lane floor is c, the number of non-MST edges
-    no heavier than itself, so lane l crosses only edges lighter than its
-    own.  ``_lane_rounds`` starts lane l at a_l and waits for it at b_l:
-    its rounds are the longest such lighter path, and μ is one more."""
-    pairs = list(edges)
-    dsu = _DSU(g.n)
-    cycle = np.array([not dsu.union(a, b) for a, b in pairs], dtype=bool)
-    if len(pairs) - cycle.sum() < g.n - 1:
+    The non-MST edges are those that the minimum spanning forest
+    (``_forest_of``) leaves out.  Lane l is the l-th of them, (a_l, b_l).
+    Each edge's lane floor is c, the number of non-MST edges no heavier
+    than itself, so lane l crosses only edges lighter than its own.
+    ``_lane_rounds`` starts lane l at a_l and waits for it at b_l: its
+    rounds are the longest such lighter path, and μ is one more."""
+    forest = _forest_of(g.n, edges)
+    if len(forest) < g.n - 1:
         raise GraphError("mst_radius needs a connected graph")
+    cycle = np.array([e not in forest for e in edges], dtype=bool)
     if not cycle.any():
         return 0
-    a, b = np.array(pairs, dtype=np.int64).T
+    a, b = _ends(edges)
     c = np.cumsum(cycle)
-    # each edge's floor at both of its CSR entries, found by the entry keys
-    # row * n + column, which increase along the rows
-    indptr, dst = g._rows
-    keys = np.repeat(np.arange(g.n) * g.n, np.diff(indptr)) + dst
-    floor = np.empty(len(dst), dtype=np.int64)
-    floor[np.searchsorted(keys, a * g.n + b)] = c
-    floor[np.searchsorted(keys, b * g.n + a)] = c
+    # each edge's floor at both of its CSR entries
+    floor = np.empty(len(g._rows[1]), dtype=np.int64)
+    floor[edge_entries(g, a, b)] = c
+    floor[edge_entries(g, b, a)] = c
     bounds = np.arange(c[-1] + 1)  # one set per lane
-    mu = _lane_rounds(g._rows, a[cycle], bounds, b[cycle], floor) + 1
-    return mu if mu <= cycle_cap else None
+    return _lane_rounds(g._rows, a[cycle], bounds, b[cycle], floor) + 1
 
 
 # -- cover-based MST -----------------------------------------------------
@@ -253,7 +231,7 @@ def cover_mst(g: Graph, mu: Optional[int] = None) -> MstResult:
     true_mu = mst_radius(g)
     if mu is None:
         mu = true_mu
-    if true_mu is None or mu < true_mu:
+    if mu < true_mu:
         raise MstError(f"supplied mu={mu} below MST-radius {true_mu}")
     k = max(1, mu)
     from .decompose import decompose
@@ -298,12 +276,23 @@ def cover_mst(g: Graph, mu: Optional[int] = None) -> MstResult:
 
 
 def _forest_of(
-    n: int, edges: Iterable[tuple[int, int]]
+    n: int, edges: list[tuple[int, int]]
 ) -> frozenset[tuple[int, int]]:
-    """Kruskal over ``edges``, which come in increasing-weight order."""
-    dsu = _DSU(n)
-    tree = set()
-    for a, b in edges:
-        if dsu.union(a, b):
-            tree.add((a, b))
-    return frozenset(tree)
+    """The minimum spanning forest over nodes 0..n-1 of ``edges``, which
+    come in increasing-weight order, as pairs (a, b), a < b: one scipy
+    ``minimum_spanning_tree`` in which an edge weighs its position + 1."""
+    from scipy.sparse.csgraph import minimum_spanning_tree  # see component_labels
+
+    a, b = _ends(edges)
+    weight = np.arange(1, len(a) + 1, dtype=np.float64)
+    forest = minimum_spanning_tree(sparse.coo_matrix((weight, (a, b)), shape=(n, n)))
+    a = np.repeat(np.arange(n), np.diff(forest.indptr))  # a CSR result
+    b = forest.indices
+    return frozenset(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+
+
+def _ends(edges: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second ends of the ``edges`` as two arrays (one
+    pass, without ``np.array``'s per-tuple conversion)."""
+    flat = np.fromiter(chain.from_iterable(edges), dtype=np.int64, count=2 * len(edges))
+    return flat[0::2], flat[1::2]

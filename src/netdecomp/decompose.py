@@ -51,6 +51,7 @@ from .graphs import (
     Graph,
     NetdecompError,
     _bfs_idx,
+    edge_entries,
     path_union,
     row_entries,
     symmetric_csr,
@@ -501,9 +502,7 @@ def decompose(
     color_base = 0
     # uses of each G-edge (a CSR entry a -> b, a < b) by the live trees,
     # summed over the phases so far
-    indptr, dst = g._rows
-    edge_keys = np.repeat(np.arange(g.n), np.diff(indptr)) * g.n + dst
-    edge_usage = np.zeros(len(dst), dtype=np.int64)
+    edge_usage = np.zeros(len(g._rows[1]), dtype=np.int64)
 
     phase = 0
     while live:
@@ -598,8 +597,8 @@ def decompose(
         max_r = -(-radius // k)  # in G^k hops
         tree_ends, _ = _tree_edge_arrays(live)
         edge_usage += np.bincount(
-            np.searchsorted(edge_keys, tree_ends[:, 0] * g.n + tree_ends[:, 1]),
-            minlength=len(edge_keys),
+            edge_entries(g, tree_ends[:, 0], tree_ends[:, 1]),
+            minlength=len(edge_usage),
         )
         max_overlap = int(edge_usage.max(initial=0))
         if max_overlap > phase * 13 * d**3:

@@ -206,6 +206,26 @@ def symmetric_csr(
     return indptr, indices, repeated
 
 
+def edge_entries(g: Graph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The entry of each edge (a[i], b[i]) in the CSR rows ``g._rows``, -1
+    where G has no such edge; a and b hold indices in 0..n-1.  The entry
+    keys row * n + column increase along the rows, so one binary search
+    finds each."""
+    indptr, dst = g._rows
+    n = g.n
+    a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+    if not len(dst):
+        return np.full(len(a), -1, dtype=np.int64)
+    keys = np.repeat(np.arange(n) * n, np.diff(indptr)) + dst
+    needle = a * n + b
+    # sorted needles search 2 to 3 times as fast, their sort included
+    order = np.argsort(needle)
+    at = np.empty(len(needle), dtype=np.int64)
+    at[order] = np.searchsorted(keys, needle[order])
+    np.minimum(at, len(keys) - 1, out=at)
+    return np.where(keys[at] == needle, at, -1)
+
+
 def row_entries(
     rows: tuple[np.ndarray, np.ndarray], which: np.ndarray
 ) -> np.ndarray:
@@ -381,29 +401,35 @@ def _load_json(path: str) -> Graph:
     with paused_gc():  # parsing and Graph construction build no cycle
         with open(path) as fh:
             data = json.load(fh)
-        with _malformed_json(f"graph JSON {path}"):
-            edges = _int64_pairs(data["edges"])  # None unless all are int pairs
-            weights: dict[tuple[int, int], Fraction] = {}
-            if edges is None:
-                edges = []
-                for e in data["edges"]:
-                    u, v = int(e[0]), int(e[1])
-                    edges.append((u, v))
-                    if len(e) > 2:
-                        try:
-                            weights[(u, v)] = Fraction(str(e[2]))
-                        except (ValueError, ZeroDivisionError):
-                            raise GraphError(
-                                f"graph JSON {path}: edge {e!r}: bad weight {e[2]!r}"
-                            ) from None
-            id_bits = data.get("id_bits")
-            if id_bits is not None:
-                _json_int(id_bits, f"graph JSON {path}: id_bits")
-            g = Graph(data["nodes"], edges, weights or None, id_bits=id_bits)
+        g = graph_from_json(data, f"graph JSON {path}")
         # freed while the collector is off: its first pass after the block
         # would otherwise scan every parsed edge list
-        del data, edges, weights
+        del data
     return g
+
+
+def graph_from_json(data, what: str) -> Graph:
+    """The graph of a parsed JSON document {"nodes", "edges", "id_bits"},
+    as ``load_graph`` reads it; errors name the document as ``what``."""
+    with _malformed_json(what):
+        edges = _int64_pairs(data["edges"])  # None unless all are int pairs
+        weights: dict[tuple[int, int], Fraction] = {}
+        if edges is None:
+            edges = []
+            for e in data["edges"]:
+                u, v = int(e[0]), int(e[1])
+                edges.append((u, v))
+                if len(e) > 2:
+                    try:
+                        weights[(u, v)] = Fraction(str(e[2]))
+                    except (ValueError, ZeroDivisionError):
+                        raise GraphError(
+                            f"{what}: edge {e!r}: bad weight {e[2]!r}"
+                        ) from None
+        id_bits = data.get("id_bits")
+        if id_bits is not None:
+            _json_int(id_bits, f"{what}: id_bits")
+        return Graph(data["nodes"], edges, weights or None, id_bits=id_bits)
 
 
 def save_graph_json(g: Graph, path: str) -> None:
@@ -609,6 +635,17 @@ def path_union(
             edges.add((min(v, p), max(v, p)))
             v, p = p, parent[p]
     return frozenset(edges)
+
+
+def bfs_tree(
+    g: Graph, root: int, within: Container[int]
+) -> tuple[frozenset[int], frozenset[tuple[int, int]]]:
+    """A BFS from ``root`` that enters only nodes of ``within`` (the root
+    always): the nodes it reaches, and the edges (a, b), a < b, of its
+    tree."""
+    parent: dict[int, int] = {}
+    _bfs_idx(g, [root], parent=parent, within=within)
+    return frozenset(parent), path_union(parent, parent)
 
 
 def component_labels(g: Graph) -> tuple[int, np.ndarray]:

@@ -271,8 +271,10 @@ class ShatterReport:
 
 def shatter_check(g: Graph, B: set[int], delta: Optional[int] = None) -> ShatterReport:
     """Exact component sizes of G[B] plus the P2 bound instance and a P1
-    witness heuristic (greedy 5-hop-separated set, filtered to its largest
-    9-hop-connected part)."""
+    witness heuristic: a greedy 5-hop-separated set of G[B] (nodes in id
+    order), and the most of its nodes that one component of its 9-hop graph
+    holds.  Two nodes within 9 hops share a component of G[B], so this is
+    the largest such part within any component of G[B]."""
     if delta is None:
         delta = max(2, g.max_degree)
     delta = max(2, delta)
@@ -280,41 +282,24 @@ def shatter_check(g: Graph, B: set[int], delta: Optional[int] = None) -> Shatter
     if not B:
         return ShatterReport([], 0, bound, 0.0, 0)
     sub = induced_subgraph(g, sorted(B))
-    count, label = component_labels(sub)
-    order = np.argsort(label, kind="stable")
-    comps = np.split(order, np.cumsum(np.bincount(label, minlength=count))[:-1])
-    sizes = sorted((len(c) for c in comps), reverse=True)
-    witness_best = 0
-    for comp in comps:
-        chosen: list[int] = []
-        for v in sorted(comp.tolist(), key=lambda i: sub.ids[i]):
-            dist = _bfs_idx(sub, [v], cap=4)
-            if not any(dist[u] >= 0 for u in chosen):
-                chosen.append(v)
-        if not chosen:
-            continue
-        # 9-hop connectivity filter over the chosen set
-        adj9 = {v: set() for v in chosen}
-        for v in chosen:
-            dist = _bfs_idx(sub, [v], cap=9)
-            for u in chosen:
-                if u != v and dist[u] >= 0:
-                    adj9[v].add(u)
-        seen: set[int] = set()
-        for v in chosen:
-            if v in seen:
-                continue
-            stack, comp9 = [v], {v}
-            while stack:
-                u = stack.pop()
-                for w in adj9[u]:
-                    if w not in comp9:
-                        comp9.add(w)
-                        stack.append(w)
-            seen |= comp9
-            witness_best = max(witness_best, len(comp9))
-    mx = sizes[0] if sizes else 0
-    return ShatterReport(sizes, mx, bound, mx / bound, witness_best)
+    _, label = component_labels(sub)
+    sizes = sorted(np.bincount(label).tolist(), reverse=True)
+    chosen: list[int] = []
+    taken = [False] * sub.n
+    for v in range(sub.n):  # ids ascend with the indices
+        near: list[int] = []
+        _bfs_idx(sub, [v], cap=4, reached=near)
+        if not any(map(taken.__getitem__, near)):
+            taken[v] = True
+            chosen.append(v)
+    pairs = []  # chosen pairs (v, u), v < u, within 9 hops
+    for v in chosen:
+        near = []
+        _bfs_idx(sub, [v], cap=9, reached=near)
+        pairs.extend((v, u) for u in near if u > v and taken[u])
+    _, label9 = component_labels(Graph(chosen, pairs))
+    witness = int(np.bincount(label9).max())
+    return ShatterReport(sizes, sizes[0], bound, sizes[0] / bound, witness)
 
 
 # -- ruling set and meta-graph -------------------------------------------
@@ -393,19 +378,20 @@ class MisReport:
         }
 
 
+# batches of parallel Ghaffari lanes a region tries before the pipeline
+# fails
+RETRIES = 8
+
+
 def mis_full(
-    g: Graph,
-    seed: int = 0,
-    variant: str = "fast",
-    c1: int = 20,
-    c2: int = 2,
-    retry_cap: int = 8,
+    g: Graph, seed: int = 0, variant: str = "fast", c1: int = 20
 ) -> MisReport:
     """Full MIS pipeline: pre-shattering Ghaffari rounds, ruling-set
     meta-clustering of the undecided remainder, decomposition of the
     meta-graph (ball carving for 'fast', ball growing for 'slow'), then
-    per color class adopt the first parallel Ghaffari run that fully
-    decides each super-cluster's region."""
+    per color class adopt the first of ceil(2 log2 n) parallel Ghaffari
+    runs that fully decides each super-cluster's region, retrying up to
+    ``RETRIES`` times."""
     if variant not in ("fast", "slow"):
         raise MisError(f"unknown variant {variant!r}")
     delta = max(1, g.max_degree)
@@ -424,7 +410,7 @@ def mis_full(
             dphases = len(logs)
         phases["rulingset"] = len(rs.chosen)
         phases["decomposition"] = dphases
-        lanes = math.ceil(c2 * math.log2(max(2, g.n)))
+        lanes = math.ceil(2 * math.log2(max(2, g.n)))
         undecided = set(B)
         colors = sorted({c.color for c in dec.clusters})
         for color in colors:
@@ -446,9 +432,9 @@ def mis_full(
                     4 * (math.log2(max(2, sub.n)) + math.log2(max(2, delta)))
                 ) + 8
                 adopted = None
-                for attempt in range(retry_cap):
+                for attempt in range(RETRIES):
                     for ln in range(lanes):
-                        lane_tag = 1 + ((color * retry_cap + attempt) * lanes + ln)
+                        lane_tag = 1 + ((color * RETRIES + attempt) * lanes + ln)
                         m2, r2, b2, _ = run_ghaffari(
                             sub, sub_rounds, seed, lane=lane_tag
                         )
@@ -462,7 +448,7 @@ def mis_full(
                         break
                 if adopted is None:
                     raise MisError(
-                        f"all {retry_cap}x{lanes} MIS runs left cluster "
+                        f"all {RETRIES}x{lanes} MIS runs left cluster "
                         f"{cl.id} (color {color}) undecided"
                     )
                 new_mis = {region[i] for i in adopted}

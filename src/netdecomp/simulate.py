@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, NetdecompError, paused_gc
+from .graphs import Graph, NetdecompError, edge_entries, paused_gc
 
 TAG_BITS = 8
 
@@ -344,10 +344,9 @@ def _run(
     indptr, dst = g._rows
     ptr = indptr.tolist()
     # port p of node i leads to (j, q): j = dst[ptr[i] + p], and i is port
-    # q of j.  Rows are sorted, so the keys i * n + j ascend, and the entry
-    # of the reverse pair (j, i) is found by one binary search per entry.
+    # q of j, the offset of the reverse entry (j, i) in row j
     src = np.repeat(np.arange(n), np.diff(indptr))
-    back_ports = np.searchsorted(src * n + dst, dst * n + src) - indptr[dst]
+    back_ports = edge_entries(g, dst, src) - indptr[dst]
     pairs = list(zip(dst.tolist(), back_ports.tolist()))
     links = [pairs[ptr[i] : ptr[i + 1]] for i in range(n)]
     progs = [program_factory() for _ in range(n)]
@@ -482,21 +481,18 @@ class _Flood(NodeProgram):
     every port.
     """
 
-    def __init__(self, origin: Optional[tuple[int, Any]], hops: int, fanin: int, hop_bits: int):
+    def __init__(self, origin: Optional[tuple[int, Any]], hops: int, fanin: int,
+                 origin_bits: int, hop_bits: int):
         self.known: dict[int, tuple[int, Any]] = {}  # origin -> (best_hops, payload)
+        self.due: list[int] = []
         if origin is not None:
             self.known[origin[0]] = (0, origin[1])
+            if hops > 0:
+                self.due.append(origin[0])
         self.sent: dict[int, int] = {}  # origin -> hops sent on every port
         self.hops = hops
         self.fanin = fanin
-        self.hop_bits = hop_bits
-        self.origin_bits: Optional[int] = None  # fall back to view.id_bits
-
-    def init(self, view):
-        super().init(view)
-        self.msg_bits = TAG_BITS + (self.origin_bits or view.id_bits) + self.hop_bits
-        # at most one origin, the node's own, is known yet
-        self.due = [o for o, (h, _) in self.known.items() if h < self.hops]
+        self.msg_bits = TAG_BITS + origin_bits + hop_bits
 
     def step(self, round_no, inbox):
         known, due, sent = self.known, self.due, self.sent
@@ -535,12 +531,6 @@ def bounded_flood(
     smallest origins within ``hops``."""
     if fanin < 1 or hops < 0:
         raise SimError("bounded_flood needs fanin >= 1, hops >= 0")
-    if hops == 0:
-        stats = RoundStats()
-        return (
-            [{sources[i]} if i in sources else set() for i in range(g.n)],
-            stats,
-        )
     hop_bits = max(1, hops.bit_length())
     origin_bits = max(
         g.id_bits, max((int(o).bit_length() for o, _ in sources.values()), default=1)
@@ -549,9 +539,7 @@ def bounded_flood(
 
     def factory():
         i = next(it)
-        prog = _Flood(sources.get(i), hops, fanin, hop_bits)
-        prog.origin_bits = origin_bits
-        return prog
+        return _Flood(sources.get(i), hops, fanin, origin_bits, hop_bits)
 
     return run(
         g,

@@ -1,7 +1,7 @@
 """Centralized references that only the tests run: Floyd-Warshall
 distances, power graphs, log*, cycle-enumeration μ, the exact-arithmetic
-Ghaffari round, a stack-loop component labelling, a Monte-Carlo check of
-the carving gap lemma, and the loops that validated MIS sets, counted
+Ghaffari round, a stack-loop component labelling, the meta-graph of a
+decomposition and its back map, a Monte-Carlo check of the carving gap lemma, and the loops that validated MIS sets, counted
 tree-edge overlaps and found cover ball interiors before those checks moved
 to arrays.  They live outside the package so that the code they certify
 cannot reuse them.  This is a plain helper module, not a test module; the
@@ -16,9 +16,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from netdecomp.carving import CarveError
+from netdecomp.carving import CarveError, MetaGraph
 from netdecomp.covers import MstError, _require_weights, kruskal_oracle
-from netdecomp.graphs import Graph, GraphError, _bfs_idx
+from netdecomp.graphs import Graph, GraphError, _bfs_idx, quotient
 from netdecomp.mis import IN_MIS, REMOVED, UNDECIDED
 
 
@@ -86,6 +86,30 @@ def connected_components(g: Graph) -> list[list[int]]:
                     stack.append(v)
         comps.append(comp)
     return comps
+
+
+def meta_graph_of(g: Graph, dec) -> MetaGraph:
+    """The meta-graph whose meta-nodes are the clusters of the
+    decomposition ``dec`` of G, in id order."""
+    clusters = sorted(dec.clusters, key=lambda c: c.id)
+    owner: dict[int, int] = {}
+    for mi, c in enumerate(clusters):
+        for v in c.members:
+            if v in owner:
+                raise CarveError("meta-nodes must be vertex-disjoint")
+            owner[v] = mi
+    if len(owner) != g.n:
+        raise CarveError("meta-nodes must cover the underlying graph")
+    return MetaGraph(
+        graph=quotient(g, owner, [c.id for c in clusters]),
+        members=[frozenset(c.members) for c in clusters],
+        underlying_n=g.n,
+    )
+
+
+def back_map(h: MetaGraph) -> dict[int, int]:
+    """Underlying vertex index -> meta index of the meta-graph ``h``."""
+    return {v: mi for mi, mem in enumerate(h.members) for v in mem}
 
 
 def gap_probability_check(

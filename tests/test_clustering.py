@@ -94,6 +94,43 @@ class TestValidateDecomposition:
         assert not rep.valid
         assert any("distance 2" in f for f in rep.failures)
 
+    @pytest.mark.parametrize("member", [-1, 4])
+    def test_member_out_of_range_reported(self, member):
+        # the other checks are judged without it: the partition is whole
+        # and the weak diameter that of the path
+        g = generate_graph("path", {"n": 4}, 0)
+        c = Cluster(id=0, center=0, members=frozenset(range(4)),
+                    tree_edges=frozenset([(0, 1), (1, 2), (2, 3)]), color=0)
+        want = validate_decomposition(g, Decomposition(k=1, clusters=[c]))
+        bad = dataclasses.replace(c, members=c.members | {member})
+        rep = validate_decomposition(g, Decomposition(k=1, clusters=[bad]))
+        assert rep.failures == ["1 cluster members outside 0..n-1",
+                                f"cluster 0: members [{member}] not on tree"]
+        assert rep.stats == want.stats and rep.stats["max_weak_diameter"] == 3
+
+    @pytest.mark.parametrize("edge", [(4, 1), (-1, 2), (1, 4), (2, -1)])
+    def test_tree_edge_out_of_range_reported(self, edge):
+        g = generate_graph("path", {"n": 4}, 0)
+        c = Cluster(id=0, center=0, members=frozenset(range(4)),
+                    tree_edges=frozenset([(0, 1), (1, 2), (2, 3), edge]), color=0)
+        line = f"cluster 0: tree edge ({edge[0]},{edge[1]}) not a G-edge"
+        assert validate_decomposition(g, Decomposition(k=1, clusters=[c])).failures == [line]
+        assert validate_cover(g, NeighborhoodCover(k=1, clusters=[c])).failures == [line]
+
+    def test_same_color_gap_ignores_members_out_of_range(self):
+        # a failing class is enumerated cluster by cluster without them
+        g = generate_graph("path", {"n": 4}, 0)
+        clusters = [
+            Cluster(id=0, center=0, members=frozenset([0, 1, -1]),
+                    tree_edges=frozenset([(0, 1)]), color=0),
+            Cluster(id=1, center=2, members=frozenset([2, 3, 4]),
+                    tree_edges=frozenset([(2, 3)]), color=0),
+        ]
+        rep = validate_decomposition(g, Decomposition(k=1, clusters=clusters))
+        assert rep.failures[0] == "2 cluster members outside 0..n-1"
+        assert "color 0: clusters 0,1 at distance 1 <= k=1" in rep.failures
+        assert rep.stats["min_same_color_gap"] == 1
+
     def test_partition_violations(self):
         g = generate_graph("path", {"n": 3}, 0)
         clusters = [

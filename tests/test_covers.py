@@ -1,6 +1,5 @@
 import math
 from fractions import Fraction
-from typing import Optional
 from unittest.mock import patch
 
 import numpy as np
@@ -37,7 +36,7 @@ def path(n):
     return Graph(list(range(n)), [(i, i + 1) for i in range(n - 1)])
 
 
-def scipy_mu(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
+def scipy_mu(g: Graph) -> int:
     """Reference for μ: per edge in ``Fraction`` order, one scipy BFS over
     the edges lighter than it.  An edge whose endpoints they join is a
     non-MST edge, and its shortest cycle is that distance + 1."""
@@ -53,8 +52,6 @@ def scipy_mu(g: Graph, cycle_cap: int = 1 << 20) -> Optional[int]:
                           indices=a)[b]
         if not np.isfinite(d):
             continue  # an MST edge
-        if d + 1 > cycle_cap:
-            return None
         mu = max(mu, int(d) + 1)
     return mu
 
@@ -210,8 +207,8 @@ class TestMstRadius:
             )
             assert mst_radius(g) == mst_radius_scipy(g)
 
-    def test_cycle_cap(self):
-        assert mst_radius(four_cycle(), cycle_cap=3) is None
+    def test_four_cycle_mu(self):
+        assert mst_radius(four_cycle()) == scipy_mu(four_cycle()) == 4
 
     def test_disconnected_rejected(self):
         two_edges = Graph([0, 1, 2, 3], [(0, 1), (2, 3)],
@@ -302,14 +299,9 @@ class TestBitParallelMuOracle:
         n=st.integers(3, 30),
         p=st.sampled_from([0.1, 0.2, 0.35]),
     )
-    def test_cycle_cap_parity(self, seed, n, p):
+    def test_entry_points_match_scipy_mu(self, seed, n, p):
         g = _weighted_gnp(n, p, seed)
-        mu = mst_radius(g)
-        for cap in range(1, mu + 2):
-            want = mu if cap >= mu else None
-            assert mst_radius(g, cap) == want
-            assert mst_radius_scipy(g, cap) == want
-            assert scipy_mu(g, cap) == want
+        assert mst_radius(g) == mst_radius_scipy(g) == scipy_mu(g)
 
     @pytest.mark.parametrize("g", [
         Graph([], [], {}),
@@ -320,7 +312,6 @@ class TestBitParallelMuOracle:
     ], ids=["n0", "n1", "n2", "path", "star"])
     def test_trees_and_tiny_graphs(self, g):
         assert mst_radius(g) == mst_radius_scipy(g) == scipy_mu(g) == 0
-        assert mst_radius_scipy(g, cycle_cap=1) == 0
 
     @pytest.mark.parametrize("block", [1, 7, 64, 65, 128])
     def test_lane_blocks_change_no_answer(self, block):
@@ -332,8 +323,6 @@ class TestBitParallelMuOracle:
             with patch.object(clustering, "_LANES", block):
                 for mu_of in (mst_radius, mst_radius_scipy):
                     assert mu_of(g) == mu
-                    assert mu_of(g, mu) == mu
-                    assert mu_of(g, mu - 1) is None
 
     @pytest.mark.parametrize("seed", range(3))
     def test_criterion_10_scale(self, seed):
@@ -381,6 +370,28 @@ class TestMstOracles:
         tree = prim_oracle(g)
         g._rank = {e: r for r, e in enumerate(reversed(list(g.rank)))}
         assert prim_oracle(g) == tree != kruskal_oracle(g)
+
+
+class TestForestOf:
+    """The one spanning-forest routine against ``prim_oracle``, also on
+    disconnected graphs, isolated nodes and graphs without edges."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 30),
+        p=st.sampled_from([0.0, 0.03, 0.08, 0.2, 0.5]),
+        isolated=st.integers(0, 3),
+    )
+    def test_against_prim(self, seed, n, p, isolated):
+        g = generate_graph("gnp", {"n": n, "p": p}, seed)
+        g = random_weights(Graph([*g.ids, *range(n, n + isolated)], g.edges_by_id()), seed)
+        forest = covers._forest_of(g.n, list(g.rank))
+        assert forest == prim_oracle(g)
+        assert all(a < b for a, b in forest)
+
+    def test_no_nodes(self):
+        assert covers._forest_of(0, []) == frozenset()
 
 
 class TestCoverMst:

@@ -16,6 +16,8 @@ from netdecomp.graphs import (
     Graph,
     GraphError,
     _bfs_idx,
+    bfs_tree,
+    edge_entries,
     generate_graph,
     induced_edges,
     induced_subgraph,
@@ -357,6 +359,61 @@ class TestBfsKernel:
         dist = _bfs_idx(g, [12], targets=[12], reached=reached)
         assert reached == [12] and dist.count(-1) == g.n - 1
         assert len(dist) == g.n
+
+
+class TestEdgeEntries:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(0, 25),
+        p=st.sampled_from([0.0, 0.1, 0.3, 1.0]),
+        gapped=st.booleans(),
+    )
+    def test_against_neighbor_lists(self, seed, n, p, gapped):
+        # every ordered pair, a == b included, in a shuffled order
+        rng = np.random.default_rng(seed)
+        ids = [5 * v + 3 if gapped else v for v in range(n)]
+        edges = [(ids[a], ids[b]) for a in range(n) for b in range(a + 1, n)
+                 if rng.random() < p]
+        g = Graph(ids, edges)
+        pairs = rng.permutation([(a, b) for a in range(n) for b in range(n)])
+        a, b = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        got = edge_entries(g, a, b)
+        indptr, dst = g._rows
+        assert got.shape == a.shape
+        for x, y, e in zip(a.tolist(), b.tolist(), got.tolist()):
+            if y in g.neighbors[x]:
+                assert indptr[x] <= e < indptr[x + 1] and dst[e] == y
+            else:
+                assert e == -1
+
+    def test_empty_graph_and_no_pairs(self):
+        none = np.empty(0, dtype=np.int64)
+        assert edge_entries(Graph([], []), none, none).tolist() == []
+        assert edge_entries(Graph([4, 9], []), [0, 1], [1, 0]).tolist() == [-1, -1]
+        assert edge_entries(path5(), none, none).tolist() == []
+
+
+class TestBfsTree:
+    def test_spanning(self):
+        g = generate_graph("grid", {"rows": 4, "cols": 5}, 0)
+        within = set(range(g.n)) - {7, 12}
+        nodes, tree = bfs_tree(g, 0, within)
+        assert nodes == frozenset(within)
+        assert len(tree) == len(nodes) - 1
+        assert all(a < b and b in g.neighbors[a] for a, b in tree)
+        # a BFS tree: every node hangs one hop below a node nearer the root
+        dist = _bfs_idx(g, [0], within=within)
+        assert all(abs(dist[a] - dist[b]) == 1 for a, b in tree)
+        assert all(a in within and b in within for a, b in tree)
+
+    def test_not_spanning(self):
+        g = path5()
+        nodes, tree = bfs_tree(g, 0, {0, 1, 3, 4})
+        assert nodes == frozenset({0, 1}) and tree == frozenset({(0, 1)})
+        # the root is entered even outside the set
+        nodes, tree = bfs_tree(g, 2, {3})
+        assert nodes == frozenset({2, 3}) and tree == frozenset({(2, 3)})
 
 
 class TestVoronoiCells:

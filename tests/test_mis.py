@@ -24,7 +24,13 @@ from netdecomp.mis import (
     shatter_check,
 )
 from netdecomp.simulate import Message, SimConfig, node_draws, node_rng, philox_draws
-from references import MisState, connected_components, ghaffari_round, next_desire
+from references import (
+    MisState,
+    all_pairs_distances,
+    connected_components,
+    ghaffari_round,
+    next_desire,
+)
 
 
 def path(n):
@@ -313,6 +319,36 @@ class TestEngineLaneMasks:
             assert got[ln] == want
 
 
+def _p1_witness_by_loops(g, B):
+    """The P1 witness one component of G[B] at a time: a greedy 5-hop
+    separated set in id order, and the largest part of it that a stack loop
+    over its 9-hop pairs connects (Floyd-Warshall distances)."""
+    if not B:
+        return 0
+    sub = induced_subgraph(g, sorted(B))
+    dist = all_pairs_distances(sub)
+    best = 0
+    for comp in connected_components(sub):
+        chosen = []
+        for v in sorted(comp, key=lambda i: sub.ids[i]):
+            if not any(dist[v, u] <= 4 for u in chosen):
+                chosen.append(v)
+        seen = set()
+        for v in chosen:
+            if v in seen:
+                continue
+            part, stack = {v}, [v]
+            while stack:
+                u = stack.pop()
+                for w in chosen:
+                    if w not in part and dist[u, w] <= 9:
+                        part.add(w)
+                        stack.append(w)
+            seen |= part
+            best = max(best, len(part))
+    return best
+
+
 class TestShatterCheck:
     def test_empty_remainder(self):
         r = shatter_check(path(5), set())
@@ -335,6 +371,21 @@ class TestShatterCheck:
         r = shatter_check(g, B)
         comps = connected_components(induced_subgraph(g, sorted(B))) if B else []
         assert r.component_sizes == sorted(map(len, comps), reverse=True)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(1, 40),
+           share=st.floats(0.0, 1.0))
+    def test_p1_witness_matches_the_loop(self, seed, n, share):
+        g = generate_graph("gnp", {"n": n, "p": min(1.0, 3.0 / n)}, seed)
+        rng = np.random.default_rng(seed)
+        B = {v for v in range(n) if rng.random() < share}
+        assert shatter_check(g, B).p1_witness == _p1_witness_by_loops(g, B)
+
+    def test_p1_witness_joins_a_pair_nine_hops_apart(self):
+        # ids 0 and 1 end a path of ten nodes: both are chosen, 9 hops apart
+        order = [0, *range(2, 10), 1]
+        g = Graph(range(10), list(zip(order, order[1:])))
+        assert shatter_check(g, set(range(10))).p1_witness == 2
 
     def test_bound_value_formula(self):
         g = generate_graph("gnp", {"n": 100, "p": 0.1}, seed=0)

@@ -430,6 +430,24 @@ class TestBoundedFlood:
         out, stats = bounded_flood(g, {0: (0, "a")}, hops=0, fanin=2, cfg=SimConfig())
         assert out[0] == {(0, "a")} and out[1] == set() and stats.rounds == 0
 
+    @pytest.mark.parametrize("sources", ["none", "one", "all"])
+    def test_hops_zero_runs_the_engine_quietly(self, sources):
+        g = generate_graph("gnp", {"n": 200, "p": 0.03}, 5)
+        held = {"none": [], "one": [17], "all": range(g.n)}[sources]
+        src = {v: (g.ids[v], v) for v in held}
+        out, stats = bounded_flood(g, src, hops=0, fanin=3, cfg=SimConfig())
+        assert out == bounded_flood_oracle(g, src, 0, 3)
+        assert stats == RoundStats()
+
+    def test_hops_zero_checks_an_explicit_budget(self):
+        g = generate_graph("path", {"n": 3}, 0)
+        low = SimConfig(msg_bits=g.id_bits + 7)
+        with pytest.raises(SimError, match="below id_bits"):
+            bounded_flood(g, {0: (0, "a")}, hops=0, fanin=2, cfg=low)
+        out, stats = bounded_flood(g, {0: (0, "a")}, hops=0, fanin=2,
+                                   cfg=SimConfig(msg_bits=g.id_bits + 8, strict=True))
+        assert out == [{(0, "a")}, set(), set()] and stats == RoundStats()
+
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
@@ -488,10 +506,7 @@ class _SortedRescanFlood(_Flood):
                 if prev is not None and prev <= h + 1:
                     continue
                 self.sent[(port, origin)] = h + 1
-                width = self.origin_bits or self.view.id_bits
-                out[port] = Message(
-                    (origin, h + 1, payload), TAG_BITS + width + self.hop_bits
-                )
+                out[port] = Message((origin, h + 1, payload), self.msg_bits)
                 break
         return out
 

@@ -82,10 +82,10 @@ def test_no_dead_imports():
     assert not dead, f"unused imports: {sorted(dead)}"
 
 
-# module-level code in src/ that nothing in src/ or perfbench/ runs, and why
-# it stays
+# code in src/ that nothing in src/ or perfbench/ runs, and why it stays
 UNREFERENCED_ALLOWED = {
     "clustering.validate_ruling_set": "public validator of the ruling-set definition",
+    "graphs.Graph.relabeled": "the id remap that acceptance criterion 03 applies",
 }
 
 
@@ -98,25 +98,105 @@ def _references(source: str) -> set[str]:
     }
 
 
-def test_src_holds_no_test_only_code():
-    # a function or class of src/ must be run by src/ or perfbench/, be
-    # wrapped by the tracer, or be allowed above; references that only the
-    # tests need belong in tests/references.py
+def _src_and_perfbench():
     src = Path(graphs.__file__).resolve().parent
-    perfbench = LAYERS_PY.parent
+    return sorted(src.glob("*.py")), sorted(LAYERS_PY.parent.glob("*.py"))
+
+
+def _definitions(path: Path):
+    """(qualified name, node, is a method) for every module-level function
+    and class of ``path`` and every function defined in a class body."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield f"{path.stem}.{node.name}", node, False
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{path.stem}.{node.name}.{item.name}", item, True
+
+
+def test_src_holds_no_test_only_code():
+    # a function, class, method or property of src/ must be run by src/ or
+    # perfbench/, be wrapped by the tracer, or be allowed above; references
+    # that only the tests need belong in tests/references.py
+    src, perfbench = _src_and_perfbench()
     referenced = set()
-    for path in [*src.glob("*.py"), *perfbench.glob("*.py")]:
+    for path in [*src, *perfbench]:
         referenced |= _references(path.read_text())
     referenced |= {name for _layer, name, _consumers, _leaf in _wrapped()}
     unreferenced = {
-        f"{path.stem}.{node.name}"
-        for path in src.glob("*.py")
-        for node in ast.parse(path.read_text()).body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        qualified
+        for path in src
+        for qualified, node, _method in _definitions(path)
+        if not (node.name.startswith("__") and node.name.endswith("__"))
         and node.name not in referenced
     }
     assert unreferenced == set(UNREFERENCED_ALLOWED), sorted(
         unreferenced ^ set(UNREFERENCED_ALLOWED))
+
+
+# defaulted parameters of src/ that no call in src/ or perfbench/ passes,
+# and why each stays
+UNPASSED_ALLOWED = {
+    "decompose.decompose(init)": "the tests check the merge contract on initial clusters",
+    "clustering.validate_decomposition(check_trees)": "the tests of the separation "
+                                                      "and lane checks skip the trees",
+    "mis.run_ghaffari(_draws)": "the tests replay explicit draws against the exact round",
+    "mis.shatter_check(delta)": "acceptance criterion 08 fits the P2 bound at a set degree",
+    "mis.ghaffari_engine(cfg)": "acceptance criterion 11 runs the lanes under a strict budget",
+    "carving.carve_step(stream)": "acceptance criterion 04 draws the shifts from one stream",
+    "coloring.linial_color(max_degree)": "the tests pass the degree bound explicitly",
+    "graphs.Graph.relabeled(id_bits)": "criterion 03's remap widens the id space",
+    "cli.main(argv)": "the console script passes none, so sys.argv is read",
+}
+
+
+def _defaulted(node: ast.FunctionDef, method: bool) -> list[tuple[str, int]]:
+    """(name, positional index or -1 if keyword-only) of every parameter
+    of ``node`` with a default; a method's index leaves out ``self`` or
+    ``cls``."""
+    args = node.args
+    positional = [*args.posonlyargs, *args.args]
+    shift = 1 if method else 0
+    first = len(positional) - len(args.defaults)
+    out = [(a.arg, i - shift) for i, a in enumerate(positional) if i >= first]
+    out += [(a.arg, -1) for a, d in zip(args.kwonlyargs, args.kw_defaults)
+            if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    # a setting that no caller sets is a constant: a defaulted parameter of
+    # src/ must be passed, by position or keyword, by some call in src/ or
+    # perfbench/ to a function of its name, or be allowed above
+    src, perfbench = _src_and_perfbench()
+    passed: dict[str, set] = {}  # callee name -> positions and keywords passed
+    for path in [*src, *perfbench]:
+        for call in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(call, ast.Call):
+                continue
+            fn = call.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            got = passed.setdefault(name, set())
+            if any(isinstance(a, ast.Starred) for a in call.args) or any(
+                    k.arg is None for k in call.keywords):
+                got.add("*")  # a splat may pass anything
+            got.update(range(len(call.args)))
+            got.update(k.arg for k in call.keywords)
+    unpassed = set()
+    for path in src:
+        for qualified, node, method in _definitions(path):
+            if isinstance(node, ast.ClassDef):
+                continue
+            # a constructor is called by its class name
+            parts = qualified.split(".")
+            callee = parts[-2] if node.name == "__init__" else node.name
+            got = passed.get(callee, set())
+            for arg, index in _defaulted(node, method):
+                if "*" not in got and arg not in got and index not in got:
+                    unpassed.add(f"{qualified}({arg})")
+    assert unpassed == set(UNPASSED_ALLOWED), sorted(
+        unpassed ^ set(UNPASSED_ALLOWED))
 
 
 def test_one_lane_kernel_serves_mu_and_weak_diameters():
