@@ -9,6 +9,7 @@ classification reproduces the unique minimum spanning forest exactly.
 from __future__ import annotations
 
 import heapq
+from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Iterable, Optional
@@ -238,30 +239,27 @@ def cover_mst(g: Graph, mu: Optional[int] = None) -> MstResult:
 
     # decompose's own output is 2k-separated by construction (its tests
     # validate it), so it is expanded unvalidated.  Only the expanded member
-    # sets are read; clusters that expand to the same set share its forest.
+    # sets are read; clusters that expand to the same set share its forest
+    # and its verdicts, so each distinct set is classified once.
     clusters = decompose(g, 2 * k).decomposition.clusters
-    cluster_msts: dict[int, frozenset[tuple[int, int]]] = {}
-    containing: dict[tuple[int, int], list[int]] = {}
-    load = [0] * g.n
-    forests: dict[frozenset[int], tuple[list, frozenset]] = {}
-    for c in clusters:
-        members = _ball(g, c.members, k)
-        for v in members:
-            load[v] += 1
-        if members not in forests:
-            sub_edges = induced_edges(g, members)
-            forests[members] = (
-                sub_edges, _forest_of(g.n, sorted(sub_edges, key=g.rank.get))
-            )
-        sub_edges, cluster_msts[c.id] = forests[members]
-        for e in sub_edges:
-            containing.setdefault(e, []).append(c.id)
+    expanded = [_ball(g, c.members, k) for c in clusters]
+    uses = Counter(expanded)  # distinct expanded set -> clusters expanding to it
+    forests: dict[frozenset[int], frozenset[tuple[int, int]]] = {}
+    covered: set[tuple[int, int]] = set()   # in some expanded set
+    excluded: set[tuple[int, int]] = set()  # left out of some set's forest
+    for members in uses:
+        sub_edges = induced_edges(g, members)
+        forest = forests[members] = _forest_of(g.n, sorted(sub_edges, key=g.rank.get))
+        covered.update(sub_edges)
+        excluded.update(set(sub_edges).difference(forest))
+    load = np.zeros(g.n, dtype=np.int64)
+    for members, count in uses.items():
+        load[list(members)] += count
     classification: dict[tuple[int, int], str] = {}
-    for a, b in g.weights:
-        if (a, b) not in containing:
-            raise MstError(f"edge ({a},{b}) contained in no cover cluster")
-        in_all = all((a, b) in cluster_msts[cid] for cid in containing[(a, b)])
-        classification[(a, b)] = RULE_B_INCLUDED if in_all else RULE_A_EXCLUDED
+    for e in g.weights:
+        if e not in covered:
+            raise MstError(f"edge ({e[0]},{e[1]}) contained in no cover cluster")
+        classification[e] = RULE_A_EXCLUDED if e in excluded else RULE_B_INCLUDED
     tree = frozenset(
         e for e, r in classification.items() if r == RULE_B_INCLUDED
     )
@@ -270,8 +268,8 @@ def cover_mst(g: Graph, mu: Optional[int] = None) -> MstResult:
         classification=classification,
         mu=mu,
         true_mu=true_mu,
-        cover_sparsity=max(load, default=0),
-        cluster_msts=cluster_msts,
+        cover_sparsity=int(load.max(initial=0)),
+        cluster_msts={c.id: forests[m] for c, m in zip(clusters, expanded)},
     )
 
 

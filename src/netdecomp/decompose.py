@@ -10,9 +10,13 @@ interchangeable communication backends build it:
 * ``mode='sim'`` runs the data plane through the CONGEST engine and records
   real round/bit ledgers: a bounded flood of cluster ids, a convergecast of
   the members' holdings over each cluster tree, and a gossip of marked ids;
-* ``mode='fast'`` reads the same view off one sparse boolean product, the
-  k-hop balls of the clusters times their membership matrix, and is the
-  oracle the simulated run must match exactly.
+* ``mode='fast'`` computes the same view centrally, and is the oracle the
+  simulated run must match exactly.  One search per call from the smallest
+  node u of each connected component gives d(., u) and ecc(u); a cluster
+  within one component whose nearest member lies at most k - ecc(u) from
+  u reaches every cluster with a member in that component, and its row is
+  read off that list.  The other rows come from one sparse boolean
+  product, their k-hop balls times the clusters' membership matrix.
 
 Each live cluster's communication tree (G-shortest paths from its center)
 and radius are built once, when the cluster forms; a colored cluster keeps
@@ -51,6 +55,7 @@ from .graphs import (
     Graph,
     NetdecompError,
     _bfs_idx,
+    component_labels,
     edge_entries,
     path_union,
     row_entries,
@@ -144,19 +149,46 @@ class HView:
     closed: tuple[np.ndarray, np.ndarray]
 
 
-def _cluster_reach(g: Graph, live: list[LiveCluster], k: int) -> sparse.csr_matrix:
-    """Boolean live-cluster x live-cluster matrix over ``live`` (ascending
-    ids), with sorted rows: (c, x) is set iff a member of x lies within k
-    hops of a member of c (so the diagonal is set).  Centralized
+def _reach_bound(g: Graph, k: int) -> Optional[tuple[np.ndarray, ...]]:
+    """Per node, its component's label and its hop distance from the
+    component's smallest node u; per component, the slack k - ecc(u), or
+    -1 where ecc(u) > k.  None when every slack is -1.
+
+    A cluster whose members lie in one component, the nearest of them at
+    most the slack from u, reaches every cluster with a member there:
+    d(c, x) <= d(c, u) + d(u, x) <= k.  One scipy search from all the u,
+    cut off at k."""
+    from scipy.sparse.csgraph import dijkstra  # see component_labels
+
+    n_comp, label = component_labels(g)
+    label = label.astype(np.int64)
+    _, roots = np.unique(label, return_index=True)
+    dist = dijkstra(g.adjacency_csr(), unweighted=True, min_only=True,
+                    indices=roots, limit=k)
+    ecc = np.zeros(n_comp)
+    np.maximum.at(ecc, label, dist)
+    slack = np.where(ecc <= k, k - ecc, -1)
+    if (slack < 0).all():
+        return None
+    return label, dist, slack
+
+
+def _cluster_reach(
+    g: Graph, sizes: np.ndarray, flat: np.ndarray, rows: np.ndarray, k: int
+) -> sparse.csr_matrix:
+    """Boolean matrix of the live clusters at positions ``rows`` x all live
+    clusters (``sizes``, ``flat`` as ``_member_arrays`` gives them), with
+    sorted rows: (i, x) is set iff a member of x lies within k hops of a
+    member of cluster ``rows[i]`` (so the diagonal is set).  Centralized
     equivalent of the bounded flood and the convergecast over it."""
-    sizes, cols = _member_arrays(live)
     member = sparse.csr_matrix(
-        (np.ones(len(cols), dtype=bool),
-         (np.repeat(np.arange(len(live)), sizes), cols)),
-        shape=(len(live), g.n),
+        (np.ones(len(flat), dtype=bool),
+         (np.repeat(np.arange(len(sizes)), sizes), flat)),
+        shape=(len(sizes), g.n),
     )
     adj = g.adjacency_csr().astype(bool)
-    ball = frontier = member  # ball: the radius-t balls; frontier: their last layer
+    # ball: the radius-t balls; frontier: their last layer
+    ball = frontier = member[rows]
     for _ in range(k):
         grown = (ball + frontier @ adj).astype(bool)
         if grown.nnz == ball.nnz:
@@ -166,6 +198,47 @@ def _cluster_reach(g: Graph, live: list[LiveCluster], k: int) -> sparse.csr_matr
     # a CSC -> CSR conversion sorts the rows in linear time (a product's
     # rows come out unsorted)
     return (member @ ball.T).T.tocsr()
+
+
+def _reach_rows(
+    g: Graph, live: list[LiveCluster], k: int,
+    bound: Optional[tuple[np.ndarray, ...]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each live cluster's reach row, the positions of the live clusters
+    within k hops ascending, as row ``at[r]`` of the CSR (ptr, idx).
+
+    A cluster that ``bound`` (``_reach_bound``) shows to reach its whole
+    component reads that component's list, the clusters with a member in
+    it; one with members in two components never does.  The other rows
+    come from ``_cluster_reach``."""
+    sizes, flat = _member_arrays(live)
+    n_live = len(live)
+    full = np.zeros(n_live, dtype=bool)
+    if bound is not None:
+        label, dist, slack = bound
+        starts = np.cumsum(sizes) - sizes
+        comp = label[flat]
+        lo = np.minimum.reduceat(comp, starts)
+        full = (lo == np.maximum.reduceat(comp, starts)) & (
+            np.minimum.reduceat(dist[flat], starts) <= slack[lo])
+    if not full.any():
+        reach = _cluster_reach(g, sizes, flat, np.arange(n_live), k)
+        return np.arange(n_live), reach.indptr, reach.indices
+    rest = np.flatnonzero(~full)
+    reach = (_cluster_reach(g, sizes, flat, rest, k) if len(rest)
+             else sparse.csr_matrix((0, n_live), dtype=bool))
+    # the lists of the full clusters' components: keys component * n_live
+    # + position, each (component, cluster) pair once, sorted
+    wanted = np.zeros(len(slack), dtype=bool)
+    wanted[lo[full]] = True
+    pick = wanted[comp]
+    keys = np.unique(comp[pick] * n_live + np.repeat(np.arange(n_live), sizes)[pick])
+    comps, first = np.unique(keys // n_live, return_index=True)
+    at = np.empty(n_live, dtype=np.int64)
+    at[rest] = np.arange(len(rest))
+    at[full] = len(rest) + np.searchsorted(comps, lo[full])
+    ptr = np.concatenate((reach.indptr, reach.nnz + np.append(first[1:], len(keys))))
+    return at, ptr, np.concatenate((reach.indices, keys % n_live))
 
 
 def _in_lists_sim(
@@ -225,9 +298,12 @@ def _build_hview(
     mode: str,
     cfg: SimConfig,
     stats: RoundStats,
+    bound: Optional[tuple[np.ndarray, ...]],
 ) -> HView:
     """The H-view of ``live`` (ascending ids).  Only the in-neighbor rows
-    and the marked neighbors come from the backend; the rest is shared."""
+    and the marked neighbors come from the backend; the rest is shared.
+    ``bound`` is ``_reach_bound(g, k)`` in fast mode and None in sim
+    mode."""
     cap = 2 * d
     n_live = len(live)
     if mode == "sim":
@@ -237,12 +313,12 @@ def _build_hview(
         # the first 2d foreign entries of each sorted reach row, read off
         # its first 2d + 1 entries: an entry's rank among the foreign ones
         # is its rank in the row, less one past the diagonal
-        reach = _cluster_reach(g, live, k)
-        counts = np.diff(reach.indptr)
+        at, ptr, idx = _reach_rows(g, live, k, bound)
+        counts = ptr[at + 1] - ptr[at]
         head = np.minimum(counts, cap + 1)
         row_of = np.repeat(np.arange(n_live), head)
         rank = np.arange(len(row_of)) - np.repeat(np.cumsum(head) - head, head)
-        entry = reach.indices[np.repeat(reach.indptr[:-1], head) + rank]
+        entry = idx[np.repeat(ptr[at], head) + rank]
         rank -= entry > row_of
         keep = (entry != row_of) & (rank < cap)
         in_pos = entry[keep]
@@ -256,12 +332,14 @@ def _build_hview(
     if marked.any() and mode == "sim":
         marked_nb = _marked_nb_sim(g, live, k, marked, cfg, stats)
     elif marked.any():
-        # first marked entry of each unmarked row (rows are sorted)
-        hit = np.flatnonzero(marked[reach.indices])
-        rows = np.searchsorted(reach.indptr, hit, side="right") - 1
-        rows, first = np.unique(rows, return_index=True)
-        unmarked = ~marked[rows]
-        marked_nb[rows[unmarked]] = reach.indices[hit[first[unmarked]]]
+        # first marked entry of each reach row (rows are sorted), read at
+        # the unmarked clusters
+        hit = np.flatnonzero(marked[idx])
+        rows, first = np.unique(np.searchsorted(ptr, hit, side="right") - 1,
+                                return_index=True)
+        first_marked = np.full(len(ptr) - 1, -1, dtype=np.int64)
+        first_marked[rows] = idx[hit[first]]
+        marked_nb = np.where(marked, -1, first_marked[at])
 
     src = np.repeat(np.arange(n_live), np.diff(in_ptr))
     both = ~marked[src] & ~marked[in_pos]
@@ -421,17 +499,23 @@ def _first_class(
     """The lexicographically first maximal independent set of H² among the
     ``unscanned`` positions, ascending.
 
-    A scan in ascending order that takes each cluster still a candidate and
+    A cluster whose closed row holds only itself is H²-isolated: nothing
+    blocks it and it blocks nothing, so all of them join in one step.  A
+    scan in ascending order takes each other cluster still a candidate and
     drops its H² row, the closed rows of its closed row gathered in one
     step, from the candidates; so it visits only the members."""
-    cand = unscanned.copy()
+    indptr, indices = closed
+    alone = unscanned & (np.diff(indptr) == 1)
+    alone[alone] = indices[indptr[:-1][alone]] == np.flatnonzero(alone)
+    cand = unscanned & ~alone
     members: list[int] = []
     v = int(cand.argmax())
     while cand[v]:
         members.append(v)
         cand[row_entries(closed, row_entries(closed, np.array([v])))] = False
         v += int(cand[v:].argmax())
-    return np.array(members, dtype=np.int64)
+    return np.sort(np.concatenate((np.flatnonzero(alone),
+                                   np.array(members, dtype=np.int64))))
 
 
 def _later_classes(
@@ -497,6 +581,7 @@ def decompose(
     n_init = len(live)
     p_budget, d = growth_parameters(n_init)
     stats = RoundStats()
+    bound = _reach_bound(g, k) if mode == "fast" else None
     phases: list[PhaseLog] = []
     colored: list[tuple[LiveCluster, int]] = []  # residual clusters and colors
     color_base = 0
@@ -514,7 +599,7 @@ def decompose(
             )
         rounds_before = stats.rounds
         n_live = len(live)
-        hv = _build_hview(g, live, k, d, mode, cfg, stats)
+        hv = _build_hview(g, live, k, d, mode, cfg, stats, bound)
         n_marked = int(hv.marked.sum())
         if n_marked * (4 * d * d + 1) > 2 * d * n_live:
             raise DecomposeError(

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from fractions import Fraction
 from unittest.mock import patch
 
@@ -54,6 +55,27 @@ def scipy_mu(g: Graph) -> int:
             continue  # an MST edge
         mu = max(mu, int(d) + 1)
     return mu
+
+
+def kruskal_within(g: Graph, members) -> frozenset:
+    """Reference forest of G[members]: Kruskal over its edges in
+    ``Fraction`` weight order, with a dict union-find."""
+    root = {v: v for v in members}
+
+    def find(v):
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    forest = set()
+    for a, b in sorted((e for e in g.weights if set(e) <= members),
+                       key=g.weights.__getitem__):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[ra] = rb
+            forest.add((a, b))
+    return frozenset(forest)
 
 
 def four_cycle():
@@ -443,6 +465,42 @@ class TestCoverMst:
         assert len({c.members for c in cover.clusters}) < len(cover.clusters)
         assert res.cluster_msts == want
         assert res.cover_sparsity == max(load)
+        assert res.tree_edges == kruskal_oracle(g)
+
+    @pytest.mark.parametrize("tail,extra,sets", [
+        (21, 0, [1, 1, 2, 3, 9]), (21, 3, [2, 3, 11]), (21, 6, [16]), (0, 0, [1] * 4)])
+    def test_classification_equals_the_per_cluster_rules(self, tail, extra, sets):
+        """Rules A/B edge by edge over every cover cluster, each with its own
+        Kruskal forest, against ``cover_mst``, which classifies each
+        distinct expanded set once.  A path of ``tail`` nodes hangs off a
+        ``gnp`` graph, so its 16 clusters expand to sets shared by ``sets``
+        clusters each; without a tail, a 2 x 100 ladder's 4 clusters
+        expand to 4 sets, none of them all of V."""
+        if tail:
+            body = generate_graph(
+                "gnp", {"n": 300, "p": 4 / 300, "largest_component": 1}, 1)
+            path_ids = [10**6 + i for i in range(tail)]
+            g = Graph([*body.ids, *path_ids], [
+                *body.edges_by_id(), (body.ids[0], path_ids[0]),
+                *zip(path_ids, path_ids[1:])])
+        else:
+            g = generate_graph("grid", {"rows": 2, "cols": 100}, 1)
+        g = random_weights(g, 1)
+        mu = mst_radius(g) + extra
+        res = cover_mst(g, mu=mu)
+        cover = cover_from_decomposition(g, mu, decompose(g, 2 * mu).decomposition)
+        assert sorted(Counter(c.members for c in cover.clusters).values()) == sets
+        forests = {c.id: kruskal_within(g, c.members) for c in cover.clusters}
+        want = {}
+        for e in g.weights:
+            holding = [c.id for c in cover.clusters if set(e) <= c.members]
+            assert holding
+            in_all = all(e in forests[cid] for cid in holding)
+            want[e] = "rule_B_included" if in_all else "rule_A_excluded"
+        assert res.classification == want
+        assert res.cluster_msts == forests
+        assert res.cover_sparsity == max(Counter(
+            v for c in cover.clusters for v in c.members).values())
         assert res.tree_edges == kruskal_oracle(g)
 
     @pytest.mark.parametrize("mu", [None, 5])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from netdecomp import decompose as decompose_module
-from netdecomp.clustering import Cluster, validate_decomposition
+from netdecomp.clustering import Cluster, _member_arrays, validate_decomposition
 from netdecomp.coloring import greedy_reduce
 from netdecomp.decompose import (
     DecomposeError,
@@ -19,19 +19,24 @@ from netdecomp.decompose import (
     growth_parameters,
     _build_hview,
     _cluster_reach,
+    _first_class,
     _later_classes,
     _live_cluster,
     _merge_leaders,
     _proximity_pairs,
+    _reach_bound,
     _select_cstar,
     HView,
     LiveCluster,
 )
+from netdecomp.covers import mst_radius
 from netdecomp.graphs import (
     Graph,
     _bfs_idx,
     generate_graph,
     path_union,
+    random_weights,
+    row_entries,
     symmetric_csr,
     voronoi_cells,
 )
@@ -134,7 +139,8 @@ class TestHView:
 
     def test_adjacent_within_k_mutual_edges(self):
         g = generate_graph("path", {"n": 2}, 0)
-        hv = _build_hview(g, self._singles(g), 1, 2, "fast", SimConfig(), RoundStats())
+        hv = _build_hview(g, self._singles(g), 1, 2, "fast", SimConfig(), RoundStats(),
+                          _reach_bound(g, 1))
         hv = _dict_view(hv, g.ids)
         assert hv.in_ids[0] == [1] and hv.in_ids[1] == [0]
 
@@ -143,7 +149,7 @@ class TestHView:
         hv = _build_hview(
             g,
             [LiveCluster(0, 0, {0}, frozenset(), 0), LiveCluster(2, 2, {2}, frozenset(), 0)],
-            1, 2, "fast", SimConfig(), RoundStats(),
+            1, 2, "fast", SimConfig(), RoundStats(), _reach_bound(g, 1),
         )
         hv = _dict_view(hv, [0, 2])
         assert hv.in_ids[0] == [] and hv.in_ids[2] == []
@@ -151,7 +157,8 @@ class TestHView:
     def test_clique_in_lists_capped_at_2d_smallest(self):
         d = 2
         g = generate_graph("clique", {"n": 3 * d * 2}, 0)
-        hv = _build_hview(g, self._singles(g), 1, d, "fast", SimConfig(), RoundStats())
+        hv = _build_hview(g, self._singles(g), 1, d, "fast", SimConfig(), RoundStats(),
+                          _reach_bound(g, 1))
         hv = _dict_view(hv, g.ids)
         # every cluster perceives exactly the 2d smallest foreign ids
         for cid in hv.order:
@@ -256,7 +263,7 @@ class TestClusterReach:
         counter = _CountingAdjacency(g.adjacency_csr())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Graph, "adjacency_csr", lambda self: counter)
-            reach = _cluster_reach(g, live, k)
+            reach = _cluster_reach(g, *_member_arrays(live), np.arange(len(live)), k)
         assert reach.has_sorted_indices
         assert np.array_equal(reach.toarray(), _reach_by_distances(g, live, k))
         # the balls stop growing once t reaches the farthest node any
@@ -273,7 +280,7 @@ class TestFastHViewEqualsHoldingsUnion:
     @staticmethod
     def _check(g, live, k, d):
         hv = _build_hview(g, sorted(live, key=lambda c: c.id), k, d, "fast",
-                          SimConfig(), RoundStats())
+                          SimConfig(), RoundStats(), _reach_bound(g, k))
         hv = _dict_view(hv, sorted(c.id for c in live))
         in_ids, high, marked, marked_nb = _hview_by_holdings(g, live, k, d)
         assert hv.in_ids == in_ids
@@ -305,6 +312,125 @@ class TestFastHViewEqualsHoldingsUnion:
         hv = self._check(g, live, 1, 2)
         assert hv.marked == {0}
         assert set(hv.marked_nb.values()) == {0}
+
+
+def _two_components(seed, n, p):
+    """Two ``gnp`` graphs side by side, so at least two components."""
+    a = generate_graph("gnp", {"n": n, "p": p}, seed)
+    b = generate_graph("gnp", {"n": n, "p": p}, seed + 1)
+    return Graph(range(2 * n), [*a.edges_by_id(),
+                                *((x + n, y + n) for x, y in b.edges_by_id())])
+
+
+def _cover_reach(g, live):
+    """Per cluster, the least k at which ``_reach_bound`` shows its k-ball
+    to cover its component: min over members of d(m, u) + ecc(u), u the
+    component's smallest node; None for a cluster in two components."""
+    apd = all_pairs_distances(g)
+    out = {}
+    for c in live:
+        comps = {min(np.flatnonzero(apd[m] < g.n)) for m in c.members}
+        if len(comps) == 1:
+            u = comps.pop()
+            out[c.id] = min(apd[m, u] for m in c.members) + apd[u][apd[u] < g.n].max()
+    return out
+
+
+class TestReachBound:
+    """Rows whose k-ball covers their component skip the ball search and
+    give the same H-view."""
+
+    @staticmethod
+    def _searched(g, live, k, d):
+        """The ids of the clusters whose rows ``_cluster_reach`` computed,
+        after checking the fast H-view against the holdings reference."""
+        searched = []
+        real = decompose_module._cluster_reach
+
+        def record(g, sizes, flat, rows, k):
+            searched.extend(live[r].id for r in rows.tolist())
+            return real(g, sizes, flat, rows, k)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose_module, "_cluster_reach", record)
+            TestFastHViewEqualsHoldingsUnion._check(g, live, k, d)
+        return set(searched)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        n=st.integers(1, 14),
+        p=st.sampled_from([0.1, 0.25, 0.5]),
+        d=st.sampled_from([1, 2]),
+        data=st.data(),
+    )
+    def test_random_clusters_over_two_components(self, seed, n, p, d, data):
+        """Clusters may span both components; k up to 3n, and at the least
+        k that covers a drawn cluster and one below it."""
+        g = _two_components(seed, n, p)
+        live = sorted(_random_live(data, g.n), key=lambda c: c.id)
+        least = _cover_reach(g, live)
+        ks = {data.draw(st.integers(1, 3 * g.n), label="k")}
+        if least:
+            t = int(least[data.draw(st.sampled_from(sorted(least)), label="cluster")])
+            ks |= {t, t - 1} & set(range(1, t + 1))
+        for k in sorted(ks):
+            searched = self._searched(g, live, k, d)
+            assert searched == {c.id for c in live if least.get(c.id, k + 1) > k}
+
+    def test_cluster_in_two_components_is_searched(self):
+        g = _two_components(0, 4, 1.0)  # two 4-cliques
+        live = [LiveCluster(0, 0, {0, 4}, frozenset(), 0),
+                LiveCluster(1, 1, {1}, frozenset(), 0),
+                LiveCluster(2, 5, {5, 6}, frozenset(), 0)]
+        assert self._searched(g, live, 20, 1) == {0}
+
+    def test_full_row_lists_clusters_first_met_elsewhere(self):
+        # cluster 1 spans both cliques; cluster 2's full row lists it,
+        # although its smallest member lies in the other clique
+        g = _two_components(0, 4, 1.0)
+        live = [LiveCluster(0, 0, {0}, frozenset(), 0),
+                LiveCluster(1, 3, {3, 7}, frozenset(), 0),
+                LiveCluster(2, 5, {5}, frozenset(), 0)]
+        assert self._searched(g, live, 2, 1) == {1}
+
+    @pytest.mark.parametrize("spec", [
+        ("gnp", {"n": 40, "p": 0.08, "largest_component": 1}, 2),
+        ("gnp", {"n": 40, "p": 0.05}, 5),  # isolated nodes and small parts
+        ("grid", {"rows": 4, "cols": 5}, 0),
+        ("path", {"n": 12}, 0),
+    ])
+    def test_k_past_twice_the_diameter_searches_no_ball(self, spec):
+        g = generate_graph(*spec)
+        apd = all_pairs_distances(g)
+        k = 2 * int(apd[apd < g.n].max()) or 1
+        calls = []
+        real = decompose_module._cluster_reach
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(decompose_module, "_cluster_reach",
+                       lambda *args: calls.append(args) or real(*args))
+            fast = decompose(g, k)
+        assert not calls  # the one ball kernel never ran
+        sim = decompose(g, k, mode="sim")
+        key = lambda r: [(c.id, c.center, c.members, c.color, c.tree_edges)
+                         for c in r.decomposition.clusters]
+        assert key(fast) == key(sim)
+        assert fast.invariants_log == [{**log, "rounds": 0} for log in sim.invariants_log]
+
+    def test_peak_memory_at_twice_mu(self):
+        """A sparse graph's ball at k = 2μ is its whole component; held for
+        every live cluster it takes memory quadratic in n (80 MB traced
+        here when every row was searched)."""
+        g = generate_graph("gnp", {"n": 2000, "p": 5 / 2000, "largest_component": 1}, 0)
+        k = 2 * mst_radius(random_weights(g, 0))
+        tracemalloc.start()
+        try:
+            res = decompose(g, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.decomposition.clusters
+        assert peak < 20 * 2**20, peak
 
 
 def _leaders_by_bfs(adj, cstar):
@@ -424,6 +550,35 @@ class TestSelectCstar:
         hv, view = _hview(ids, adj, high, marked)
         assert _cstar_ids(hv, ids) == _cstar_by_h2_coloring(view)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        density=st.sampled_from([0.0, 0.05, 0.2, 0.6]),
+        isolated_share=st.sampled_from([0.0, 0.3, 1.0]),
+    )
+    def test_first_class_equals_the_plain_scan(self, data, density, isolated_share):
+        """``_first_class``, which takes the H-isolated clusters in one
+        step, against the ascending scan over every candidate."""
+        m = data.draw(st.integers(1, 40))
+        rnd = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        order = list(range(m))
+        marked = {c for c in order if rnd.random() < 0.2}
+        lone = {c for c in order if rnd.random() < isolated_share}
+        adj = {c: set() for c in order if c not in marked}
+        for a in adj:
+            for b in adj:
+                if a < b and not {a, b} & lone and rnd.random() < density:
+                    adj[a].add(b)
+                    adj[b].add(a)
+        closed = _closed_rows(order, adj, marked)
+        unscanned = np.array([c in adj and rnd.random() < 0.8 for c in order])
+        cand, want = unscanned.copy(), []
+        for v in order:
+            if cand[v]:
+                want.append(v)
+                cand[row_entries(closed, row_entries(closed, np.array([v])))] = False
+        assert _first_class(closed, unscanned).tolist() == want
+
     def test_dense_view_allocates_less_than_its_h2(self):
         # H is a star: every cluster lists the hub, so H² is complete while
         # H has 2(m - 1) entries.  Only the largest id is high-degree, so
@@ -468,7 +623,8 @@ class TestArrayControlPlane:
         g = generate_graph(model[0], model[1], seed)
         live = sorted(_random_live(data, g.n), key=lambda c: c.id)
         order = [c.id for c in live]
-        hv = _build_hview(g, live, k, d, "fast", SimConfig(), RoundStats())
+        hv = _build_hview(g, live, k, d, "fast", SimConfig(), RoundStats(),
+                          _reach_bound(g, k))
         view = _dict_view(hv, order)
         in_ids, high, marked, marked_nb = _hview_by_holdings(g, live, k, d)
         assert (view.in_ids, view.high_degree, view.marked, view.marked_nb) == (
@@ -527,7 +683,8 @@ class TestArrayControlPlane:
         ]
         marked = 0
         for live in clusterings:
-            views = [_build_hview(g, live, k, d, mode, SimConfig(), RoundStats())
+            views = [_build_hview(g, live, k, d, mode, SimConfig(), RoundStats(),
+                                  _reach_bound(g, k) if mode == "fast" else None)
                      for mode in ("fast", "sim")]
             for field in ("in_ptr", "in_pos", "high", "marked", "marked_nb"):
                 assert np.array_equal(getattr(views[0], field), getattr(views[1], field))
