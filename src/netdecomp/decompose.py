@@ -18,9 +18,11 @@ interchangeable communication backends build it:
   read off that list.  The other rows come from one sparse boolean
   product, their k-hop balls times the clusters' membership matrix.
 
-Each live cluster's communication tree (G-shortest paths from its center)
-and radius are built once, when the cluster forms; a colored cluster keeps
-that tree in the output.
+The live clusters of a phase are one table of arrays (``LiveTable``), in
+ascending id order.  Each communication tree (G-shortest paths from the
+center) and radius are built once, when a cluster of two or more nodes
+forms; a colored cluster keeps that tree in the output.  ``Cluster``
+records are built for the output and for sim mode's convergecast only.
 
 Cluster-graph control-plane steps (marking counts, Linial coloring of H²,
 2-independent set selection, merge bookkeeping) are deterministic functions
@@ -38,14 +40,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
-from operator import attrgetter, itemgetter, or_
-from typing import Optional
+from itertools import chain, repeat
+from operator import attrgetter, or_
+from typing import Iterable, Optional
 
 import numpy as np
 from scipy import sparse
 
-from .clustering import Cluster, Decomposition, _member_arrays, _tree_edge_arrays
+from .clustering import Cluster, Decomposition
 from .coloring import (  # linial_color stays bound for the benchmark's tracer
     greedy_reduce,
     linial_color,
@@ -57,6 +59,7 @@ from .graphs import (
     _bfs_idx,
     component_labels,
     edge_entries,
+    grow_balls,
     path_union,
     row_entries,
     symmetric_csr,
@@ -75,12 +78,35 @@ class DecomposeError(NetdecompError):
 
 
 @dataclass
-class LiveCluster:
-    id: int
-    center: int                 # node index
-    members: frozenset[int]     # node indices
-    tree_edges: frozenset[tuple[int, int]]  # G-shortest paths center -> member
-    radius: int                 # largest G-distance center -> member
+class LiveTable:
+    """The live clusters of a phase, row p the cluster at position p, in
+    ascending id order.  Members are node indices; each cluster's members
+    are the ascending run ``flat[starts[p] : starts[p] + sizes[p]]``."""
+
+    ids: list[int]              # Python ints: ids may pass 2^63
+    centers: np.ndarray         # node index
+    radii: np.ndarray           # largest G-distance center -> member
+    sizes: np.ndarray           # member count
+    flat: np.ndarray            # all members, concatenated in row order
+    trees: list[frozenset[tuple[int, int]]]  # single nodes share one empty set
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def starts(self) -> np.ndarray:
+        """The offset of each row's members in ``flat``."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    def owners(self) -> np.ndarray:
+        """The row of each entry of ``flat``."""
+        return np.repeat(np.arange(len(self.ids)), self.sizes)
+
+    def clusters(self, rows: Iterable[int], colors: Iterable) -> list[Cluster]:
+        """The ``Cluster`` records of ``rows``, with ``colors``."""
+        flat, bounds = self.flat.tolist(), [0, *np.cumsum(self.sizes).tolist()]
+        return [Cluster(self.ids[p], int(self.centers[p]),
+                        frozenset(flat[bounds[p] : bounds[p + 1]]), self.trees[p], c)
+                for p, c in zip(rows, colors)]
 
 
 @dataclass
@@ -157,9 +183,11 @@ def _reach_bound(g: Graph, k: int) -> Optional[tuple[np.ndarray, ...]]:
     A cluster whose members lie in one component, the nearest of them at
     most the slack from u, reaches every cluster with a member there:
     d(c, x) <= d(c, u) + d(u, x) <= k.  One scipy search from all the u,
-    cut off at k."""
+    cut off at k, capped at 2n (no d(m, u) + ecc(u) passes 2n - 2), so that
+    any k fits a float."""
     from scipy.sparse.csgraph import dijkstra  # see component_labels
 
+    k = min(k, 2 * g.n)
     n_comp, label = component_labels(g)
     label = label.astype(np.int64)
     _, roots = np.unique(label, return_index=True)
@@ -174,34 +202,23 @@ def _reach_bound(g: Graph, k: int) -> Optional[tuple[np.ndarray, ...]]:
 
 
 def _cluster_reach(
-    g: Graph, sizes: np.ndarray, flat: np.ndarray, rows: np.ndarray, k: int
+    g: Graph, live: LiveTable, rows: np.ndarray, k: int
 ) -> sparse.csr_matrix:
     """Boolean matrix of the live clusters at positions ``rows`` x all live
-    clusters (``sizes``, ``flat`` as ``_member_arrays`` gives them), with
-    sorted rows: (i, x) is set iff a member of x lies within k hops of a
-    member of cluster ``rows[i]`` (so the diagonal is set).  Centralized
-    equivalent of the bounded flood and the convergecast over it."""
-    member = sparse.csr_matrix(
-        (np.ones(len(flat), dtype=bool),
-         (np.repeat(np.arange(len(sizes)), sizes), flat)),
-        shape=(len(sizes), g.n),
-    )
-    adj = g.adjacency_csr().astype(bool)
-    # ball: the radius-t balls; frontier: their last layer
-    ball = frontier = member[rows]
-    for _ in range(k):
-        grown = (ball + frontier @ adj).astype(bool)
-        if grown.nnz == ball.nnz:
-            break  # a ball that stops growing never grows again
-        frontier, ball = grown > ball, grown
-    del frontier, grown  # freed before the product, which peaks the memory
+    clusters, with sorted rows: (i, x) is set iff a member of x lies within
+    k hops of a member of cluster ``rows[i]`` (so the diagonal is set).
+    Centralized equivalent of the bounded flood and the convergecast over
+    it."""
+    member = sparse.csr_matrix((np.ones(len(live.flat), dtype=bool),
+                                (live.owners(), live.flat)), shape=(len(live), g.n))
+    ball = grow_balls(g, member[rows], k)
     # a CSC -> CSR conversion sorts the rows in linear time (a product's
     # rows come out unsorted)
     return (member @ ball.T).T.tocsr()
 
 
 def _reach_rows(
-    g: Graph, live: list[LiveCluster], k: int,
+    g: Graph, live: LiveTable, k: int,
     bound: Optional[tuple[np.ndarray, ...]],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each live cluster's reach row, the positions of the live clusters
@@ -211,28 +228,27 @@ def _reach_rows(
     component reads that component's list, the clusters with a member in
     it; one with members in two components never does.  The other rows
     come from ``_cluster_reach``."""
-    sizes, flat = _member_arrays(live)
     n_live = len(live)
     full = np.zeros(n_live, dtype=bool)
     if bound is not None:
         label, dist, slack = bound
-        starts = np.cumsum(sizes) - sizes
-        comp = label[flat]
+        starts = live.starts()
+        comp = label[live.flat]
         lo = np.minimum.reduceat(comp, starts)
         full = (lo == np.maximum.reduceat(comp, starts)) & (
-            np.minimum.reduceat(dist[flat], starts) <= slack[lo])
+            np.minimum.reduceat(dist[live.flat], starts) <= slack[lo])
     if not full.any():
-        reach = _cluster_reach(g, sizes, flat, np.arange(n_live), k)
+        reach = _cluster_reach(g, live, np.arange(n_live), k)
         return np.arange(n_live), reach.indptr, reach.indices
     rest = np.flatnonzero(~full)
-    reach = (_cluster_reach(g, sizes, flat, rest, k) if len(rest)
+    reach = (_cluster_reach(g, live, rest, k) if len(rest)
              else sparse.csr_matrix((0, n_live), dtype=bool))
     # the lists of the full clusters' components: keys component * n_live
     # + position, each (component, cluster) pair once, sorted
     wanted = np.zeros(len(slack), dtype=bool)
     wanted[lo[full]] = True
     pick = wanted[comp]
-    keys = np.unique(comp[pick] * n_live + np.repeat(np.arange(n_live), sizes)[pick])
+    keys = np.unique(comp[pick] * n_live + live.owners()[pick])
     comps, first = np.unique(keys // n_live, return_index=True)
     at = np.empty(n_live, dtype=np.int64)
     at[rest] = np.arange(len(rest))
@@ -242,26 +258,23 @@ def _reach_rows(
 
 
 def _in_lists_sim(
-    g: Graph, live: list[LiveCluster], k: int, cap: int, cfg: SimConfig,
+    g: Graph, live: LiveTable, k: int, cap: int, cfg: SimConfig,
     stats: RoundStats,
 ) -> tuple[np.ndarray, np.ndarray]:
     """The perceived in-neighbor rows as CSR (in_ptr, in_pos), through the
     engine: each member holds the 2d+1 smallest ids within k hops, and the
     union over a cluster tree keeps the 2d smallest foreign ones."""
-    sources = {m: (c.id, None) for c in live for m in c.members}
+    sources = {m: (live.ids[p], None)
+               for m, p in zip(live.flat.tolist(), live.owners().tolist())}
     held, st = bounded_flood(g, sources, hops=k, fanin=cap + 1, cfg=cfg)
     stats.merge(st)
-    values = {
-        m: {c.id: sorted(o for o, _ in held[m] if o != c.id)}
-        for c in live
-        for m in c.members
-    }
-    agg, st = cluster_convergecast(
-        g, live, values, cfg, combine="union", item_cap=cap
-    )
+    values = {m: {cid: sorted(o for o, _ in held[m] if o != cid)}
+              for m, (cid, _) in sources.items()}
+    agg, st = cluster_convergecast(g, live.clusters(range(len(live)), repeat(None)),
+                                   values, cfg, combine="union", item_cap=cap)
     stats.merge(st)
-    pos = {c.id: i for i, c in enumerate(live)}
-    rows = [agg.get(c.id, []) for c in live]
+    pos = {cid: i for i, cid in enumerate(live.ids)}
+    rows = [agg.get(cid, []) for cid in live.ids]
     sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     in_pos = np.fromiter(map(pos.__getitem__, chain.from_iterable(rows)),
                          dtype=np.int64, count=int(sizes.sum()))
@@ -269,30 +282,29 @@ def _in_lists_sim(
 
 
 def _marked_nb_sim(
-    g: Graph, live: list[LiveCluster], k: int, marked: np.ndarray,
+    g: Graph, live: LiveTable, k: int, marked: np.ndarray,
     cfg: SimConfig, stats: RoundStats,
 ) -> np.ndarray:
     """``HView.marked_nb`` through the engine: a gossip of the marked ids
     over k hops, then the least one any member heard of."""
-    values = {m: live[p].id for p in np.flatnonzero(marked).tolist()
-              for m in live[p].members}
+    owner = live.owners()
+    hit = marked[owner]
+    values = dict(zip(live.flat[hit].tolist(),
+                      map(live.ids.__getitem__, owner[hit].tolist())))
     per_node, st = min_gossip(g, values, hops=k, cfg=cfg)
     stats.merge(st)
-    pos = {c.id: i for i, c in enumerate(live)}
+    pos = {cid: i for i, cid in enumerate(live.ids)}
     none = len(live)
-    sizes, flat = _member_arrays(live)
-    heard = np.array(
-        [none if per_node[m] is None else pos[per_node[m]] for m in flat.tolist()],
-        dtype=np.int64,
-    )
-    nb = np.minimum.reduceat(heard, np.cumsum(sizes) - sizes)
+    heard = np.array([none if per_node[m] is None else pos[per_node[m]]
+                      for m in live.flat.tolist()], dtype=np.int64)
+    nb = np.minimum.reduceat(heard, live.starts())
     nb[(nb == none) | marked] = -1
     return nb
 
 
 def _build_hview(
     g: Graph,
-    live: list[LiveCluster],
+    live: LiveTable,
     k: int,
     d: int,
     mode: str,
@@ -355,22 +367,27 @@ def _build_hview(
 
 
 def _live_cluster(
-    g: Graph, cid: int, center: int, members: frozenset[int]
-) -> LiveCluster:
-    """A live cluster with its communication tree, the union of G-shortest
-    paths center -> member, and its radius, the largest G-distance from
-    the center to a member."""
-    if len(members) == 1:
-        return LiveCluster(cid, center, members, frozenset(), 0)
+    g: Graph, cid: int, center: int, members: list[int]
+) -> tuple[frozenset[tuple[int, int]], int]:
+    """The communication tree of a cluster of two or more nodes, the union
+    of G-shortest paths center -> member, and its radius, the largest
+    G-distance from the center to a member."""
     parent: dict[int, int] = {}
     dist = _bfs_idx(g, [center], targets=members, parent=parent)
     for m in members:
         if dist[m] < 0:
             raise DecomposeError(f"cluster {cid}: member {m} unreachable")
-    return LiveCluster(
-        cid, center, members, path_union(parent, members),
-        max(dist[m] for m in members),
-    )
+    return path_union(parent, members), max(map(dist.__getitem__, members))
+
+
+def _build_trees(g: Graph, live: LiveTable, rows: np.ndarray) -> LiveTable:
+    """``live`` with the trees and radii of its ``rows``, clusters of two
+    or more nodes, built."""
+    b = [0, *np.cumsum(live.sizes).tolist()]
+    for p in rows.tolist():
+        live.trees[p], live.radii[p] = _live_cluster(
+            g, live.ids[p], int(live.centers[p]), live.flat[b[p] : b[p + 1]].tolist())
+    return live
 
 
 # -- phase logic ---------------------------------------------------------
@@ -408,40 +425,34 @@ def _merge_leaders(
 
 
 def _proximity_pairs(
-    g: Graph, live: list[LiveCluster], residual: np.ndarray, k: int
-) -> list[tuple[int, int]]:
-    """Index pairs into ``residual`` (live positions) of residual clusters
-    at G-distance <= max(k, 2*radius of either), which must get different
-    colors so that same-color trees share no G-edge; of the pairs within
-    k, only those a search meets are listed.
+    g: Graph, live: LiveTable, residual: np.ndarray, k: int
+) -> np.ndarray:
+    """Index pairs (P, 2) into ``residual`` (live positions) of residual
+    clusters at G-distance <= max(k, 2*radius of either), which must get
+    different colors so that same-color trees share no G-edge; of the pairs
+    within k, only those a search meets are listed, and a pair may be
+    listed twice.
 
     Residual clusters are low-degree, so their in-lists already pair every
     two at distance <= k; a search is needed only from a cluster whose
-    2*radius exceeds k."""
-    clusters = [live[p] for p in residual.tolist()]
-    owner = [-1] * g.n  # node -> index into residual
-    for i, c in enumerate(clusters):
-        for m in c.members:
-            owner[m] = i
-    radii = [c.radius for c in clusters]
-    pairs = []
-    for i, c in enumerate(clusters):
-        cap = 2 * radii[i]
-        if cap <= k:
-            continue
+    2*radius exceeds k, and it pairs the cluster with every residual one
+    it reaches."""
+    res_index = np.full(len(live), -1, dtype=np.int64)
+    res_index[residual] = np.arange(len(residual))
+    at = res_index[live.owners()]
+    owner = np.full(g.n, -1, dtype=np.int64)  # node -> index into residual
+    owner[live.flat[at >= 0]] = at[at >= 0]
+    radii = live.radii[residual]
+    starts, ends = live.starts()[residual], np.cumsum(live.sizes)[residual]
+    pairs = [np.empty((0, 2), dtype=np.int64)]
+    for i in np.flatnonzero(2 * radii > k).tolist():
         reached: list[int] = []
-        dist = _bfs_idx(g, sorted(c.members), cap=cap, reached=reached)
-        gap: dict[int, int] = {}    # other residual cluster -> G-distance
-        for v in reached:
-            o = owner[v]
-            if o >= 0 and o != i and o not in gap:
-                gap[o] = dist[v]  # reached in distance order
-        for o, dd in gap.items():
-            if 2 * radii[o] > cap:
-                continue  # handled from the other side
-            if dd <= cap:
-                pairs.append((i, o))
-    return pairs
+        _bfs_idx(g, live.flat[starts[i] : ends[i]].tolist(), cap=2 * int(radii[i]),
+                 reached=reached)
+        near = np.unique(owner[reached])
+        near = near[(near >= 0) & (near != i)]
+        pairs.append(np.column_stack((np.full(len(near), i), near)))
+    return np.concatenate(pairs)
 
 
 def _select_cstar(hv: HView) -> np.ndarray:
@@ -560,9 +571,6 @@ def decompose(
 
     With ``init`` given (vertex-disjoint clusters covering V), nodes sharing
     an initial cluster always share an output cluster.
-
-    The live clusters are kept in ascending id order, and each phase's
-    bookkeeping is arrays indexed by their positions.
     """
     if k < 1:
         raise DecomposeError("k must be >= 1")
@@ -571,26 +579,30 @@ def decompose(
     cfg = cfg or SimConfig()
     if init is not None:
         _check_init(g, init)
-        live = sorted(
-            (_live_cluster(g, c.id, c.center, frozenset(c.members)) for c in init),
-            key=attrgetter("id"),
-        )
+        init = sorted(init, key=attrgetter("id"))
+        sizes = np.array([len(c.members) for c in init], dtype=np.int64)
+        live = _build_trees(g, LiveTable(
+            [c.id for c in init], np.array([c.center for c in init], dtype=np.int64),
+            np.zeros(len(init), dtype=np.int64), sizes,
+            np.fromiter(chain.from_iterable(sorted(c.members) for c in init),
+                        dtype=np.int64, count=g.n),
+            [frozenset()] * len(init)), np.flatnonzero(sizes > 1))
     else:
-        live = [LiveCluster(cid, v, frozenset((v,)), frozenset(), 0)
-                for v, cid in enumerate(g.ids)]
+        live = LiveTable(list(g.ids), np.arange(g.n), np.zeros(g.n, dtype=np.int64),
+                         np.ones(g.n, dtype=np.int64), np.arange(g.n), [frozenset()] * g.n)
     n_init = len(live)
     p_budget, d = growth_parameters(n_init)
     stats = RoundStats()
     bound = _reach_bound(g, k) if mode == "fast" else None
     phases: list[PhaseLog] = []
-    colored: list[tuple[LiveCluster, int]] = []  # residual clusters and colors
+    clusters: list[Cluster] = []  # the output, ordered by color
     color_base = 0
     # uses of each G-edge (a CSR entry a -> b, a < b) by the live trees,
     # summed over the phases so far
     edge_usage = np.zeros(len(g._rows[1]), dtype=np.int64)
 
     phase = 0
-    while live:
+    while len(live):
         phase += 1
         if phase > p_budget + 1:
             raise DecomposeError(
@@ -620,7 +632,7 @@ def decompose(
         residual = np.flatnonzero(group < 0)
         if hv.high[residual].any():
             raise DecomposeError(
-                f"high-degree cluster {live[residual[hv.high[residual]][0]].id} "
+                f"high-degree cluster {live.ids[residual[hv.high[residual]][0]]} "
                 f"left unassigned in phase {phase}"
             )
 
@@ -629,7 +641,7 @@ def decompose(
         # in-lists give the exact <=k adjacency.  On top of that, clusters
         # too close relative to their radii (d <= 2*max radius) must also
         # differ in color so that same-color trees share no G-edge (see
-        # the output below).
+        # the output below).  A phase's colors lie above the earlier ones.
         modeled = 0
         if len(residual):
             res_index = np.full(n_live, -1, dtype=np.int64)
@@ -638,39 +650,36 @@ def decompose(
             b = res_index[hv.in_pos]
             both = (a >= 0) & (b >= 0)
             a, b = a[both], b[both]
-            if any(2 * live[p].radius > k for p in residual.tolist()):
-                near = np.array(
-                    _proximity_pairs(g, live, residual, k), dtype=np.int64
-                ).reshape(-1, 2)
+            if (2 * live.radii[residual] > k).any():
+                near = _proximity_pairs(g, live, residual, k)
                 a, b = np.concatenate((a, near[:, 0])), np.concatenate((b, near[:, 1]))
             res_ptr, res_nb, _ = symmetric_csr(a, b, len(residual))
             ptr, nb = res_ptr.tolist(), res_nb.tolist()
             # Linial's round count; the coloring itself is not needed
             iters = sum(1 for _ in linial_stages(
-                live[residual[-1]].id + 1, int(np.diff(res_ptr).max())
+                live.ids[residual[-1]] + 1, int(np.diff(res_ptr).max())
             ))
-            palette = greedy_reduce(
+            palette = np.array(greedy_reduce(
                 [nb[s:e] for s, e in zip(ptr, ptr[1:])], range(len(residual))
-            )
+            ), dtype=np.int64)
             modeled += (iters + 1) * max(1, k * d**3)
-            colored.extend(
-                (live[p], color_base + color)
-                for p, color in zip(residual.tolist(), palette)
-            )
-            color_base += max(palette) + 1
+            order = np.argsort(palette, kind="stable")
+            clusters += live.clusters(residual[order].tolist(),
+                                      (color_base + palette[order]).tolist())
+            color_base += int(palette.max()) + 1
 
         # -- form new live clusters, one per group, in ascending leader order --
-        grouped = np.flatnonzero(group >= 0)
-        grouped = grouped[np.argsort(group[grouped], kind="stable")]
-        leaders, starts = np.unique(group[grouped], return_index=True)
-        ends = np.append(starts[1:], len(grouped))
-        live = [
-            live[leader] if end - start == 1 else _live_cluster(
-                g, live[leader].id, live[leader].center,
-                frozenset().union(*(live[p].members for p in grouped[start:end].tolist())),
-            )
-            for leader, start, end in zip(leaders.tolist(), starts.tolist(), ends.tolist())
-        ]
+        # one sort gathers each group's members, ascending; a group of one
+        # cluster keeps its row
+        owner = live.owners()
+        take = np.flatnonzero(group[owner] >= 0)
+        take = take[np.lexsort((live.flat[take], group[owner[take]]))]
+        leaders, sizes = np.unique(group[owner[take]], return_counts=True)
+        merged = np.bincount(group[group >= 0], minlength=n_live)[leaders] > 1
+        at = leaders.tolist()
+        live = _build_trees(g, LiveTable(
+            [live.ids[p] for p in at], live.centers[leaders], live.radii[leaders],
+            sizes, live.flat[take], [live.trees[p] for p in at]), np.flatnonzero(merged))
 
         # -- invariants --
         if len(live) * d**phase > n_init:
@@ -678,34 +687,24 @@ def decompose(
                 f"invariant A violated in phase {phase}: "
                 f"{len(live)} > {n_init}/{d}^{phase}"
             )
-        radius = max((c.radius for c in live), default=0)
-        max_r = -(-radius // k)  # in G^k hops
-        tree_ends, _ = _tree_edge_arrays(live)
-        edge_usage += np.bincount(
-            edge_entries(g, tree_ends[:, 0], tree_ends[:, 1]),
-            minlength=len(edge_usage),
-        )
+        max_r = -(-int(live.radii.max(initial=0)) // k)  # in G^k hops
+        ends = np.fromiter(chain.from_iterable(chain.from_iterable(live.trees)),
+                           dtype=np.int64).reshape(-1, 2)
+        edge_usage += np.bincount(edge_entries(g, ends[:, 0], ends[:, 1]),
+                                  minlength=len(edge_usage))
         max_overlap = int(edge_usage.max(initial=0))
         if max_overlap > phase * 13 * d**3:
             raise DecomposeError(
                 f"invariant C violated in phase {phase}: overlap {max_overlap}"
             )
         modeled += 2 * (2 * d + 1) * k + 4 * d * d  # flood + reversal estimate
-        phases.append(
-            PhaseLog(
-                phase=phase,
-                cluster_count=len(live),
-                max_radius_gk=max_r,
-                max_overlap=max_overlap,
-                marked=n_marked,
-                cstar=len(cstar),
-                residual_colored=len(residual),
-                rounds=stats.rounds - rounds_before,
-                modeled_rounds=modeled,
-            )
-        )
+        phases.append(PhaseLog(
+            phase=phase, cluster_count=len(live), max_radius_gk=max_r,
+            max_overlap=max_overlap, marked=n_marked, cstar=len(cstar),
+            residual_colored=len(residual), rounds=stats.rounds - rounds_before,
+            modeled_rounds=modeled,
+        ))
 
-    # -- assemble output, ordered by color --
     # A cluster keeps the tree it was built with: same-color clusters are
     # more than 2*radius apart (the residual coloring pairs every two
     # closer ones), so each one's radius ball, where its tree lies, is
@@ -713,19 +712,7 @@ def decompose(
     # in disjoint Voronoi cells and share no G-edge, and the search that
     # built a tree visits only nodes of its ball, so confining it to the
     # cell would change nothing.
-    clusters = [
-        Cluster(id=c.id, center=c.center, members=c.members,
-                tree_edges=c.tree_edges, color=color)
-        for c, color in sorted(colored, key=itemgetter(1))
-    ]
-    dec = Decomposition(k=k, clusters=clusters)
-    return DecompResult(
-        decomposition=dec,
-        phases=phases,
-        stats=stats,
-        d=d,
-        n_initial_clusters=n_init,
-    )
+    return DecompResult(Decomposition(k=k, clusters=clusters), phases, stats, d, n_init)
 
 
 def _check_init(g: Graph, init: list[Cluster]) -> None:
@@ -736,5 +723,5 @@ def _check_init(g: Graph, init: list[Cluster]) -> None:
         if seen & c.members:
             raise DecomposeError("init clusters overlap")
         seen |= c.members
-    if len(seen) != g.n:
-        raise DecomposeError("init clusters do not cover V")
+    if seen != set(range(g.n)):  # a member outside 0..n-1 too
+        raise DecomposeError("init clusters do not cover exactly V")

@@ -604,6 +604,22 @@ def _bfs_idx(
     return dist
 
 
+def grow_balls(g: Graph, seeds: sparse.csr_matrix, hops: int) -> sparse.csr_matrix:
+    """Each row of the boolean (rows x n) matrix ``seeds``, without duplicate
+    entries, grown to its ``hops``-ball: each hop multiplies only the last
+    layer by the adjacency, and the loop stops once no ball grows."""
+    adj = g.adjacency_csr().astype(bool)
+    ball = frontier = seeds
+    for hop in range(1, hops + 1):
+        grown = (ball + frontier @ adj).astype(bool)
+        if grown.nnz == ball.nnz:
+            break  # a ball that stops growing never grows again
+        if hop < hops:
+            frontier = grown > ball
+        ball = grown
+    return ball
+
+
 def voronoi_cells(g: Graph, seed_groups: Sequence[Iterable[int]]) -> list[int]:
     """Owner per node: the position of the group nearest to it, ties to
     the earliest-listed group (a seed in several groups belongs to the

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterable, Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, NetdecompError, edge_entries, paused_gc
+from .graphs import Graph, NetdecompError, edge_entries, grow_balls, paused_gc
 
 TAG_BITS = 8
 
@@ -574,22 +574,17 @@ def _smallest_in_reach(
 ) -> tuple[np.ndarray, list[int]]:
     """For each node, the positions of the first ``fanin`` groups within
     ``hops`` of it, in ascending order, concatenated over the nodes, and
-    the offsets where each node's run starts.  Uses boolean sparse matrix
-    powers and keeps each column's first ``fanin`` rows with one rank mask;
-    the matrices are freed on return, before the caller builds its sets."""
+    the offsets where each node's run starts.  ``grow_balls`` grows the
+    groups' balls, and one rank mask keeps each column's first ``fanin``
+    rows; the matrices are freed on return, before the caller builds sets."""
     from scipy import sparse
 
-    adj = g.adjacency_csr().astype(bool)
     rows = np.repeat(np.arange(len(groups)), [len(m) for m in groups])
     cols = [i for m in groups for i in m]
-    reach = sparse.csr_matrix(
+    seeds = sparse.csr_matrix(
         (np.ones(len(rows), dtype=bool), (rows, cols)), shape=(len(groups), g.n)
     )
-    acc = reach.copy()
-    for _ in range(hops):
-        reach = (reach @ adj).astype(bool)
-        acc = (acc + reach).astype(bool)
-    csc = acc.tocsc()  # row order == group order
+    csc = grow_balls(g, seeds, hops).tocsc()  # row order == group order
     assert csc.has_sorted_indices  # so a column's first fanin rows are its first
     counts = np.diff(csc.indptr)
     rank = np.arange(csc.nnz, dtype=csc.indptr.dtype)

@@ -133,6 +133,17 @@ class TestExperiments:
         assert rc == 0
         assert read(out)["all_valid"]
 
+    @pytest.mark.parametrize("option,algo", [
+        ("--k", "netdecomp"), ("--k", "cover"), ("--mu", "mst"),
+    ])
+    def test_k_past_the_float_range(self, tmp_path, option, algo):
+        # a k no float holds: the component bound caps it at 2n
+        out = tmp_path / "r.json"
+        rc = main(["--gen", "path:n=5", "--algo", algo, option, str(10**400),
+                   "--out", str(out)])
+        assert rc == 0
+        assert read(out)["all_valid"]
+
     def test_report_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         argv = [
@@ -572,14 +583,19 @@ def _cli_case(draw):
     else:
         files["g.json"], ids = draw(_graph_json())
         argv = ["--graph", "@g.json"]
-    argv += ["--algo", algo, "--mode", draw(st.sampled_from(["fast", "sim"])),
-             "--k", str(draw(_rarely(st.integers(1, 3), [0, -1]))),
+    mode = draw(st.sampled_from(["fast", "sim"]))
+    # rarely a k or mu past the float range, in fast mode only: at such a
+    # k, sim mode's min-gossip would step up to its round cap
+    huge = [10**400] if mode == "fast" else []
+    argv += ["--algo", algo, "--mode", mode,
+             "--k", str(draw(_rarely(st.integers(1, 3), [0, -1, *huge]))),
              "--seeds", draw(_rarely(st.sampled_from(["0", "1", "0-2", "2,0"]),
                                      ["3-1", "x", ""]))]
     if algo == "verify" and draw(st.integers(0, 9)):
         files["d.json"] = draw(_dec_json(ids if ids is not None else [0, 1, 2]))
         argv += ["--dec", "@d.json"]
-    mu = draw(st.none() | st.integers(1, 8))
+    mu = st.integers(1, 8)
+    mu = draw(st.none() | (_rarely(mu, huge) if huge else mu))
     if mu is not None:
         argv += ["--mu", str(mu)]
     bits = draw(st.none() | st.integers(1, 140))

@@ -1,7 +1,7 @@
 """Tests for the deterministic decomposition phase engine."""
 
 import tracemalloc
-from collections import Counter
+from collections import Counter, namedtuple
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 
 from netdecomp import decompose as decompose_module
-from netdecomp.clustering import Cluster, _member_arrays, validate_decomposition
+from netdecomp.clustering import Cluster, validate_decomposition
 from netdecomp.coloring import greedy_reduce
 from netdecomp.decompose import (
     DecomposeError,
@@ -27,7 +27,7 @@ from netdecomp.decompose import (
     _reach_bound,
     _select_cstar,
     HView,
-    LiveCluster,
+    LiveTable,
 )
 from netdecomp.covers import mst_radius
 from netdecomp.graphs import (
@@ -42,6 +42,24 @@ from netdecomp.graphs import (
 )
 from netdecomp.simulate import RoundStats, SimConfig, bounded_flood_oracle
 from references import all_pairs_distances
+
+
+# one live cluster, as the references read it; ``_table`` stacks them into
+# the ``LiveTable`` the code under test reads
+Live = namedtuple("Live", "id center members tree_edges radius")
+
+
+def _table(live):
+    """The ``LiveTable`` of the clusters ``live``, rows in their order."""
+    members = [sorted(c.members) for c in live]
+    return LiveTable(
+        [c.id for c in live],
+        np.array([c.center for c in live], dtype=np.int64),
+        np.array([c.radius for c in live], dtype=np.int64),
+        np.array(list(map(len, members)), dtype=np.int64),
+        np.array([m for ms in members for m in ms], dtype=np.int64),
+        [frozenset(c.tree_edges) for c in live],
+    )
 
 
 def _colors_ok(g, res, k):
@@ -135,12 +153,12 @@ class TestSmallExamples:
 
 class TestHView:
     def _singles(self, g):
-        return [LiveCluster(g.ids[v], v, {v}, frozenset(), 0) for v in range(g.n)]
+        return [Live(g.ids[v], v, {v}, frozenset(), 0) for v in range(g.n)]
 
     def test_adjacent_within_k_mutual_edges(self):
         g = generate_graph("path", {"n": 2}, 0)
-        hv = _build_hview(g, self._singles(g), 1, 2, "fast", SimConfig(), RoundStats(),
-                          _reach_bound(g, 1))
+        hv = _build_hview(g, _table(self._singles(g)), 1, 2, "fast", SimConfig(),
+                          RoundStats(), _reach_bound(g, 1))
         hv = _dict_view(hv, g.ids)
         assert hv.in_ids[0] == [1] and hv.in_ids[1] == [0]
 
@@ -148,7 +166,7 @@ class TestHView:
         g = generate_graph("path", {"n": 3}, 0)  # endpoints at distance 2
         hv = _build_hview(
             g,
-            [LiveCluster(0, 0, {0}, frozenset(), 0), LiveCluster(2, 2, {2}, frozenset(), 0)],
+            _table([Live(0, 0, {0}, frozenset(), 0), Live(2, 2, {2}, frozenset(), 0)]),
             1, 2, "fast", SimConfig(), RoundStats(), _reach_bound(g, 1),
         )
         hv = _dict_view(hv, [0, 2])
@@ -157,8 +175,8 @@ class TestHView:
     def test_clique_in_lists_capped_at_2d_smallest(self):
         d = 2
         g = generate_graph("clique", {"n": 3 * d * 2}, 0)
-        hv = _build_hview(g, self._singles(g), 1, d, "fast", SimConfig(), RoundStats(),
-                          _reach_bound(g, 1))
+        hv = _build_hview(g, _table(self._singles(g)), 1, d, "fast", SimConfig(),
+                          RoundStats(), _reach_bound(g, 1))
         hv = _dict_view(hv, g.ids)
         # every cluster perceives exactly the 2d smallest foreign ids
         for cid in hv.order:
@@ -229,7 +247,7 @@ def _random_live(data, n):
         groups = [m for m in groups if m]
     ids = data.draw(st.lists(st.integers(0, 10**6), unique=True,
                              min_size=len(groups), max_size=len(groups)))
-    return [LiveCluster(cid, min(m), m, frozenset(), 0) for cid, m in zip(ids, groups)]
+    return [Live(cid, min(m), m, frozenset(), 0) for cid, m in zip(ids, groups)]
 
 
 class _CountingAdjacency:
@@ -263,7 +281,7 @@ class TestClusterReach:
         counter = _CountingAdjacency(g.adjacency_csr())
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(Graph, "adjacency_csr", lambda self: counter)
-            reach = _cluster_reach(g, *_member_arrays(live), np.arange(len(live)), k)
+            reach = _cluster_reach(g, _table(live), np.arange(len(live)), k)
         assert reach.has_sorted_indices
         assert np.array_equal(reach.toarray(), _reach_by_distances(g, live, k))
         # the balls stop growing once t reaches the farthest node any
@@ -279,7 +297,7 @@ class TestClusterReach:
 class TestFastHViewEqualsHoldingsUnion:
     @staticmethod
     def _check(g, live, k, d):
-        hv = _build_hview(g, sorted(live, key=lambda c: c.id), k, d, "fast",
+        hv = _build_hview(g, _table(sorted(live, key=lambda c: c.id)), k, d, "fast",
                           SimConfig(), RoundStats(), _reach_bound(g, k))
         hv = _dict_view(hv, sorted(c.id for c in live))
         in_ids, high, marked, marked_nb = _hview_by_holdings(g, live, k, d)
@@ -306,8 +324,8 @@ class TestFastHViewEqualsHoldingsUnion:
     def test_star_of_leaf_pairs_marks_the_hub(self):
         n = 41
         g = Graph(range(n), [(0, i) for i in range(1, n)])
-        live = [LiveCluster(0, 0, {0}, frozenset(), 0)] + [
-            LiveCluster(i, i, {i, i + 1}, frozenset(), 0) for i in range(1, n, 2)
+        live = [Live(0, 0, {0}, frozenset(), 0)] + [
+            Live(i, i, {i, i + 1}, frozenset(), 0) for i in range(1, n, 2)
         ]
         hv = self._check(g, live, 1, 2)
         assert hv.marked == {0}
@@ -347,9 +365,9 @@ class TestReachBound:
         searched = []
         real = decompose_module._cluster_reach
 
-        def record(g, sizes, flat, rows, k):
-            searched.extend(live[r].id for r in rows.tolist())
-            return real(g, sizes, flat, rows, k)
+        def record(g, table, rows, k):
+            searched.extend(table.ids[r] for r in rows.tolist())
+            return real(g, table, rows, k)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(decompose_module, "_cluster_reach", record)
@@ -380,18 +398,18 @@ class TestReachBound:
 
     def test_cluster_in_two_components_is_searched(self):
         g = _two_components(0, 4, 1.0)  # two 4-cliques
-        live = [LiveCluster(0, 0, {0, 4}, frozenset(), 0),
-                LiveCluster(1, 1, {1}, frozenset(), 0),
-                LiveCluster(2, 5, {5, 6}, frozenset(), 0)]
+        live = [Live(0, 0, {0, 4}, frozenset(), 0),
+                Live(1, 1, {1}, frozenset(), 0),
+                Live(2, 5, {5, 6}, frozenset(), 0)]
         assert self._searched(g, live, 20, 1) == {0}
 
     def test_full_row_lists_clusters_first_met_elsewhere(self):
         # cluster 1 spans both cliques; cluster 2's full row lists it,
         # although its smallest member lies in the other clique
         g = _two_components(0, 4, 1.0)
-        live = [LiveCluster(0, 0, {0}, frozenset(), 0),
-                LiveCluster(1, 3, {3, 7}, frozenset(), 0),
-                LiveCluster(2, 5, {5}, frozenset(), 0)]
+        live = [Live(0, 0, {0}, frozenset(), 0),
+                Live(1, 3, {3, 7}, frozenset(), 0),
+                Live(2, 5, {5}, frozenset(), 0)]
         assert self._searched(g, live, 2, 1) == {1}
 
     @pytest.mark.parametrize("spec", [
@@ -416,6 +434,17 @@ class TestReachBound:
                          for c in r.decomposition.clusters]
         assert key(fast) == key(sim)
         assert fast.invariants_log == [{**log, "rounds": 0} for log in sim.invariants_log]
+
+    @pytest.mark.parametrize("spec", [
+        ("path", {"n": 5}, 0),
+        ("gnp", {"n": 40, "p": 0.05}, 5),
+    ])
+    def test_k_past_the_float_range_equals_2n(self, spec):
+        # no d(m, u) + ecc(u) passes 2n - 2, so every k >= 2n decides alike
+        g = generate_graph(*spec)
+        key = lambda r: [(c.id, c.center, c.members, c.tree_edges, c.color)
+                         for c in r.decomposition.clusters]
+        assert key(decompose(g, 10**400)) == key(decompose(g, 2 * g.n))
 
     def test_peak_memory_at_twice_mu(self):
         """A sparse graph's ball at k = 2μ is its whole component; held for
@@ -623,7 +652,7 @@ class TestArrayControlPlane:
         g = generate_graph(model[0], model[1], seed)
         live = sorted(_random_live(data, g.n), key=lambda c: c.id)
         order = [c.id for c in live]
-        hv = _build_hview(g, live, k, d, "fast", SimConfig(), RoundStats(),
+        hv = _build_hview(g, _table(live), k, d, "fast", SimConfig(), RoundStats(),
                           _reach_bound(g, k))
         view = _dict_view(hv, order)
         in_ids, high, marked, marked_nb = _hview_by_holdings(g, live, k, d)
@@ -675,15 +704,17 @@ class TestArrayControlPlane:
         singletons and on the clusters of a decomposition."""
         g = generate_graph(*spec)
         clusterings = [
-            [LiveCluster(cid, v, frozenset((v,)), frozenset(), 0)
+            [Live(cid, v, frozenset((v,)), frozenset(), 0)
              for v, cid in enumerate(g.ids)],
-            sorted((_live_cluster(g, c.id, c.center, c.members)
+            sorted((Live(c.id, c.center, c.members,
+                         *(_live_cluster(g, c.id, c.center, sorted(c.members))
+                           if len(c.members) > 1 else (frozenset(), 0)))
                     for c in decompose(g, 1).decomposition.clusters),
                    key=lambda c: c.id),
         ]
         marked = 0
         for live in clusterings:
-            views = [_build_hview(g, live, k, d, mode, SimConfig(), RoundStats(),
+            views = [_build_hview(g, _table(live), k, d, mode, SimConfig(), RoundStats(),
                                   _reach_bound(g, k) if mode == "fast" else None)
                      for mode in ("fast", "sim")]
             for field in ("in_ptr", "in_pos", "high", "marked", "marked_nb"):
@@ -713,8 +744,8 @@ class TestArrayControlPlane:
         low-degree), ``_proximity_pairs`` the rest."""
         g = generate_graph(model[0], model[1], seed)
         live = sorted(_random_live(data, g.n), key=lambda c: c.id)
-        live = [LiveCluster(c.id, c.center, c.members, frozenset(),
-                            data.draw(st.integers(0, 3), label="radius"))
+        live = [Live(c.id, c.center, c.members, frozenset(),
+                     data.draw(st.integers(0, 3), label="radius"))
                 for c in live]
         apd = all_pairs_distances(g)
         gap = lambda a, b: apd[np.ix_(sorted(a.members), sorted(b.members))].min()
@@ -725,7 +756,7 @@ class TestArrayControlPlane:
         got = {(i, j) for i, a in enumerate(live) for j, b in enumerate(live)
                if i != j and gap(a, b) <= k}
         residual = np.arange(len(live))
-        for i, j in _proximity_pairs(g, live, residual, k):
+        for i, j in _proximity_pairs(g, _table(live), residual, k):
             got |= {(i, j), (j, i)}
         assert got == want
 
@@ -938,6 +969,15 @@ class TestInitClusters:
         with pytest.raises(DecomposeError):
             decompose(g, 1, init=init)
 
+    @pytest.mark.parametrize("mode", ["fast", "sim"])
+    def test_init_member_must_be_a_node(self, mode):
+        # three members for three nodes, one of them no node of G
+        g = generate_graph("path", {"n": 3}, 0)
+        init = [Cluster(id=0, center=0, members=frozenset({0, 1, 7}),
+                        tree_edges=frozenset())]
+        with pytest.raises(DecomposeError, match="do not cover exactly V"):
+            decompose(g, 1, init=init, mode=mode)
+
     def test_init_must_not_overlap(self):
         g = generate_graph("path", {"n": 2}, 0)
         init = [
@@ -946,3 +986,25 @@ class TestInitClusters:
         ]
         with pytest.raises(DecomposeError):
             decompose(g, 1, init=init)
+
+    @pytest.mark.parametrize("mode", ["fast", "sim"])
+    def test_init_center_must_be_a_member(self, mode):
+        g = generate_graph("path", {"n": 3}, 0)
+        init = [
+            Cluster(id=0, center=2, members=frozenset({0, 1}), tree_edges=frozenset()),
+            Cluster(id=2, center=2, members=frozenset({2}), tree_edges=frozenset()),
+        ]
+        with pytest.raises(DecomposeError, match="init cluster 0: center not a member"):
+            decompose(g, 1, init=init, mode=mode)
+
+    @pytest.mark.parametrize("mode", ["fast", "sim"])
+    def test_init_member_must_be_reachable(self, mode):
+        # two components, 0-1 and 2-3; node 2 is the one member of cluster
+        # 5 that G does not connect to its center
+        g = Graph(range(4), [(0, 1), (2, 3)])
+        init = [
+            Cluster(id=5, center=0, members=frozenset({0, 1, 2}), tree_edges=frozenset()),
+            Cluster(id=3, center=3, members=frozenset({3}), tree_edges=frozenset()),
+        ]
+        with pytest.raises(DecomposeError, match=r"^cluster 5: member 2 unreachable$"):
+            decompose(g, 1, init=init, mode=mode)

@@ -16,7 +16,9 @@ before the engine's send queues, round loop and lane messages were
 reworked; they pin holdings, statuses and every ledger, budget violations
 included.  The digest of a simulated decomposition that marks clusters
 was recorded before the H-view came from one cluster-reach product and
-each cluster tree was built once.  The ``load_graph`` digests were
+each cluster tree was built once.  The digests of ``decompose`` with
+initial clusters, in both modes, were recorded before its live clusters
+became one table of arrays.  The ``load_graph`` digests were
 recorded before graph construction and the JSON loader became bulk numpy
 operations; they pin ids, neighbor lists, weights and ``id_bits``.  The
 validator digests on clusters of up to 2,000 members were recorded before
@@ -685,6 +687,70 @@ def test_decompose_sim_with_marks_matches_pinned_digest():
     assert marked_sim_output() == MARKED_SIM_EXPECTED
 
 
+# decompose with initial clusters, in both modes: the clusters of
+# decompose(g, k0), several of them with two or more members, seed the
+# decompositions at k0 + 1 and k0 + 2
+INIT_INPUTS = {
+    "gnp n=500 k0=1": (("gnp", {"n": 500, "p": 0.02}, 1), 1),
+    "gnp n=300 k0=2": (("gnp", {"n": 300, "p": 0.0133}, 12), 2),
+    "gnp n=2000 k0=2": (("gnp", {"n": 2000, "p": 0.002, "largest_component": 1}, 1), 2),
+}
+INIT_EXPECTED = {
+    "gnp n=500 k0=1": {
+        "decompose fast k=2":
+            "be79ffcbcfe093b8f24a5eb169c38fcc7898c10dba171cf7d308abd439684d19",
+        "decompose sim k=2":
+            "de0fd9f2af796bd66edde8ba8eba30f6d6128c3e17c0dcd3cebaf39c9d06dd79",
+        "decompose fast k=3":
+            "fb905a1b7feddf352cde23d265e7ed37c98af66f8046af7c4ea5679ea49ebf3a",
+        "decompose sim k=3":
+            "8619acf8d2ceabc8d92d3efa6224c71effac2b6edf15920ce7549ea2d8f7f54a",
+    },
+    "gnp n=300 k0=2": {
+        "decompose fast k=3":
+            "fd93883b22e21b74ede05e56d3f1dcb7299117d946b11b18edb13d2bd286abe9",
+        "decompose sim k=3":
+            "a2f34941d4bfec5e1b3a0db1558f2c23c7abdf92e104e7bae8bfe2f228312871",
+        "decompose fast k=4":
+            "485b487ed50e8d49f0b92e14684e50a62ced8b012f301679bd5d24d38fff0d4b",
+        "decompose sim k=4":
+            "e2410e1077fdbbd95b39ce9c9586fb4c96472a7bd1a9277e12cfe86718015792",
+    },
+    "gnp n=2000 k0=2": {
+        "decompose fast k=3":
+            "b9d53fadb7847a3f0fe03b6128a3d5847011201f129427b5a1b0b8bfc0e306f1",
+        "decompose sim k=3":
+            "ea44fa930798d61f54212c4165f31ba32a262aa9da3cffd5eb8bdf4f17c130d5",
+        "decompose fast k=4":
+            "c29dd3cfd5c4a4217904e43fcbc59de632387ce6d778ef2efa62b5fae0f351ed",
+        "decompose sim k=4":
+            "4446e2f51f0d252db023b254fdc5e719ba4ab7a363a350753d8540633b34ced3",
+    },
+}
+
+
+def init_outputs(name: str) -> dict[str, str]:
+    spec, k0 = INIT_INPUTS[name]
+    g = generate_graph(*spec)
+    init = decompose(g, k0).decomposition.clusters
+    assert sum(len(c.members) > 1 for c in init) > 1
+    out = {}
+    for k in (k0 + 1, k0 + 2):
+        for mode in ("fast", "sim"):
+            r = decompose(g, k, init=init, mode=mode)
+            out[f"decompose {mode} k={k}"] = _sha({
+                "decomposition": decomposition_to_json(g, r.decomposition),
+                "invariants_log": r.invariants_log,
+                "stats": r.stats.to_json(),
+            })
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(INIT_INPUTS))
+def test_decompose_with_init_matches_pinned_digests(name):
+    assert init_outputs(name) == INIT_EXPECTED[name]
+
+
 # Validator reports on clusters above 64 members (one 64-bit word of
 # ``weak_diameter`` lanes) and across a lane block: the fast decompositions
 # of the benchmark's ``tree`` n=2000 k=3 and ``gnp`` n=2000 k=2 graphs and
@@ -992,6 +1058,7 @@ if __name__ == "__main__":
     _print_table("RANDOM_EXPECTED", RANDOM_INPUTS, random_outputs)
     _print_table("ENGINE_EXPECTED", ENGINE_INPUTS, engine_outputs)
     print(f"MARKED_SIM_EXPECTED = {json.dumps(marked_sim_output())}")
+    _print_table("INIT_EXPECTED", INIT_INPUTS, init_outputs)
     _print_table("VALIDATOR_EXPECTED", VALIDATOR_INPUTS, validator_outputs)
     print("LOAD_EXPECTED = {")
     with tempfile.TemporaryDirectory() as tmp:
